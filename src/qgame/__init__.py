@@ -13,7 +13,6 @@ from .equilibrium import (
     BestResponseResult,
     NashReport,
     ResponseProblem,
-    SolverOptions,
     best_response,
     response_problem,
     response_value,

@@ -402,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("player", choices=["I", "II", "i", "ii", "1", "2"],
                    help="the responding player")
     p.add_argument("--tol", dest="br_tol", type=float, default=1e-7)
-    p.add_argument("--max-iters", type=_positive_int, default=5000)
+    p.add_argument("--max-iters", type=_positive_int, default=5000,
+                   help="budget of Newton steps for the barrier solver")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_best_response)
 

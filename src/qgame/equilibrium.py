@@ -7,22 +7,28 @@ maximum of a linear functional over the spectrahedron
     Omega_n = { chi >= 0 : partial-trace over the first index factor = I }.
 
 That is a small semidefinite program.  It is solved here without an external
-SDP solver:
+SDP solver, by the log-barrier method (Boyd & Vandenberghe, *Convex
+Optimization*, sec. 11) applied to its dual, which has only n^2 real
+unknowns:
 
-* primal: projected gradient ascent, with Dykstra alternating projections
-  onto {PSD} and the trace-preservation affine subspace supplying the
-  projection onto their intersection;
-* certificate: weak duality.  For any Hermitian Y with (I (x) Y) - H >= 0
-  (H the Hermitian part of G), tr(Y) bounds the optimum from above, and for
-  an arbitrary Hermitian Y the shifted matrix Y + max(0, -lambda_min) I is
-  feasible, so every candidate yields the certified bound
-  tr(Y) + n * max(0, -lambda_min(I (x) Y - H)).  The bound is tightened by
-  Polyak subgradient steps plus a least-squares candidate built from the
-  primal support;
-* refinement: on the face where (I (x) Y) - H vanishes the objective is
-  constant and equal to tr(Y), so once a near-optimal Y is known, any
-  feasible point supported on that near-kernel attains the optimum; such a
-  point is found by alternating projections and used to close the gap.
+* dual: minimize tr(Y) over Hermitian n x n matrices Y subject to
+  S(Y) = (I (x) Y) - H > 0, with H the Hermitian part of G.  For each
+  barrier parameter t, damped Newton steps minimize
+  t tr(Y) - log det S(Y); t then grows eightfold and the next centering
+  starts from the last point;
+* primal: at the end of each centering, the last Newton step D gives
+  chi = (W - W (I (x) D) W) / t with W = S(Y)^-1, the first-order change
+  of S^-1 / t along the step.  It is positive definite, and for a full
+  step its partial trace is exactly I.  The congruence
+  chi -> (I (x) M^-1/2) chi (I (x) M^-1/2), with M the partial trace of chi,
+  makes it exactly feasible in every case, because the partial trace
+  commutes with I (x) A;
+* certificate: weak duality.  For any Hermitian Y with (I (x) Y) - H >= 0,
+  tr(Y) bounds the optimum from above, and for an arbitrary Hermitian Y the
+  shifted matrix Y + max(0, -lambda_min) I is feasible, so every candidate
+  yields the certified bound tr(Y) + n * max(0, -lambda_min(I (x) Y - H)).
+  The gap is the best such bound minus the best primal value over all
+  stages.
 
 A brute-force grid over single-qubit unitary strategies serves as an
 independent lower-bound oracle for cross-checking the solver.
@@ -52,6 +58,13 @@ from .game import (
 from .quantum import ChiMatrix, maximally_mixing_chi, validate_chi
 
 WEAK_DUALITY_ATOL = 1e-8
+# the barrier method stops once the gap is this small relative to
+# max(1, |H|), about the accuracy of the certified bound in double precision
+STOP_GAP_RTOL = 1e-12
+BARRIER_GROWTH = 8.0
+# Newton decrement that ends a centering; the primal taken from the last
+# step is feasible however far from central the barrier point is
+CENTERED_DECREMENT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -65,6 +78,11 @@ class ResponseProblem:
 
 @dataclass(frozen=True)
 class BestResponseResult:
+    """A feasible strategy, its value and a certified upper bound on the optimum.
+
+    ``iterations`` counts the Newton steps of the barrier method.
+    """
+
     value: float
     chi_opt: ChiMatrix
     dual_bound: float
@@ -73,69 +91,13 @@ class BestResponseResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tuning knobs for the projected-gradient best-response solver."""
-
-    step_scale: float = 0.5
-    chunk: int = 250
-    stall_limit: int = 30
-    dual_iters: int = 400
-    projection_sweeps: int = 500
-    projection_tol: float = 1e-11
-    refine: bool = True
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
-
-
-def _spectral_norm(m: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(_hermitize(m)))))
 
 
 def partial_trace_first(m: np.ndarray, n: int) -> np.ndarray:
     """Partial trace over the first factor of the flattened (i, j) label."""
     return np.einsum("ijil->jl", m.reshape(n, n, n, n))
-
-
-def project_trace_affine(m: np.ndarray, n: int) -> np.ndarray:
-    """Orthogonal projection onto the affine set {partial trace = identity}."""
-    delta = partial_trace_first(m, n) - np.eye(n)
-    return m - np.kron(np.eye(n), delta) / n
-
-
-def project_psd(m: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the PSD cone (eigenvalue clipping)."""
-    w, v = np.linalg.eigh(_hermitize(m))
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
-
-
-def project_omega(point: np.ndarray, n: int,
-                  tol: float = 1e-11, max_sweeps: int = 500) -> np.ndarray:
-    """Dykstra projection onto Omega_n = PSD cone intersect affine set.
-
-    The affine projection needs no correction term; the PSD step carries the
-    usual Dykstra correction.  Omega_n is never empty (the maximally mixing
-    chi matrix I/n always belongs to it), so failure to converge indicates a
-    bug and raises ``InfeasibleProjection``.
-    """
-    x = _hermitize(point)
-    correction = np.zeros_like(x)
-    delta = np.inf
-    for _ in range(max_sweeps):
-        y = project_psd(x + correction)
-        correction = x + correction - y
-        x = project_trace_affine(y, n)
-        delta = float(np.max(np.abs(x - y)))
-        if delta <= tol:
-            return x
-    if delta <= 1e-6:
-        return x
-    raise InfeasibleProjection(
-        f"Dykstra projection stalled with residual {delta:.3e} after {max_sweeps} sweeps"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,203 +143,113 @@ def response_value(problem: ResponseProblem, chi: ChiMatrix,
 
 
 # ---------------------------------------------------------------------------
-# dual certificates
+# barrier solver
 # ---------------------------------------------------------------------------
 
-def _certified_bound(y: np.ndarray, h: np.ndarray, n: int) -> tuple[float, np.ndarray]:
-    """Certified upper bound from a Hermitian candidate Y.
+def _certified_bound(y: np.ndarray, h: np.ndarray, n: int) -> float:
+    """Certified upper bound ``tr(Y) + n * max(0, -lambda_min(I (x) Y - H))``.
 
-    Returns ``(bound, y_feasible)`` where ``y_feasible`` satisfies
-    ``(I (x) y_feasible) - h >= 0`` exactly up to eigensolver accuracy and
-    ``tr(y_feasible) = bound``.
+    It is ``tr`` of the feasible dual point ``Y + max(0, -lambda_min) I``,
+    exact up to eigensolver accuracy.
     """
     m = _hermitize(np.kron(np.eye(n), y) - h)
     lam_min = float(np.linalg.eigvalsh(m)[0])
-    shift = max(0.0, -lam_min)
-    y_feasible = y + shift * np.eye(n)
-    return float(np.trace(y).real + n * shift), y_feasible
+    return float(np.trace(y).real + n * max(0.0, -lam_min))
 
 
-def _ls_dual_candidate(h: np.ndarray, n: int, chi: np.ndarray) -> np.ndarray | None:
-    """Least-squares Y from complementary slackness on the primal support.
+def _newton_step(y: np.ndarray, h: np.ndarray, n: int,
+                 t: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """Newton step for ``t tr(Y) - log det S(Y)``, its decrement, and S(Y)^-1.
 
-    At an optimal pair, ``(I (x) Y) w = H w`` for every vector w in the
-    support of chi; solving that linear system in Y for the support of a
-    near-optimal iterate gives an excellent dual seed.
+    With W = S(Y)^-1 the gradient is ``t I - tr_1(W)`` and the Hessian maps
+    a direction D to ``tr_1(W (I (x) D) W)``.
     """
-    w, v = np.linalg.eigh(_hermitize(chi))
-    cut = max(1e-8, 1e-8 * float(w[-1]))
-    support = v[:, w > cut]
-    if support.shape[1] == 0:
-        support = v[:, -1:]
-    r = support.shape[1]
-    blocks = support.reshape(n, n, r)          # blocks[i] has entries w_c[(i, l)]
-    target = (h @ support).reshape(n, n, r)
-    a = np.concatenate([blocks[i] for i in range(n)], axis=1)    # (n, n*r)
-    b = np.concatenate([target[i] for i in range(n)], axis=1)
-    try:
-        yt, *_ = np.linalg.lstsq(a.T, b.T, rcond=None)
-    except np.linalg.LinAlgError:
+    w = np.linalg.inv(np.kron(np.eye(n), y) - h)
+    grad = t * np.eye(n) - partial_trace_first(w, n)
+    w4 = w.reshape(n, n, n, n)
+    hessian = np.einsum("aibj,bmap->ipjm", w4, w4).reshape(n * n, n * n)
+    step = _hermitize(np.linalg.solve(hessian, -grad.reshape(-1)).reshape(n, n))
+    decrement = float(np.sqrt(max(0.0, -np.vdot(grad, step).real)))
+    return step, decrement, w
+
+
+def _barrier_primal(w: np.ndarray, step: np.ndarray, n: int) -> np.ndarray | None:
+    """Feasible chi from the last Newton step, or None if it is not definite.
+
+    ``W - W (I (x) D) W`` linearizes S^-1 along the step D; scaled by 1/t it
+    satisfies the trace condition exactly for a full step, and it is
+    definite because the step stays inside the Dikin ellipsoid.  The
+    congruence by ``I (x) M^-1/2`` makes the trace condition exact for a
+    damped step and removes rounding; the scale 1/t cancels in it.
+    """
+    chi = _hermitize(w - w @ np.kron(np.eye(n), step) @ w)
+    if np.linalg.eigvalsh(chi)[0] <= 0.0:
         return None
-    return _hermitize(yt.T)
+    mw, mv = np.linalg.eigh(partial_trace_first(chi, n))
+    root = np.kron(np.eye(n), (mv / np.sqrt(mw)) @ mv.conj().T)
+    return _hermitize(root @ chi @ root)
 
 
-def _dual_tr1_rank1(v: np.ndarray, n: int) -> np.ndarray:
-    v4 = v.reshape(n, n)
-    return np.einsum("ij,il->jl", v4, v4.conj())
-
-
-def _dual_bound(h: np.ndarray, n: int, target: float, chi: np.ndarray | None,
-                warm: np.ndarray | None, iters: int) -> tuple[float, np.ndarray]:
-    """Best certified upper bound on ``max tr(H chi)`` over Omega_n.
-
-    Seeds from ``lambda_max(H) I``, a warm start, and the least-squares
-    complementary-slackness candidate, then runs Polyak subgradient steps on
-    the certified-bound function (convex, minimized at the dual optimum).
-    Every iterate yields a valid bound; the best one is returned together
-    with its feasible Y.
-    """
-    lam_max = float(np.linalg.eigvalsh(h)[-1])
-    candidates = [lam_max * np.eye(n, dtype=complex)]
-    if warm is not None:
-        candidates.append(warm)
-    if chi is not None:
-        ls = _ls_dual_candidate(h, n, chi)
-        if ls is not None:
-            candidates.append(ls)
-
-    best_bound = np.inf
-    best_y = candidates[0]
-    start = candidates[0]
-    for cand in candidates:
-        bound, y_feas = _certified_bound(cand, h, n)
-        if bound < best_bound:
-            best_bound, best_y, start = bound, y_feas, cand
-
-    y = start.copy()
-    eye = np.eye(n, dtype=complex)
-    for _ in range(iters):
-        m = _hermitize(np.kron(eye, y) - h)
-        w, v = np.linalg.eigh(m)
-        lam_min = float(w[0])
-        g_val = float(np.trace(y).real) + n * max(0.0, -lam_min)
-        if g_val < best_bound:
-            best_bound = g_val
-            best_y = y + max(0.0, -lam_min) * eye
-        grad = eye - n * _dual_tr1_rank1(v[:, 0], n) if lam_min < 0 else eye.copy()
-        gap_est = g_val - target
-        if gap_est <= 0:
-            break
-        step = gap_est / max(float(np.sum(np.abs(grad) ** 2)), 1e-30)
-        y = _hermitize(y - step * grad)
-    return best_bound, best_y
-
-
-def _face_refine(h: np.ndarray, n: int, y_feasible: np.ndarray,
-                 opts: SolverOptions) -> np.ndarray | None:
-    """Feasible point supported on the near-kernel of (I (x) Y) - H.
-
-    On that face the objective equals tr(Y), the certified bound, so a
-    feasible point there is optimal to within the kernel cutoff.  Found by
-    alternating projections between the trace affine set and the PSD cone
-    restricted to the kernel subspace; returns None when the attempt fails.
-    """
-    m = _hermitize(np.kron(np.eye(n), y_feasible) - h)
-    w, v = np.linalg.eigh(m)
-    w = w - min(0.0, float(w[0]))
-    scale = max(float(w[-1]), 1e-12)
-    for cut_mult in (1e-7, 1e-5, 1e-3):
-        kernel = v[:, w <= cut_mult * scale]
-        r = kernel.shape[1]
-        if r == 0:
-            continue
-        chi = kernel @ (kernel.conj().T @ kernel) @ kernel.conj().T / n
-        ok = False
-        for _ in range(opts.projection_sweeps):
-            chi = project_trace_affine(chi, n)
-            s = kernel.conj().T @ chi @ kernel
-            sw, sv = np.linalg.eigh(_hermitize(s))
-            s = (sv * np.clip(sw, 0.0, None)) @ sv.conj().T
-            chi = kernel @ s @ kernel.conj().T
-            residual = float(np.max(np.abs(partial_trace_first(chi, n) - np.eye(n))))
-            if residual <= 1e-12:
-                ok = True
-                break
-        if ok:
-            return project_omega(chi, n, opts.projection_tol, opts.projection_sweeps)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# primal solver
-# ---------------------------------------------------------------------------
-
-def _ascend(h: np.ndarray, x: np.ndarray, step: float, iters: int, n: int,
-            opts: SolverOptions) -> tuple[np.ndarray, int]:
-    val = float(np.trace(h @ x).real)
-    stall = 0
-    for t in range(iters):
-        x = project_omega(x + step * h, n, opts.projection_tol, opts.projection_sweeps)
-        new_val = float(np.trace(h @ x).real)
-        if new_val <= val + 1e-15 * max(1.0, abs(val)):
-            stall += 1
-            if stall >= opts.stall_limit:
-                return x, t + 1
-        else:
-            stall = 0
-        val = new_val
-    return x, iters
-
-
-def best_response(problem: ResponseProblem, max_iters: int = 5000, tol: float = 1e-7,
-                  options: SolverOptions | None = None) -> BestResponseResult:
+def best_response(problem: ResponseProblem, max_iters: int = 5000,
+                  tol: float = 1e-7) -> BestResponseResult:
     """Maximize ``tr(G chi)`` over the strategy set with a duality certificate.
 
-    Returns the best feasible iterate, the certified upper bound, and the
-    duality gap.  ``converged`` is set iff the gap closed to within ``tol``;
-    an unconverged result still carries the best feasible strategy found
+    Returns the best feasible strategy found, the best certified upper
+    bound, and the duality gap.  ``max_iters`` bounds the number of Newton
+    steps.  ``converged`` is set iff the gap closed to within ``tol``; an
+    unconverged result still carries the best feasible strategy found
     (callers decide whether to treat that as an error).
     """
-    opts = options if options is not None else SolverOptions()
     n = problem.n
     h = _hermitize(problem.matrix)
-    scale = _spectral_norm(h)
+    eig_h = np.linalg.eigvalsh(h)
+    scale = float(max(-eig_h[0], eig_h[-1]))
     if scale <= 1e-14:
         chi = maximally_mixing_chi(n)
         value = response_value(problem, chi)
         return BestResponseResult(value, chi, value, 0.0, 0, True)
 
-    step = opts.step_scale / scale
-    x = np.eye(n * n, dtype=complex) / n
-    best_x = x
-    best_val = float(np.trace(h @ x).real)
-    iterations = 0
-    bound = np.inf
-    y_feasible: np.ndarray | None = None
+    eye = np.eye(n, dtype=complex)
+    # trivial certificate: chi = I/n against the better of lambda_max(H) I
+    # and tr_1(H)/n; the latter is exact for constant games, H = I (x) Z
+    best_x = np.eye(n * n, dtype=complex) / n
+    best_val = float(np.trace(h).real) / n
+    bound = min(_certified_bound(eig_h[-1] * eye, h, n),
+                _certified_bound(partial_trace_first(h, n) / n, h, n))
+    stop_gap = STOP_GAP_RTOL * max(1.0, scale)
 
-    while iterations < max_iters:
-        chunk = min(opts.chunk, max_iters - iterations)
-        x, used = _ascend(h, x, step, chunk, n, opts)
-        iterations += used
-        val = float(np.trace(h @ x).real)
-        if val > best_val:
-            best_x, best_val = x, val
-        bound, y_feasible = _dual_bound(h, n, best_val, best_x, y_feasible, opts.dual_iters)
-        if bound - best_val <= tol:
-            break
-        if opts.refine:
-            candidate = _face_refine(h, n, y_feasible, opts)
-            if candidate is not None:
-                cand_val = float(np.trace(h @ candidate).real)
-                if cand_val > best_val:
-                    best_x, best_val = candidate, cand_val
-                    x = candidate
-            if bound - best_val <= tol:
+    y = (eig_h[-1] + 1.0) * eye
+    t = 1.0 / scale
+    iterations = 0
+    stage_gap = np.inf
+    stalls = 0
+    while bound - best_val > stop_gap and iterations < max_iters and stalls < 2:
+        # damped Newton steps keep S(Y) definite without a line search
+        previous = np.inf
+        while iterations < max_iters:
+            step, decrement, w = _newton_step(y, h, n, t)
+            if decrement > 0.25:
+                step = step / (1.0 + decrement)
+            y = y + step
+            iterations += 1
+            # near the center the decrement falls quadratically, so a
+            # decrement that stops falling there has hit rounding noise
+            if decrement <= CENTERED_DECREMENT or (decrement <= 0.25 and decrement >= previous):
                 break
-        if used < chunk:
-            # ascent stalled and refinement did not close the gap; a longer
-            # run will not move the primal iterate any further
+            previous = decrement
+        chi = _barrier_primal(w, step, n)
+        if chi is None:
             break
+        val = float(np.trace(h @ chi).real)
+        stage_bound = _certified_bound(y, h, n)
+        if val > best_val:
+            best_x, best_val = chi, val
+        bound = min(bound, stage_bound)
+        # the central path shrinks the gap eightfold per stage; two stages in
+        # a row that fail to halve it mean rounding error has taken over
+        stalls = stalls + 1 if stage_bound - val > 0.5 * stage_gap else 0
+        stage_gap = stage_bound - val
+        t *= BARRIER_GROWTH
 
     chi_opt = validate_chi(best_x, n, tol=1e-7)
     value = response_value(problem, chi_opt)

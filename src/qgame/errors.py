@@ -61,7 +61,10 @@ class NoConvergence(QGameError):
 
 
 class InfeasibleProjection(QGameError):
-    """Projection onto the strategy set failed; signals an internal bug."""
+    """A solver's primal value exceeded its certified dual bound.
+
+    Weak duality rules this out, so it signals an internal bug.
+    """
 
 
 class InconsistentMeasurement(QGameError):

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qgame.equilibrium import (
     best_response,
     partial_trace_first,
-    project_omega,
     response_problem,
     response_value,
     unitary_oracle,
@@ -69,21 +73,8 @@ def test_response_problem_dimension_mismatch(ewl_game):
 
 
 # ---------------------------------------------------------------------------
-# projections
+# partial trace
 # ---------------------------------------------------------------------------
-
-def test_project_omega_returns_valid_strategy(rng):
-    for _ in range(5):
-        n = int(rng.integers(2, 4))
-        point = random_hermitian(n * n, rng)
-        projected = project_omega(point, n)
-        validate_chi(projected, n, tol=1e-8)
-
-
-def test_project_omega_fixes_valid_points(rng):
-    chi = random_chi(2, rng)
-    np.testing.assert_allclose(project_omega(chi.matrix, 2), chi.matrix, atol=1e-9)
-
 
 def test_partial_trace_identity():
     chi = identity_chi(2)
@@ -169,13 +160,45 @@ def test_best_response_qutrit_dimension(rng):
     assert result.value <= result.dual_bound + 1e-8
 
 
-def test_best_response_starved_budget_reports_unconverged(ewl_game, rng):
-    from qgame.equilibrium import SolverOptions
+def test_best_response_strategy_is_feasible(rng):
+    # chi_opt lies in Omega_n at a tolerance well below the solver's, for
+    # qubit and qutrit responders and for either player of a 2x3 game
+    cases = [(2, 2, "I"), (3, 3, "I"), (2, 3, "I"), (2, 3, "II")]
+    for n1, n2, player in cases:
+        game = random_game(n1, n2, rng)
+        opponent = random_chi(n2 if player == "I" else n1, rng)
+        problem = response_problem(payoff_tensor_matrix_unit(game, player), opponent, player)
+        result = best_response(problem)
+        validate_chi(result.chi_opt.matrix, problem.n, tol=1e-9)
 
+
+@pytest.mark.parametrize("seed", range(6))
+def test_best_response_scaled_payoffs(seed):
+    # payoffs of order 1e4: rounding must not trip the weak-duality guard
+    rng = np.random.default_rng(seed)
+    game = build_game(random_density(4, rng), 1e4 * random_hermitian(4, rng),
+                      1e4 * random_hermitian(4, rng), 2, 2)
+    opponent = random_chi(2, rng)
+    result = best_response(response_problem(payoff_tensor_matrix_unit(game, "I"), opponent, "I"))
+    assert result.value <= result.dual_bound + 1e-8
+    validate_chi(result.chi_opt.matrix, 2, tol=1e-9)
+
+
+def test_best_response_large_constant_game(rng):
+    # the trivial certificate closes a constant game before any Newton step
+    game = build_game(random_density(4, rng), 1e6 * np.eye(4), 1e6 * np.eye(4), 2, 2)
+    problem = response_problem(payoff_tensor_matrix_unit(game, "I"), random_chi(2, rng), "I")
+    result = best_response(problem)
+    assert result.converged
+    assert result.iterations == 0
+    assert result.value <= result.dual_bound + 1e-8
+    validate_chi(result.chi_opt.matrix, 2, tol=1e-9)
+
+
+def test_best_response_starved_budget_reports_unconverged(ewl_game, rng):
     opponent = random_chi(2, rng)
     problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), opponent, "I")
-    result = best_response(problem, max_iters=1, tol=1e-30,
-                           options=SolverOptions(refine=False, dual_iters=0, chunk=1))
+    result = best_response(problem, max_iters=1, tol=1e-30)
     assert not result.converged
     assert result.gap > 0
     validate_chi(result.chi_opt.matrix, 2, tol=1e-7)  # best iterate still feasible
@@ -187,7 +210,7 @@ def test_verify_nash_propagates_no_convergence(ewl_game, ewl_stars):
     chi_star, xi_star = ewl_stars
     with pytest.raises(NoConvergence) as err:
         verify_nash(ewl_game, chi_star, xi_star, epsilon=1e-5,
-                    solver_tol=1e-30, max_iters=1)
+                    solver_tol=1e-30, max_iters=30)
     partial = err.value.partial
     assert partial is not None
     assert abs(partial.gap_i) < 1e-3  # partial gaps still reported
@@ -287,3 +310,19 @@ def test_verify_nash_gap_self_consistency(ewl_game):
     again = verify_nash(ewl_game, chi_id, chi_id,
                         epsilon=max(report.gap_i, report.gap_ii) + 1e-9)
     assert again.is_equilibrium
+
+
+# ---------------------------------------------------------------------------
+# scripts
+# ---------------------------------------------------------------------------
+
+def test_best_response_scan_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "best_response_scan.py"),
+         "--trials", "6", "--random-games"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
