@@ -60,7 +60,7 @@ from .games_builtin import (
     ewl_referee_measurement,
     figure1_reference_tensors,
 )
-from .linalg import hermitian_eigen, is_psd, kron, matrix_unit
+from .linalg import hermitian_eigen
 from .quantum import (
     ChiMatrix,
     DensityMatrix,
@@ -75,7 +75,6 @@ from .quantum import (
     kraus_to_chi,
     maximally_mixing_chi,
     measure_probs,
-    sample_outcome,
     shift_channel,
     validate_chi,
     validate_density,

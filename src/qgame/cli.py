@@ -47,7 +47,6 @@ from .game import (
     simulate_play,
 )
 from .games_builtin import figure1_reference_tensors
-from .linalg import HERMITIAN_ATOL, PSD_ATOL, TRACE_ATOL, hermiticity_residual, min_eigenvalue
 from .quantum import chi_to_kraus
 
 EXIT_OK = 0
@@ -115,47 +114,11 @@ def _print_matrix(m: np.ndarray, exact: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    raw = files.parse_game_raw(args.game)
-    tol = args.tol
-    trace_tol = tol if tol is not None else TRACE_ATOL
-    herm_tol = tol if tol is not None else HERMITIAN_ATOL
-    psd_tol = tol if tol is not None else PSD_ATOL
-
-    checks: list[tuple[str, bool, str]] = []
-    rho = raw["rho"]
-    dim_ok = rho.shape == (raw["n1"] * raw["n2"],) * 2
-    checks.append(("dimensions", dim_ok, f"{rho.shape[0]} vs n1*n2 = {raw['n1'] * raw['n2']}"))
-    trace_residual = abs(complex(np.trace(rho)) - 1.0)
-    checks.append(("rho trace-one", trace_residual <= trace_tol, f"residual {trace_residual:.3e}"))
-    herm_residual = hermiticity_residual(rho)
-    herm_ok = herm_residual <= herm_tol
-    checks.append(("rho hermitian", herm_ok, f"residual {herm_residual:.3e}"))
-    if herm_ok:
-        lo = min_eigenvalue(rho, tol=max(herm_tol, HERMITIAN_ATOL))
-        checks.append(("rho positive", lo >= -psd_tol, f"min eigenvalue {lo:.3e}"))
-    else:
-        checks.append(("rho positive", False, "skipped: not hermitian"))
-
-    if "payoff_ops" in raw:
-        for player in ("I", "II"):
-            residual = hermiticity_residual(raw["payoff_ops"][player])
-            checks.append((f"payoff operator {player} hermitian", residual <= herm_tol,
-                           f"residual {residual:.3e}"))
-    else:
-        elements = np.stack(raw["povm"]["elements"])
-        completeness = np.einsum("kai,kaj->ij", elements.conj(), elements)
-        residual = float(np.max(np.abs(completeness - np.eye(elements.shape[1]))))
-        checks.append(("measurement completeness", residual <= trace_tol, f"residual {residual:.3e}"))
-        for player, vec in (("I", raw["povm"]["payoffs_i"]), ("II", raw["povm"]["payoffs_ii"])):
-            ok = vec.shape[0] == elements.shape[0]
-            checks.append((f"payoffs {player} length", ok,
-                           f"{vec.shape[0]} payoffs for {elements.shape[0]} outcomes"))
-
-    all_ok = all(ok for _, ok, _ in checks)
-    width = max(len(name) for name, _, _ in checks)
-    for name, ok, detail in checks:
-        print(f"{name.ljust(width)}  {'PASS' if ok else 'FAIL'}  {detail}")
-    return EXIT_OK if all_ok else EXIT_VALIDATION
+    checks = files.game_file_checks(args.game, args.tol)
+    width = max(len(check.name) for check in checks)
+    for check in checks:
+        print(f"{check.name.ljust(width)}  {'PASS' if check.passed else 'FAIL'}  {check.detail}")
+    return EXIT_OK if all(check.passed for check in checks) else EXIT_VALIDATION
 
 
 def cmd_tensor(args) -> int:
@@ -445,30 +408,41 @@ def _env_tol() -> float | None:
         raise ParseError(f"QGAME_TOL must be a float, got {raw!r}") from None
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+# exit code and stderr label of each failure, most specific class first
+_FAILURES = (
+    (ParseError, EXIT_PARSE, "parse error"),
+    (ValidationError, EXIT_VALIDATION, "validation error"),
+    (CrossCheckFailure, EXIT_CROSSCHECK, "internal cross-check failure"),
+    (NoConvergence, EXIT_NO_CONVERGENCE, "no convergence"),
+    (QGameError, EXIT_VALIDATION, "error"),
+)
+
+
+def _run(args) -> int:
     try:
         args.tol = _env_tol()
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CrossCheckFailure as exc:
-        print(f"internal cross-check failure: {exc}", file=sys.stderr)
-        return EXIT_CROSSCHECK
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
+    except QGameError as exc:
+        code, label = next((code, label) for cls, code, label in _FAILURES if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
         partial = getattr(exc, "partial", None)
         if partial is not None:
             print(f"partial gaps: {partial.gap_i:.3e}, {partial.gap_ii:.3e}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except QGameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return code
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    code = EXIT_OK
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (e.g. `| head`): send the rest of
+        # the output to /dev/null, so that the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def console_main() -> None:

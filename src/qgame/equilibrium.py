@@ -44,7 +44,6 @@ from .errors import (
     DimensionMismatch,
     InfeasibleProjection,
     NoConvergence,
-    NonRealPayoff,
     UnsupportedDimension,
 )
 from .game import (
@@ -54,8 +53,10 @@ from .game import (
     normalize_player,
     payoff_contract,
     payoff_tensor_matrix_unit,
+    require_real,
 )
-from .quantum import ChiMatrix, maximally_mixing_chi, validate_chi
+from .linalg import hermitian_part
+from .quantum import ChiMatrix, maximally_mixing_chi, partial_trace_first, validate_chi
 
 WEAK_DUALITY_ATOL = 1e-8
 # the barrier method stops once the gap is this small relative to
@@ -91,15 +92,6 @@ class BestResponseResult:
     converged: bool
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
-
-
-def partial_trace_first(m: np.ndarray, n: int) -> np.ndarray:
-    """Partial trace over the first factor of the flattened (i, j) label."""
-    return np.einsum("ijil->jl", m.reshape(n, n, n, n))
-
-
 # ---------------------------------------------------------------------------
 # response problems
 # ---------------------------------------------------------------------------
@@ -114,32 +106,27 @@ def response_problem(tensor: PayoffTensor, opponent: ChiMatrix, player) -> Respo
     invariant (symmetrized here against floating-point noise).
     """
     player = normalize_player(player)
+    expected = tensor.entries.shape[2 if player == PLAYER_I else 0]
+    if opponent.dim != expected:
+        raise DimensionMismatch(f"opponent strategy dim {opponent.dim} != tensor dim {expected}")
     if player == PLAYER_I:
-        if opponent.dim != tensor.entries.shape[2]:
-            raise DimensionMismatch(
-                f"opponent strategy dim {opponent.dim} != tensor dim {tensor.entries.shape[2]}"
-            )
         g = np.einsum("abcd,cd->ba", tensor.entries, opponent.matrix)
         n = tensor.n1
     else:
-        if opponent.dim != tensor.entries.shape[0]:
-            raise DimensionMismatch(
-                f"opponent strategy dim {opponent.dim} != tensor dim {tensor.entries.shape[0]}"
-            )
         g = np.einsum("abcd,ab->dc", tensor.entries, opponent.matrix)
         n = tensor.n2
-    return ResponseProblem(_hermitize(g), n, player)
+    return ResponseProblem(hermitian_part(g), n, player)
 
 
-def response_value(problem: ResponseProblem, chi: ChiMatrix,
-                   imag_tol: float = 1e-9) -> float:
-    """Evaluate ``tr(G chi)`` for a validated strategy."""
+def response_value(problem: ResponseProblem, chi: ChiMatrix) -> float:
+    """Evaluate ``tr(G chi)`` for a validated strategy.
+
+    The imaginary part must vanish relative to ``max(1, max |G|)``.
+    """
     if chi.dim != problem.matrix.shape[0]:
         raise DimensionMismatch(f"strategy dim {chi.dim} != problem dim {problem.matrix.shape[0]}")
     value = complex(np.trace(problem.matrix @ chi.matrix))
-    if abs(value.imag) > imag_tol:
-        raise NonRealPayoff(f"response value has imaginary part {value.imag:.3e}")
-    return float(value.real)
+    return require_real(value, float(np.max(np.abs(problem.matrix))), "response value")
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +139,7 @@ def _certified_bound(y: np.ndarray, h: np.ndarray, n: int) -> float:
     It is ``tr`` of the feasible dual point ``Y + max(0, -lambda_min) I``,
     exact up to eigensolver accuracy.
     """
-    m = _hermitize(np.kron(np.eye(n), y) - h)
+    m = hermitian_part(np.kron(np.eye(n), y) - h)
     lam_min = float(np.linalg.eigvalsh(m)[0])
     return float(np.trace(y).real + n * max(0.0, -lam_min))
 
@@ -168,7 +155,7 @@ def _newton_step(y: np.ndarray, h: np.ndarray, n: int,
     grad = t * np.eye(n) - partial_trace_first(w, n)
     w4 = w.reshape(n, n, n, n)
     hessian = np.einsum("aibj,bmap->ipjm", w4, w4).reshape(n * n, n * n)
-    step = _hermitize(np.linalg.solve(hessian, -grad.reshape(-1)).reshape(n, n))
+    step = hermitian_part(np.linalg.solve(hessian, -grad.reshape(-1)).reshape(n, n))
     decrement = float(np.sqrt(max(0.0, -np.vdot(grad, step).real)))
     return step, decrement, w
 
@@ -182,12 +169,12 @@ def _barrier_primal(w: np.ndarray, step: np.ndarray, n: int) -> np.ndarray | Non
     congruence by ``I (x) M^-1/2`` makes the trace condition exact for a
     damped step and removes rounding; the scale 1/t cancels in it.
     """
-    chi = _hermitize(w - w @ np.kron(np.eye(n), step) @ w)
+    chi = hermitian_part(w - w @ np.kron(np.eye(n), step) @ w)
     if np.linalg.eigvalsh(chi)[0] <= 0.0:
         return None
     mw, mv = np.linalg.eigh(partial_trace_first(chi, n))
     root = np.kron(np.eye(n), (mv / np.sqrt(mw)) @ mv.conj().T)
-    return _hermitize(root @ chi @ root)
+    return hermitian_part(root @ chi @ root)
 
 
 def best_response(problem: ResponseProblem, max_iters: int = 5000,
@@ -201,7 +188,7 @@ def best_response(problem: ResponseProblem, max_iters: int = 5000,
     (callers decide whether to treat that as an error).
     """
     n = problem.n
-    h = _hermitize(problem.matrix)
+    h = hermitian_part(problem.matrix)
     eig_h = np.linalg.eigvalsh(h)
     scale = float(max(-eig_h[0], eig_h[-1]))
     if scale <= 1e-14:

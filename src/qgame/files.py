@@ -2,9 +2,10 @@
 
 All files are structured text (JSON): complex numbers are two-element
 ``[re, im]`` arrays, matrices are row-major arrays of rows, and every file
-carries a ``format_version`` field.  Structural problems raise
-``ParseError`` (CLI exit 2); physical-validity problems raise the matching
-``ValidationError`` subclass (CLI exit 1).
+carries a ``format_version`` field (a file without it is read as the
+current version; any other version is a ``ParseError``).  Structural
+problems raise ``ParseError`` (CLI exit 2); physical-validity problems
+raise the matching ``ValidationError`` subclass (CLI exit 1).
 
 A ``.game`` file holds ``n1``, ``n2``, ``rho`` and either two explicit
 payoff operators or a measurement plus payoff vectors from which the
@@ -23,12 +24,15 @@ from importlib import resources
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .game import QuantumGame, build_game, payoff_operator
+from .game import QuantumGame, build_game, game_checks, payoff_length_check, payoff_operator
+from .linalg import Check, require
 from .quantum import (
     ChiMatrix,
     KrausChannel,
     Povm,
+    completeness_check,
     kraus_to_chi,
+    operator_stack,
     shift_channel,
     validate_chi,
     validate_kraus,
@@ -125,6 +129,11 @@ def load_document(path) -> dict:
     doc = parse_document(resolved.read_text())
     if not isinstance(doc, dict):
         raise ParseError(f"{resolved.name}: top level must be an object")
+    version = doc.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ParseError(
+            f"{resolved.name}: unsupported format_version {version!r}, expected {FORMAT_VERSION}"
+        )
     return doc
 
 
@@ -176,16 +185,39 @@ def parse_game_raw(path) -> dict:
     return out
 
 
+def _payoff_operators(raw: dict, tol: float | None) -> tuple[list[Check], tuple | None]:
+    """A parsed game's measurement checks, and its payoff operators if they can be folded."""
+    if "payoff_ops" in raw:
+        return [], (raw["payoff_ops"]["I"], raw["payoff_ops"]["II"])
+    block = raw["povm"]
+    povm = Povm(operator_stack(block["elements"], "POVM element"))
+    vectors = (block["payoffs_i"], block["payoffs_ii"])
+    lengths = [payoff_length_check(povm.outcome_count, vec, f"payoffs {label}")
+               for label, vec in zip(("I", "II"), vectors)]
+    checks = [completeness_check(povm.elements, tol, "measurement"), *lengths]
+    if not all(check.passed for check in lengths):
+        return checks, None
+    return checks, tuple(payoff_operator(povm, vec) for vec in vectors)
+
+
+def game_file_checks(path, tol: float | None = None) -> list[Check]:
+    """Every check :func:`load_game` applies to a .game file, in order.
+
+    Non-finite entries and POVM elements of mixed sizes raise instead.
+    """
+    raw = parse_game_raw(path)
+    checks, ops = _payoff_operators(raw, tol)
+    if ops is None:
+        return checks
+    return checks + list(game_checks(raw["rho"], *ops, raw["n1"], raw["n2"], tol))
+
+
 def load_game(path, tol: float | None = None) -> QuantumGame:
     """Parse and fully validate a .game file."""
     raw = parse_game_raw(path)
-    if "payoff_ops" in raw:
-        r_i, r_ii = raw["payoff_ops"]["I"], raw["payoff_ops"]["II"]
-    else:
-        povm = validate_povm(raw["povm"]["elements"], tol)
-        r_i = payoff_operator(povm, raw["povm"]["payoffs_i"])
-        r_ii = payoff_operator(povm, raw["povm"]["payoffs_ii"])
-    return build_game(raw["rho"], r_i, r_ii, raw["n1"], raw["n2"], tol)
+    checks, ops = _payoff_operators(raw, tol)
+    require(checks)
+    return build_game(raw["rho"], *ops, raw["n1"], raw["n2"], tol)
 
 
 def game_to_payload(game: QuantumGame, name: str = "") -> dict:
@@ -231,33 +263,27 @@ def load_strategy(path, n: int, tol: float | None = None) -> LoadedStrategy:
         raise ParseError(f"{what}: kind must be one of {STRATEGY_KINDS}, got {kind!r}")
     label = str(doc.get("name", pathlib.Path(str(path)).stem))
 
-    if kind == "kraus":
-        ops = _require(doc, "operators", what)
-        if not isinstance(ops, list) or not ops:
-            raise ParseError(f"{what}: operators must be a non-empty array of matrices")
-        mats = [matrix_from_lists(m, f"Kraus operator {k}") for k, m in enumerate(ops)]
+    if kind == "chi":
+        mat = matrix_from_lists(_require(doc, "matrix", what), "chi matrix")
+        return LoadedStrategy(kind, validate_chi(mat, n, tol), None, label)
+
+    if kind == "classical":
+        index = _int_field(doc, "index", what)
+        if not (0 <= index < n):
+            raise ValidationError(f"classical strategy index {index} out of range [0, {n})")
+        channel = shift_channel(n, index)
+    else:
+        if kind == "kraus":
+            ops = _require(doc, "operators", what)
+            if not isinstance(ops, list) or not ops:
+                raise ParseError(f"{what}: operators must be a non-empty array of matrices")
+            mats = [matrix_from_lists(m, f"Kraus operator {k}") for k, m in enumerate(ops)]
+        else:
+            # unitarity is exactly the one-operator completeness sum
+            mats = [matrix_from_lists(_require(doc, "matrix", what), "unitary matrix")]
         channel = validate_kraus(mats, tol)
         if channel.dim != n:
             raise ValidationError(f"strategy acts on dim {channel.dim}, game needs {n}")
-        return LoadedStrategy(kind, kraus_to_chi(channel), channel, label)
-
-    if kind == "chi":
-        mat = matrix_from_lists(_require(doc, "matrix", what), "chi matrix")
-        chi = validate_chi(mat, n, tol)
-        return LoadedStrategy(kind, chi, None, label)
-
-    if kind == "unitary":
-        mat = matrix_from_lists(_require(doc, "matrix", what), "unitary matrix")
-        # unitarity is exactly the one-operator completeness sum
-        channel = validate_kraus([mat], tol)
-        if channel.dim != n:
-            raise ValidationError(f"strategy acts on dim {channel.dim}, game needs {n}")
-        return LoadedStrategy(kind, kraus_to_chi(channel), channel, label)
-
-    index = _int_field(doc, "index", what)
-    if not (0 <= index < n):
-        raise ValidationError(f"classical strategy index {index} out of range [0, {n})")
-    channel = shift_channel(n, index)
     return LoadedStrategy(kind, kraus_to_chi(channel), channel, label)
 
 

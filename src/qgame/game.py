@@ -21,6 +21,7 @@ are mutual cross-checks and must agree entrywise.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .linalg import ComplexMatrix
+from .linalg import Check, ComplexMatrix
 from .quantum import (
     ChiMatrix,
     DensityMatrix,
@@ -42,16 +43,17 @@ from .quantum import (
     Povm,
     _frozen,
     apply_product_channel,
+    density_checks,
     measure_probs,
     shift_channel,
-    validate_density,
 )
 
 PLAYER_I = "I"
 PLAYER_II = "II"
 
 PAIRING_ATOL = 1e-10
-IMAG_ATOL = 1e-9
+# imaginary parts of payoffs are checked relative to max(1, scale)
+IMAG_RTOL = 1e-9
 
 
 def normalize_player(player) -> str:
@@ -81,21 +83,39 @@ class QuantumGame:
         return self.payoff_op_i if normalize_player(player) == PLAYER_I else self.payoff_op_ii
 
 
+def game_checks(rho, payoff_i, payoff_ii, n1: int, n2: int,
+                tol: float | None = None) -> Iterator[Check]:
+    """Every check of :func:`build_game`, in the order it applies them.
+
+    The state checks of ``rho`` (none for a built ``DensityMatrix``), the
+    dimensions, and the Hermiticity of both payoff operators; non-finite
+    inputs raise at once.
+    """
+    if isinstance(rho, DensityMatrix):
+        state = rho.matrix
+    else:
+        state = linalg.as_matrix(rho, "rho")
+        yield from density_checks(state, tol, "rho")
+    ops = (linalg.as_matrix(payoff_i, "payoff operator I"),
+           linalg.as_matrix(payoff_ii, "payoff operator II"))
+    dims = [state.shape[0], ops[0].shape[0], ops[1].shape[0]]
+    yield Check("dimensions", max(abs(d - n1 * n2) for d in dims), 0, DimensionMismatch,
+                f"rho {dims[0]}, payoff operators {dims[1]} and {dims[2]}, n1*n2 = {n1 * n2}")
+    for label, op in zip((PLAYER_I, PLAYER_II), ops):
+        yield linalg.hermitian_check(op, tol, f"payoff operator {label}")
+
+
 def build_game(rho, payoff_i, payoff_ii, n1: int, n2: int, tol: float | None = None) -> QuantumGame:
     """Validate and assemble a game.
 
-    Payoff operators must be Hermitian (payoffs must be real) and the state
-    dimension must equal ``n1 * n2``.
+    Raises the error of the first failed :func:`game_checks` check.  The
+    game stores the exact Hermitian part of the state and of both payoff
+    operators, so the payoff tensor's Hermiticity pairing holds exactly.
     """
-    state = rho if isinstance(rho, DensityMatrix) else validate_density(rho, tol)
-    if state.dim != n1 * n2:
-        raise DimensionMismatch(f"state dim {state.dim} != n1*n2 = {n1 * n2}")
-    herm_tol = tol if tol is not None else linalg.HERMITIAN_ATOL
-    r1 = linalg.require_hermitian(payoff_i, herm_tol, "payoff operator I")
-    r2 = linalg.require_hermitian(payoff_ii, herm_tol, "payoff operator II")
-    if r1.shape[0] != state.dim or r2.shape[0] != state.dim:
-        raise DimensionMismatch("payoff operators must match the state dimension")
-    return QuantumGame(state, r1, r2, n1, n2)
+    linalg.require(game_checks(rho, payoff_i, payoff_ii, n1, n2, tol))
+    state = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    return QuantumGame(DensityMatrix(linalg.hermitian_part(state)),
+                       linalg.hermitian_part(payoff_i), linalg.hermitian_part(payoff_ii), n1, n2)
 
 
 @dataclass(frozen=True)
@@ -165,19 +185,24 @@ class ClassicalBimatrix:
 # payoff operators and tensors
 # ---------------------------------------------------------------------------
 
+def payoff_length_check(outcomes: int, payoffs, what: str = "payoffs") -> Check:
+    """One payoff per measurement outcome."""
+    a = np.asarray(payoffs, dtype=float)
+    count = a.shape[0] if a.ndim == 1 else a.shape
+    residual = abs(a.shape[0] - outcomes) if a.ndim == 1 else np.inf
+    return Check(f"{what} length", residual, 0, LengthMismatch,
+                 f"{count} payoffs for {outcomes} outcomes")
+
+
 def payoff_operator(povm: Povm, payoffs) -> ComplexMatrix:
     """Fold a measurement and its payoff assignment into one observable.
 
     Returns ``sum_k a_k M_k^dag M_k``; by construction
     ``tr(R rho) = sum_k a_k p_k`` for every state.
     """
-    a = np.asarray(payoffs, dtype=float)
-    if a.ndim != 1 or a.shape[0] != povm.outcome_count:
-        raise LengthMismatch(
-            f"got {a.shape[0] if a.ndim == 1 else a.shape} payoffs for {povm.outcome_count} outcomes"
-        )
+    linalg.require([payoff_length_check(povm.outcome_count, payoffs)])
     effects = np.einsum("kai,kaj->kij", povm.elements.conj(), povm.elements)
-    return np.einsum("k,kij->ij", a, effects)
+    return np.einsum("k,kij->ij", np.asarray(payoffs, dtype=float), effects)
 
 
 def matrix_unit_basis(n: int) -> np.ndarray:
@@ -233,22 +258,28 @@ def payoff_tensor_matrix_unit(game: QuantumGame, player) -> PayoffTensor:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def payoff_contract(tensor: PayoffTensor, chi: ChiMatrix, xi: ChiMatrix,
-                    imag_tol: float = IMAG_ATOL) -> float:
+def require_real(value: complex, scale: float, what: str) -> float:
+    """The real part of ``value``; its imaginary part must vanish relative to ``scale``."""
+    if abs(value.imag) > IMAG_RTOL * max(1.0, scale):
+        raise NonRealPayoff(f"{what} has imaginary part {value.imag:.3e}, "
+                            f"limit {IMAG_RTOL:.1e} x max(1, {scale:.3e})")
+    return float(value.real)
+
+
+def payoff_contract(tensor: PayoffTensor, chi: ChiMatrix, xi: ChiMatrix) -> float:
     """Expected payoff ``sum chi_ab xi_gd A[a,b,g,d]``.
 
-    The imaginary part must vanish within ``imag_tol``; a violation signals a
-    corrupted tensor or strategy and raises ``NonRealPayoff``.
+    The imaginary part must vanish within ``IMAG_RTOL * max(1, |value|)``; a
+    violation signals a corrupted tensor or strategy and raises
+    ``NonRealPayoff``.
     """
     if chi.dim != tensor.entries.shape[0] or xi.dim != tensor.entries.shape[2]:
         raise DimensionMismatch(
             f"tensor expects strategy dims ({tensor.entries.shape[0]}, {tensor.entries.shape[2]}), "
             f"got ({chi.dim}, {xi.dim})"
         )
-    value = np.einsum("ab,cd,abcd->", chi.matrix, xi.matrix, tensor.entries)
-    if abs(value.imag) > imag_tol:
-        raise NonRealPayoff(f"payoff has imaginary part {value.imag:.3e} > {imag_tol:.1e}")
-    return float(value.real)
+    value = complex(np.einsum("ab,cd,abcd->", chi.matrix, xi.matrix, tensor.entries))
+    return require_real(value, abs(value), "payoff")
 
 
 def payoff_direct(game: QuantumGame, ch_a: KrausChannel, ch_b: KrausChannel, player) -> float:
@@ -256,9 +287,7 @@ def payoff_direct(game: QuantumGame, ch_a: KrausChannel, ch_b: KrausChannel, pla
     player = normalize_player(player)
     pi = apply_product_channel(ch_a, ch_b, game.rho)
     value = complex(np.trace(game.payoff_op(player) @ pi.matrix))
-    if abs(value.imag) > IMAG_ATOL:
-        raise NonRealPayoff(f"payoff has imaginary part {value.imag:.3e}")
-    return float(value.real)
+    return require_real(value, abs(value), "payoff")
 
 
 def classical_reduction(game: QuantumGame) -> ClassicalBimatrix:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FixtureCorrupt
 from .game import PLAYER_I, PLAYER_II, PayoffTensor, QuantumGame, build_game
-from .quantum import ChiMatrix, KrausChannel, Povm, validate_chi, validate_povm
+from .quantum import ChiMatrix, Povm, validate_chi, validate_povm
 
 FIXTURE_NAME = "figure1_tensors.txt"
 
@@ -190,9 +190,3 @@ def figure1_reference_tensors() -> tuple[PayoffTensor, PayoffTensor]:
     """
     return _parse_fixture(_fixture_text())
 
-
-def ewl_classical_channels() -> tuple[KrausChannel, KrausChannel]:
-    """The identity and bit-flip channels, the classically allowed moves."""
-    from .quantum import shift_channel
-
-    return shift_channel(2, 0), shift_channel(2, 1)

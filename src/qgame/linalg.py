@@ -1,14 +1,16 @@
-"""Dense complex linear algebra kernel.
+"""Dense complex linear algebra kernel and the validity-check record.
 
-Small, self-contained layer the rest of the package builds on: Kronecker
-products, Hermitian eigendecomposition, positivity tests, and the
-package-wide numerical tolerances.  Matrices are plain square
-``numpy.ndarray`` values of dtype complex, stored row-major.
+Small, self-contained layer the rest of the package builds on: matrix
+coercion, Hermitian eigendecomposition, the package-wide numerical
+tolerances, and :class:`Check`, the one shape every validity condition
+takes.  Matrices are plain square ``numpy.ndarray`` values of dtype
+complex, stored row-major.
 """
 
 from __future__ import annotations
 
-from typing import TypeAlias
+from collections.abc import Iterable
+from typing import NamedTuple, TypeAlias
 
 import numpy as np
 
@@ -19,9 +21,34 @@ ComplexMatrix: TypeAlias = np.ndarray
 
 # Centralized tolerances; every validation accepts an override.
 HERMITIAN_ATOL = 1e-10
-RECONSTRUCTION_ATOL = 1e-9
 PSD_ATOL = 1e-9
 TRACE_ATOL = 1e-9
+
+
+class Check(NamedTuple):
+    """A named residual against its limit; failing (also on NaN) raises ``error``."""
+
+    name: str
+    residual: float
+    limit: float
+    error: type[ValidationError]
+    detail: str
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.limit)
+
+
+def require(checks: Iterable[Check]) -> None:
+    """Raise on the first failed check; later checks are not evaluated."""
+    for check in checks:
+        if not check.passed:
+            raise check.error(f"{check.name} failed: {check.detail} (limit {check.limit:g})")
+
+
+def limit(default: float, tol: float | None) -> float:
+    """The limit of a check: ``tol`` when given, else the check's default."""
+    return default if tol is None else tol
 
 
 def as_matrix(m, what: str = "matrix") -> ComplexMatrix:
@@ -36,42 +63,11 @@ def as_matrix(m, what: str = "matrix") -> ComplexMatrix:
     return a
 
 
-def dagger(m: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
-def hermiticity_residual(m: ComplexMatrix) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
-    return float(np.max(np.abs(m - dagger(m))))
-
-
-def require_hermitian(m: ComplexMatrix, tol: float = HERMITIAN_ATOL, what: str = "matrix") -> ComplexMatrix:
-    """Validate Hermiticity within ``tol``; returns the coerced matrix."""
-    a = as_matrix(m, what)
-    residual = hermiticity_residual(a)
-    if residual > tol:
-        raise NotHermitian(f"{what} is not Hermitian: max |m - m^dag| = {residual:.3e} > {tol:.1e}")
-    return a
-
-
-def matrix_unit(n: int, i: int, j: int) -> ComplexMatrix:
-    """The n-by-n matrix with a single 1 at row ``i``, column ``j`` (0-based)."""
-    if not (0 <= i < n and 0 <= j < n):
-        raise DimensionMismatch(f"matrix unit indices ({i}, {j}) out of range for n={n}")
-    out = np.zeros((n, n), dtype=complex)
-    out[i, j] = 1.0
-    return out
-
-
-def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Kronecker product of two square complex matrices.
-
-    Entry convention: ``kron(a, b)[p*db + q, r*db + s] = a[p, r] * b[q, s]``
-    where ``db = dim(b)``.  In particular the product of two matrix units is
-    again a matrix unit of the combined index.
-    """
-    return np.kron(as_matrix(a, "kron operand a"), as_matrix(b, "kron operand b"))
+def hermitian_check(m: ComplexMatrix, tol: float | None = None, what: str = "matrix") -> Check:
+    """Largest entrywise |m - m^dag|, within ``tol`` (default ``HERMITIAN_ATOL``)."""
+    residual = float(np.max(np.abs(m - m.conj().T)))
+    return Check(f"{what} hermitian", residual, limit(HERMITIAN_ATOL, tol), NotHermitian,
+                 f"residual {residual:.3e}")
 
 
 def hermitian_eigen(m: ComplexMatrix, tol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, ComplexMatrix]:
@@ -91,7 +87,8 @@ def hermitian_eigen(m: ComplexMatrix, tol: float = HERMITIAN_ATOL) -> tuple[np.n
         NotHermitian: if the input fails the Hermiticity check.
         NoConvergence: if the underlying iterative diagonalization fails.
     """
-    a = require_hermitian(m, tol)
+    a = as_matrix(m)
+    require([hermitian_check(a, tol)])
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -99,12 +96,12 @@ def hermitian_eigen(m: ComplexMatrix, tol: float = HERMITIAN_ATOL) -> tuple[np.n
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def min_eigenvalue(m: ComplexMatrix, tol: float = HERMITIAN_ATOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    w, _ = hermitian_eigen(m, tol)
-    return float(w[-1])
+def min_eigenvalue(m: ComplexMatrix) -> float:
+    """Smallest eigenvalue of a Hermitian matrix (read from its lower triangle)."""
+    return float(np.linalg.eigvalsh(m)[0])
 
 
-def is_psd(m: ComplexMatrix, tol: float = PSD_ATOL) -> bool:
-    """True iff the Hermitian matrix ``m`` has min eigenvalue >= -tol."""
-    return min_eigenvalue(m) >= -tol
+def hermitian_part(m) -> ComplexMatrix:
+    """``(m + m^dag) / 2``, exactly Hermitian in floating point."""
+    a = np.asarray(m, dtype=complex)
+    return 0.5 * (a + a.conj().T)

@@ -16,6 +16,7 @@ positive trace-preserving maps; it is compact and convex.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +31,18 @@ from .errors import (
     TraceNotOne,
     ValidationError,
 )
-from .linalg import ComplexMatrix
+from .linalg import Check, ComplexMatrix
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def partial_trace_first(m: np.ndarray, n: int) -> np.ndarray:
+    """Partial trace over the first factor of the flattened (i, j) label."""
+    return np.einsum("ijil->jl", m.reshape(n, n, n, n))
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,57 @@ class Povm:
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
+# Each condition is written once, as a ``Check`` or a generator of them in
+# the order the validators raise on them; ``qgame validate`` lists them all.
+# Positivity is not checked on a matrix that is not Hermitian.
+
+def _hermitian_positive_checks(a: ComplexMatrix, tol: float | None, what: str) -> Iterator[Check]:
+    hermitian = linalg.hermitian_check(a, tol, what)
+    yield hermitian
+    if hermitian.passed:
+        lo = linalg.min_eigenvalue(a)
+        yield Check(f"{what} positive", -lo, linalg.limit(linalg.PSD_ATOL, tol), NotPositive,
+                    f"min eigenvalue {lo:.3e}")
+
+
+def density_checks(a: ComplexMatrix, tol: float | None = None,
+                   what: str = "density matrix") -> Iterator[Check]:
+    """Trace one, Hermiticity and positivity of a square matrix, in that order."""
+    residual = abs(complex(np.trace(a)) - 1.0)
+    yield Check(f"{what} trace-one", residual, linalg.limit(linalg.TRACE_ATOL, tol), TraceNotOne,
+                f"residual {residual:.3e}")
+    yield from _hermitian_positive_checks(a, tol, what)
+
+
+def chi_checks(a: ComplexMatrix, n: int, tol: float | None = None) -> Iterator[Check]:
+    """Hermiticity, positivity, trace-preservation sums and 2x2 principal minors of chi."""
+    yield from _hermitian_positive_checks(a, tol, "chi matrix")
+    residual = float(np.max(np.abs(partial_trace_first(a, n) - np.eye(n))))
+    yield Check("chi matrix trace-preservation", residual, linalg.limit(linalg.TRACE_ATOL, tol),
+                TraceConditionViolation, f"residual {residual:.3e}")
+    diag = np.real(np.diag(a))
+    minor = float(np.min(np.outer(diag, diag) - np.abs(a) ** 2))
+    yield Check("chi matrix principal minors", -minor, linalg.limit(linalg.PSD_ATOL, tol),
+                NotPositive, f"smallest minor {minor:.3e}")
+
+
+def operator_stack(ops, what: str) -> np.ndarray:
+    """Stack a non-empty set of equal-size square matrices along axis 0."""
+    mats = [linalg.as_matrix(op, what) for op in ops]
+    sizes = [m.shape[0] for m in mats]
+    if len(set(sizes)) != 1:
+        raise DimensionMismatch(f"need one or more {what}s of equal size, got sizes {sizes}")
+    return np.stack(mats)
+
+
+def completeness_check(stacked: np.ndarray, tol: float | None = None,
+                       what: str = "operator set") -> Check:
+    """The completeness sum ``sum_k A_k^dag A_k = I`` of Kraus sets and measurements."""
+    total = np.einsum("kai,kaj->ij", stacked.conj(), stacked)
+    residual = float(np.max(np.abs(total - np.eye(stacked.shape[1]))))
+    return Check(f"{what} completeness", residual, linalg.limit(linalg.TRACE_ATOL, tol),
+                 CompletenessViolation, f"residual {residual:.3e}")
+
 
 def validate_density(m: ComplexMatrix, tol: float | None = None) -> DensityMatrix:
     """Validate a candidate state; checks trace, Hermiticity, positivity.
@@ -119,18 +176,8 @@ def validate_density(m: ComplexMatrix, tol: float | None = None) -> DensityMatri
     diagnostic names the first violated condition and carries the measured
     residual.
     """
-    trace_tol = tol if tol is not None else linalg.TRACE_ATOL
-    herm_tol = tol if tol is not None else linalg.HERMITIAN_ATOL
-    psd_tol = tol if tol is not None else linalg.PSD_ATOL
-
     a = linalg.as_matrix(m, "density matrix")
-    trace_residual = abs(complex(np.trace(a)) - 1.0)
-    if trace_residual > trace_tol:
-        raise TraceNotOne(f"trace(rho) differs from 1 by {trace_residual:.3e} > {trace_tol:.1e}")
-    linalg.require_hermitian(a, herm_tol, "density matrix")
-    lo = linalg.min_eigenvalue(a, herm_tol)
-    if lo < -psd_tol:
-        raise NotPositive(f"density matrix has eigenvalue {lo:.3e} < -{psd_tol:.1e}")
+    linalg.require(density_checks(a, tol))
     return DensityMatrix(a)
 
 
@@ -146,20 +193,8 @@ def validate_kraus(ops, tol: float | None = None) -> KrausChannel:
         DimensionMismatch: operators are not square or not all of equal size.
         CompletenessViolation: ``sum_k E_k^dag E_k`` deviates from identity.
     """
-    tol = tol if tol is not None else linalg.TRACE_ATOL
-    mats = [linalg.as_matrix(op, "Kraus operator") for op in ops]
-    if not mats:
-        raise DimensionMismatch("channel needs at least one Kraus operator")
-    dim = mats[0].shape[0]
-    if any(m.shape[0] != dim for m in mats):
-        raise DimensionMismatch(f"Kraus operators have mixed dimensions {[m.shape[0] for m in mats]}")
-    stacked = np.stack(mats)
-    completeness = np.einsum("kai,kaj->ij", stacked.conj(), stacked)
-    residual = float(np.max(np.abs(completeness - np.eye(dim))))
-    if residual > tol:
-        raise CompletenessViolation(
-            f"sum_k E_k^dag E_k deviates from identity by {residual:.3e} > {tol:.1e}"
-        )
+    stacked = operator_stack(ops, "Kraus operator")
+    linalg.require([completeness_check(stacked, tol, "Kraus")])
     return KrausChannel(stacked)
 
 
@@ -171,46 +206,17 @@ def validate_chi(m: ComplexMatrix, n: int, tol: float | None = None) -> ChiMatri
     condition ``chi_aa * chi_bb >= |chi_ab|^2`` (implied by positivity but
     asserted independently).
     """
-    herm_tol = tol if tol is not None else linalg.HERMITIAN_ATOL
-    psd_tol = tol if tol is not None else linalg.PSD_ATOL
-    sum_tol = tol if tol is not None else linalg.TRACE_ATOL
-
     a = linalg.as_matrix(m, "chi matrix")
     if a.shape[0] != n * n:
         raise DimensionMismatch(f"chi matrix for n={n} must have dimension {n * n}, got {a.shape[0]}")
-    linalg.require_hermitian(a, herm_tol, "chi matrix")
-    lo = linalg.min_eigenvalue(a, herm_tol)
-    if lo < -psd_tol:
-        raise NotPositive(f"chi matrix has eigenvalue {lo:.3e} < -{psd_tol:.1e}")
-    partial = np.einsum("ijil->jl", a.reshape(n, n, n, n))
-    residual = float(np.max(np.abs(partial - np.eye(n))))
-    if residual > sum_tol:
-        raise TraceConditionViolation(
-            f"trace-preservation sums deviate from identity by {residual:.3e} > {sum_tol:.1e}"
-        )
-    diag = np.real(np.diag(a))
-    minor = np.min(np.outer(diag, diag) - np.abs(a) ** 2)
-    if minor < -psd_tol:
-        raise NotPositive(f"principal-minor condition violated by {-float(minor):.3e}")
+    linalg.require(chi_checks(a, n, tol))
     return ChiMatrix(a, n)
 
 
 def validate_povm(elements, tol: float | None = None) -> Povm:
     """Validate a measurement; only the completeness sum is required."""
-    tol = tol if tol is not None else linalg.TRACE_ATOL
-    mats = [linalg.as_matrix(m, "POVM element") for m in elements]
-    if not mats:
-        raise DimensionMismatch("measurement needs at least one element")
-    dim = mats[0].shape[0]
-    if any(m.shape[0] != dim for m in mats):
-        raise DimensionMismatch("POVM elements have mixed dimensions")
-    stacked = np.stack(mats)
-    completeness = np.einsum("kai,kaj->ij", stacked.conj(), stacked)
-    residual = float(np.max(np.abs(completeness - np.eye(dim))))
-    if residual > tol:
-        raise CompletenessViolation(
-            f"sum_k M_k^dag M_k deviates from identity by {residual:.3e} > {tol:.1e}"
-        )
+    stacked = operator_stack(elements, "POVM element")
+    linalg.require([completeness_check(stacked, tol, "measurement")])
     return Povm(stacked)
 
 
@@ -267,9 +273,7 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     """
     n = ch.dim
     flat = ch.operators.reshape(ch.n_operators, n * n)
-    chi = np.einsum("ka,kb->ab", flat, flat.conj())
-    chi = 0.5 * (chi + chi.conj().T)
-    return ChiMatrix(chi, n)
+    return ChiMatrix(linalg.hermitian_part(np.einsum("ka,kb->ab", flat, flat.conj())), n)
 
 
 def chi_to_kraus(chi: ChiMatrix, rank_tol: float = 1e-10) -> KrausChannel:
@@ -306,17 +310,6 @@ def measure_probs(povm: Povm, rho: DensityMatrix) -> np.ndarray:
     effects = np.einsum("kai,kaj->kij", povm.elements.conj(), povm.elements)
     probs = np.einsum("kij,ji->k", effects, rho.matrix)
     return np.real(probs)
-
-
-def sample_outcome(povm: Povm, rho: DensityMatrix, rng: np.random.Generator) -> int:
-    """Draw one outcome index from the POVM distribution on ``rho``.
-
-    Determinism is scoped to the caller-owned ``rng``: identical generator
-    states give identical draws.
-    """
-    probs = np.clip(measure_probs(povm, rho), 0.0, None)
-    probs = probs / probs.sum()
-    return int(rng.choice(povm.outcome_count, p=probs))
 
 
 # ---------------------------------------------------------------------------

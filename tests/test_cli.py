@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qgame import cli, files
-from qgame.errors import ParseError
+from qgame.errors import ParseError, ValidationError
+from qgame.game import build_game
+from qgame.random_ops import random_density, random_hermitian
 
 
 def run(capsys, *argv):
@@ -22,6 +28,9 @@ def test_validate_bundled_game(capsys):
     assert code == 0
     assert out.count("PASS") >= 5
     assert "FAIL" not in out
+    names = [line.split("  ")[0].strip() for line in out.splitlines()]
+    assert names == ["rho trace-one", "rho hermitian", "rho positive", "dimensions",
+                     "payoff operator I hermitian", "payoff operator II hermitian"]
 
 
 def test_validate_bad_trace(tmp_path, capsys):
@@ -47,6 +56,114 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "definitely-not-there.game")
     assert code == 2
     assert "no such input file" in err
+
+
+def _bundled(name):
+    return json.loads(files.resolve_input(name).read_text())
+
+
+def _povm_game(**changes):
+    """The bundled game with its payoff operators given as the referee's measurement."""
+    povm = _bundled("ewl.povm")
+    block = {"elements": povm["elements"], "payoffs_I": povm["payoffs_I"],
+             "payoffs_II": povm["payoffs_II"], **changes}
+    rho = _bundled("ewl.game")["rho"]
+    return {"format_version": 1, "n1": 2, "n2": 2, "rho": rho, "povm": block}
+
+
+def _with_rho_entry(row, col, value):
+    doc = _bundled("ewl.game")
+    doc["rho"][row][col] = value
+    return doc
+
+
+def _with(key, value):
+    doc = _bundled("ewl.game")
+    doc[key] = value
+    return doc
+
+
+def _with_payoff_op_i(matrix):
+    doc = _bundled("ewl.game")
+    doc["payoff_ops"]["I"] = matrix
+    return doc
+
+
+UNIT_00 = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+UNIT_11 = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
+IDENTITY_4 = [[[float(r == c), 0] for c in range(4)] for r in range(4)]
+
+# game files that every command must accept or reject alike
+GAME_FILES = {
+    "bundled": lambda: _bundled("ewl.game"),
+    "measurement": _povm_game,
+    "payoff-op-2x2-in-4-dim-game": lambda: _with_payoff_op_i(
+        [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
+    "povm-2x2-rho-4x4": lambda: _povm_game(
+        elements=[UNIT_00, UNIT_11], payoffs_I=[1, 2], payoffs_II=[2, 1]),
+    "povm-mixed-sizes": lambda: _povm_game(
+        elements=[UNIT_00, IDENTITY_4], payoffs_I=[1, 2], payoffs_II=[2, 1]),
+    "nan-in-rho": lambda: _with_rho_entry(0, 0, [float("nan"), 0]),
+    "infinity-in-rho": lambda: _with_rho_entry(1, 1, [float("inf"), 0]),
+    "bad-trace": lambda: _with_rho_entry(0, 0, [0.4, 0]),
+    "trace-off-by-3e-7": lambda: _with_rho_entry(0, 0, [0.5 + 3e-7, 0]),
+    "non-hermitian-rho": lambda: _with_rho_entry(0, 3, [0, -0.4]),
+    "non-positive-rho": lambda: _with("rho", [[[float(r == c) * d, 0] for c in range(4)]
+                                              for r, d in enumerate((0.6, 0.6, -0.2, 0.0))]),
+    "n1-n2-mismatch": lambda: _with("n1", 3),
+    "payoff-vector-wrong-length": lambda: _povm_game(payoffs_I=[3, 1, 0]),
+    "incomplete-povm": lambda: _povm_game(elements=_bundled("ewl.povm")["elements"][:3],
+                                          payoffs_I=[3, 1, 0], payoffs_II=[3, 1, 5]),
+}
+
+
+@pytest.mark.parametrize("tol", [None, "1e-5"], ids=["default-tol", "qgame-tol-1e-5"])
+@pytest.mark.parametrize("case", sorted(GAME_FILES))
+def test_validate_agrees_with_loader(case, tol, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "case.game"
+    path.write_text(json.dumps(GAME_FILES[case]()))  # NaN/Infinity as JSON literals
+    if tol is not None:
+        monkeypatch.setenv("QGAME_TOL", tol)
+    try:
+        files.load_game(path, None if tol is None else float(tol))
+        loads = True
+    except ValidationError:
+        loads = False
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == (0 if loads else 1), out + err
+    assert "Traceback" not in err
+    if code == 0:
+        assert out and "FAIL" not in out
+    else:
+        assert "FAIL" in out or err.startswith("validation error: ")
+    if case in ("nan-in-rho", "infinity-in-rho"):
+        assert "non-finite" in err
+
+
+def test_validate_names_dimension_failure(tmp_path, capsys):
+    path = tmp_path / "small.game"
+    path.write_text(json.dumps(GAME_FILES["povm-2x2-rho-4x4"]()))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert "dimensions" in out and "payoff operators 2 and 2, n1*n2 = 4" in out
+
+
+def test_unknown_format_version_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "future.game"
+    path.write_text(json.dumps(_with("format_version", 99)))
+    for command in (["validate", str(path)],
+                    ["payoff", str(path), "identity.strategy", "identity.strategy"]):
+        code, _, err = run(capsys, *command)
+        assert code == 2
+        assert "format_version 99" in err
+    strategy = tmp_path / "future.strategy"
+    strategy.write_text(json.dumps({"format_version": 2, "kind": "classical", "index": 0}))
+    code, _, err = run(capsys, "payoff", "ewl.game", str(strategy), "identity.strategy")
+    assert code == 2 and "format_version 2" in err
+    # files without the field are read as the current version
+    strategy.write_text(json.dumps({"kind": "classical", "index": 0}))
+    code, _, _ = run(capsys, "payoff", "ewl.game", str(strategy), "identity.strategy")
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -356,3 +473,24 @@ def test_game_payload_round_trip(ewl_game):
     payload = files.game_to_payload(ewl_game, name="ewl")
     text = files.emit_document(payload)
     assert files.parse_document(text) == payload
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # a 3x3 game's tensor grid (81x81) overflows the pipe buffer, so the
+    # command is still writing when the reader goes away
+    rng = np.random.default_rng(5)
+    game = build_game(random_density(9, rng), random_hermitian(9, rng), random_hermitian(9, rng),
+                      3, 3)
+    path = tmp_path / "qutrits.game"
+    path.write_text(files.emit_document(files.game_to_payload(game)))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "qgame", "tensor", str(path), "I"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    assert proc.stdout.readline().startswith("payoff tensor, player I (81x81 grid)")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in range(5)
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -15,9 +15,9 @@ from qgame.equilibrium import (
     verify_nash,
 )
 from qgame.errors import DimensionMismatch, UnsupportedDimension
-from qgame.game import build_game, payoff_contract, payoff_tensor_matrix_unit
+from qgame.game import build_game, payoff_contract, payoff_direct, payoff_tensor_matrix_unit
 from qgame.quantum import identity_chi, kraus_to_chi, shift_channel, validate_chi
-from qgame.random_ops import random_chi, random_density, random_hermitian
+from qgame.random_ops import random_chi, random_density, random_hermitian, random_kraus_channel
 
 
 def random_game(n1, n2, rng):
@@ -184,6 +184,27 @@ def test_best_response_scaled_payoffs(seed):
     validate_chi(result.chi_opt.matrix, 2, tol=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e7, 1e8, 1e9], ids=["1e7", "1e8", "1e9"])
+def test_large_payoffs_stay_real(scale):
+    # rounding grows with the payoff scale: the tensor's Hermiticity pairing
+    # must still hold, and imaginary parts are judged relative to the scale
+    for seed in range(20):
+        for n1, n2 in ((2, 2), (2, 3), (3, 2)):
+            rng = np.random.default_rng(seed)
+            d = n1 * n2
+            game = build_game(random_density(d, rng), random_hermitian(d, rng, scale),
+                              random_hermitian(d, rng, scale), n1, n2)
+            ch_a, ch_b = random_kraus_channel(n1, rng), random_kraus_channel(n2, rng)
+            chi, xi = kraus_to_chi(ch_a), kraus_to_chi(ch_b)
+            for player, own, opponent in (("I", chi, xi), ("II", xi, chi)):
+                tensor = payoff_tensor_matrix_unit(game, player)
+                value = payoff_contract(tensor, chi, xi)
+                direct = payoff_direct(game, ch_a, ch_b, player)
+                response = response_value(response_problem(tensor, opponent, player), own)
+                assert abs(direct - value) <= 1e-12 * scale
+                assert abs(response - value) <= 1e-12 * scale
+
+
 def test_best_response_large_constant_game(rng):
     # the trivial certificate closes a constant game before any Newton step
     game = build_game(random_density(4, rng), 1e6 * np.eye(4), 1e6 * np.eye(4), 2, 2)
@@ -316,13 +337,25 @@ def test_verify_nash_gap_self_consistency(ewl_game):
 # scripts
 # ---------------------------------------------------------------------------
 
-def test_best_response_scan_script_runs():
-    root = Path(__file__).resolve().parent.parent
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "best_response_scan.py"),
-         "--trials", "6", "--random-games"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_best_response_scan_script_runs():
+    proc = run_script("best_response_scan.py", "--trials", "6", "--random-games")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script, args", [
+    ("reference_game_report.py", ()),
+    ("simulate_matches.py", ("--rounds", "1000")),
+], ids=["reference_game_report", "simulate_matches"])
+def test_script_runs(script, args):
+    proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr

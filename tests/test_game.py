@@ -15,6 +15,7 @@ from qgame.game import (
     PayoffTensor,
     build_game,
     classical_reduction,
+    matrix_unit_basis,
     payoff_contract,
     payoff_direct,
     payoff_operator,
@@ -23,12 +24,12 @@ from qgame.game import (
     simulate_play,
 )
 from qgame.games_builtin import ewl_referee_measurement
-from qgame.linalg import matrix_unit
 from qgame.quantum import (
     identity_chi,
     kraus_to_chi,
     measure_probs,
     shift_channel,
+    validate_kraus,
     validate_povm,
 )
 from qgame.random_ops import (
@@ -37,6 +38,11 @@ from qgame.random_ops import (
     random_hermitian,
     random_kraus_channel,
 )
+
+
+UNITS = matrix_unit_basis(2)  # UNITS[i*2 + j] is the matrix unit (i, j)
+RESET_0 = validate_kraus([UNITS[0], UNITS[1]])  # reset to state 0: the channel of chi*
+RESET_1 = validate_kraus([UNITS[2], UNITS[3]])  # reset to state 1: the channel of xi*
 
 
 def random_game(n1, n2, rng):
@@ -66,7 +72,7 @@ def test_payoff_operator_trivial_measurement():
 
 
 def test_payoff_operator_projective():
-    povm = validate_povm([matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)])
+    povm = validate_povm([UNITS[0], UNITS[3]])
     np.testing.assert_allclose(payoff_operator(povm, [5.0, 1.0]), np.diag([5.0, 1.0]), atol=1e-14)
 
 
@@ -123,7 +129,6 @@ def test_tensor_constructions_agree_mixed_dims(rng):
 def test_general_tensor_supports_other_operator_bases(rng):
     # expand both players' channels in a unitarily mixed operator basis and
     # check that the contraction is basis-independent
-    from qgame.game import matrix_unit_basis
     from qgame.quantum import ChiMatrix
     from qgame.random_ops import random_kraus_channel, random_unitary
 
@@ -203,12 +208,10 @@ def test_contract_bilinear(seed, t):
 
 
 def test_payoff_direct_reference_values(ewl_game):
-    from qgame.quantum import validate_kraus
-
     identity = shift_channel(2, 0)
     flip = shift_channel(2, 1)
-    chi_star_channel = validate_kraus([matrix_unit(2, 0, 0), matrix_unit(2, 0, 1)])
-    xi_star_channel = validate_kraus([matrix_unit(2, 1, 0), matrix_unit(2, 1, 1)])
+    chi_star_channel = validate_kraus([UNITS[0], UNITS[1]])
+    xi_star_channel = validate_kraus([UNITS[2], UNITS[3]])
     assert payoff_direct(ewl_game, identity, identity, "I") == pytest.approx(3.0, abs=1e-12)
     assert payoff_direct(ewl_game, chi_star_channel, xi_star_channel, "I") == pytest.approx(2.5, abs=1e-12)
     assert payoff_direct(ewl_game, chi_star_channel, xi_star_channel, "II") == pytest.approx(2.5, abs=1e-12)
@@ -279,31 +282,39 @@ def test_classical_reduction_qutrit(rng):
 def test_simulate_identity_pair_matches_exact(ewl_game):
     povm, a_i, a_ii = ewl_referee_measurement()
     rng = np.random.default_rng(11)
+    # identity pair: outcome 0 has probability 1, so every round pays (3, 3)
     result = simulate_play(ewl_game, povm, a_i, a_ii, shift_channel(2, 0), shift_channel(2, 0),
                            100_000, rng)
-    exact = 3.0
-    spread = max(result.stderr_i, 1e-12)
-    assert abs(result.mean_i - exact) <= 3 * spread
-    assert abs(result.mean_ii - exact) <= 3 * max(result.stderr_ii, 1e-12)
+    assert (result.mean_i, result.mean_ii) == (3.0, 3.0)
+    assert result.stderr_i == result.stderr_ii == 0.0
+    # reset pair (chi*, xi*): outcomes 2 and 3 at 1/2 each, paying (0, 5) and (5, 0)
+    result = simulate_play(ewl_game, povm, a_i, a_ii, RESET_0, RESET_1, 100_000, rng)
+    assert abs(result.mean_i - 2.5) <= 3 * result.stderr_i
+    assert abs(result.mean_ii - 2.5) <= 3 * result.stderr_ii
+    assert result.stderr_i == pytest.approx(2.5 / np.sqrt(100_000), rel=1e-2)
 
 
 def test_simulate_single_round(ewl_game):
     povm, a_i, a_ii = ewl_referee_measurement()
-    result = simulate_play(ewl_game, povm, a_i, a_ii, shift_channel(2, 0), shift_channel(2, 1),
-                           1, np.random.default_rng(3))
-    assert result.rounds == 1
-    assert (result.mean_i, result.mean_ii) in {(0.0, 5.0), (5.0, 0.0), (3.0, 3.0), (1.0, 1.0)}
-    assert result.stderr_i == 0.0
+    for ch_a, ch_b in ((shift_channel(2, 0), shift_channel(2, 1)), (RESET_0, RESET_1)):
+        result = simulate_play(ewl_game, povm, a_i, a_ii, ch_a, ch_b, 1, np.random.default_rng(3))
+        assert result.rounds == 1
+        assert (result.mean_i, result.mean_ii) in {(0.0, 5.0), (5.0, 0.0), (3.0, 3.0), (1.0, 1.0)}
+        assert result.stderr_i == 0.0
 
 
 def test_simulate_deterministic_under_seed(ewl_game):
     povm, a_i, a_ii = ewl_referee_measurement()
 
-    def run():
-        return simulate_play(ewl_game, povm, a_i, a_ii, shift_channel(2, 0), shift_channel(2, 1),
-                             5000, np.random.default_rng(99))
+    def run(ch_a, ch_b, seed):
+        return simulate_play(ewl_game, povm, a_i, a_ii, ch_a, ch_b, 5000,
+                             np.random.default_rng(seed))
 
-    assert run() == run()
+    identity, flip = shift_channel(2, 0), shift_channel(2, 1)
+    assert run(identity, flip, 99) == run(identity, flip, 99)
+    # a random outcome: the draws follow the generator's state
+    assert run(RESET_0, RESET_1, 99) == run(RESET_0, RESET_1, 99)
+    assert run(RESET_0, RESET_1, 99) != run(RESET_0, RESET_1, 100)
 
 
 def test_simulate_guards_measurement_consistency(ewl_game):

@@ -5,6 +5,7 @@ from conftest import paper_rho
 from qgame.errors import FixtureCorrupt
 from qgame.game import (
     classical_reduction,
+    matrix_unit_basis,
     payoff_contract,
     payoff_tensor_general,
     payoff_tensor_matrix_unit,
@@ -15,8 +16,10 @@ from qgame.games_builtin import (
     ewl_equilibrium_strategies,
     figure1_reference_tensors,
 )
-from qgame.linalg import hermitian_eigen, matrix_unit
+from qgame.linalg import hermitian_eigen
 from qgame.quantum import kraus_to_chi, validate_chi, validate_density, validate_kraus
+
+UNITS = matrix_unit_basis(2)  # UNITS[i*2 + j] is the matrix unit (i, j)
 
 
 def test_game_matrices(ewl_game):
@@ -50,9 +53,9 @@ def test_reference_strategies_all_validate(ewl):
 
 def test_equilibrium_strategies_match_kraus_expansions():
     chi_star, xi_star = ewl_equilibrium_strategies()
-    from_kraus = kraus_to_chi(validate_kraus([matrix_unit(2, 0, 0), matrix_unit(2, 0, 1)]))
+    from_kraus = kraus_to_chi(validate_kraus([UNITS[0], UNITS[1]]))
     np.testing.assert_allclose(chi_star.matrix, from_kraus.matrix, atol=1e-14)
-    from_kraus = kraus_to_chi(validate_kraus([matrix_unit(2, 1, 0), matrix_unit(2, 1, 1)]))
+    from_kraus = kraus_to_chi(validate_kraus([UNITS[2], UNITS[3]]))
     np.testing.assert_allclose(xi_star.matrix, from_kraus.matrix, atol=1e-14)
 
 

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qgame.errors import DimensionMismatch, NotHermitian, ValidationError
+from qgame.errors import NotHermitian, NotPositive, ValidationError
+from qgame.game import matrix_unit_basis
+from qgame.quantum import density_checks
 from qgame.linalg import (
     HERMITIAN_ATOL,
+    Check,
     as_matrix,
+    hermitian_check,
     hermitian_eigen,
-    is_psd,
-    kron,
-    matrix_unit,
     min_eigenvalue,
+    require,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,69 +37,36 @@ def random_hermitian(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# kron
+# Kronecker index convention
 # ---------------------------------------------------------------------------
+# The joint label of the two players' factors is p*n2 + q throughout the
+# package (joint states, product channels, the payoff tensor's closed form);
+# that is numpy's kron convention, pinned here on matrix units.
 
 def test_kron_matrix_units_combine_indices():
+    units2, units4 = matrix_unit_basis(2), matrix_unit_basis(4)
     # unit (0,0) (x) unit (0,0) is the 4x4 unit at (0,0)
-    got = kron(matrix_unit(2, 0, 0), matrix_unit(2, 0, 0))
-    np.testing.assert_array_equal(got, matrix_unit(4, 0, 0))
+    np.testing.assert_array_equal(np.kron(units2[0], units2[0]), units4[0])
     # unit (0,1) (x) unit (1,0): combined row 0*2+1 = 1, column 1*2+0 = 2
-    got = kron(matrix_unit(2, 0, 1), matrix_unit(2, 1, 0))
-    np.testing.assert_array_equal(got, matrix_unit(4, 1, 2))
+    np.testing.assert_array_equal(np.kron(units2[1], units2[2]), units4[1 * 4 + 2])
 
 
 def test_kron_index_identity_all_units():
     n = 2
+    units, joint = matrix_unit_basis(n), matrix_unit_basis(n * n)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    got = kron(matrix_unit(n, i, j), matrix_unit(n, k, l))
-                    np.testing.assert_array_equal(got, matrix_unit(n * n, i * n + k, j * n + l))
-
-
-def test_kron_identity():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+                    got = np.kron(units[i * n + j], units[k * n + l])
+                    np.testing.assert_array_equal(got, joint[(i * n + k) * n * n + j * n + l])
 
 
 def test_kron_matches_block_expansion(rng):
     for _ in range(20):
         a = random_matrix(rng, int(rng.integers(1, 4)))
         b = random_matrix(rng, int(rng.integers(1, 4)))
-        np.testing.assert_allclose(kron(a, b), kron_by_blocks(a, b), atol=1e-14)
-
-
-def test_kron_rejects_non_square():
-    with pytest.raises(DimensionMismatch):
-        kron(np.ones((2, 3)), np.eye(2))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_kron_associative_and_trace_multiplicative(seed):
-    rng = np.random.default_rng(seed)
-    a, b, c = (random_matrix(rng, int(rng.integers(1, 4))) for _ in range(3))
-    left = kron(kron(a, b), c)
-    right = kron(a, kron(b, c))
-    scale = max(1.0, float(np.max(np.abs(left))))
-    assert np.max(np.abs(left - right)) / scale <= 1e-12
-    t = np.trace(kron(a, b))
-    expected = np.trace(a) * np.trace(b)
-    assert abs(t - expected) <= 1e-12 * max(1.0, abs(expected))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.floats(-3, 3), st.floats(-3, 3))
-def test_kron_bilinear(seed, s, t):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 4))
-    a1, a2 = random_matrix(rng, n), random_matrix(rng, n)
-    b = random_matrix(rng, int(rng.integers(1, 4)))
-    combined = kron(s * a1 + t * a2, b)
-    expanded = s * kron(a1, b) + t * kron(a2, b)
-    scale = max(1.0, float(np.max(np.abs(expanded))))
-    assert np.max(np.abs(combined - expanded)) / scale <= 1e-12
+        np.testing.assert_allclose(np.kron(a, b), kron_by_blocks(a, b), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +106,48 @@ def test_eigen_tolerance_override(rng):
 
 
 # ---------------------------------------------------------------------------
-# is_psd
+# checks
 # ---------------------------------------------------------------------------
 
+def test_check_passes_iff_residual_within_limit():
+    assert Check("c", 1e-9, 1e-9, ValidationError, "").passed
+    assert not Check("c", 2e-9, 1e-9, ValidationError, "").passed
+    assert not Check("c", float("nan"), 1e-9, ValidationError, "").passed
+
+
+def test_require_raises_first_failure_and_stops():
+    seen = []
+
+    def checks():
+        for name, residual, error in (("a", 0.0, NotHermitian), ("b", 1.0, NotPositive),
+                                      ("c", 1.0, NotHermitian)):
+            seen.append(name)
+            yield Check(name, residual, 0.5, error, f"residual {residual}")
+
+    with pytest.raises(NotPositive) as err:
+        require(checks())
+    assert "b failed: residual 1.0 (limit 0.5)" in str(err.value)
+    assert seen == ["a", "b"]
+
+
 def test_is_psd_examples():
-    assert is_psd(np.eye(2) / 2)
-    assert not is_psd(np.diag([2.0, -1.0]))
+    # positivity is judged by the "positive" check of states and strategies
+    def positive(m):
+        checks = {check.name: check for check in density_checks(m)}
+        return checks["density matrix positive"].passed
+
+    assert positive(np.eye(2) / 2)
+    assert not positive(np.diag([2.0, -1.0]))
+    assert positive(np.diag([1.0 + 1e-10, -1e-10]))  # within PSD_ATOL
+
+
+def test_hermitian_check_examples():
+    assert hermitian_check(np.eye(2) / 2).passed
+    skewed = np.eye(2, dtype=complex)
+    skewed[0, 1] = 1e-6
+    check = hermitian_check(skewed)
+    assert not check.passed and check.residual == pytest.approx(1e-6)
+    assert hermitian_check(skewed, tol=1e-5).passed
 
 
 def test_paper_state_is_rank_one_projector():
@@ -153,7 +156,7 @@ def test_paper_state_is_rank_one_projector():
     rho = paper_rho()
     np.testing.assert_allclose(rho @ rho, rho, atol=1e-14)  # idempotent
     assert abs(np.trace(rho) - 1) < 1e-14
-    assert is_psd(rho)
+    assert min_eigenvalue(rho) >= -1e-12
     w, _ = hermitian_eigen(rho)
     np.testing.assert_allclose(w, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
@@ -162,7 +165,7 @@ def test_psd_implies_principal_minors(rng):
     for _ in range(10):
         a = random_matrix(rng, 4)
         m = a @ a.conj().T
-        assert is_psd(m)
+        assert min_eigenvalue(m) >= -1e-9
         diag = np.real(np.diag(m))
         minors = np.outer(diag, diag) - np.abs(m) ** 2
         assert np.min(minors) >= -1e-9

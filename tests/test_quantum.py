@@ -12,7 +12,7 @@ from qgame.errors import (
     TraceConditionViolation,
     TraceNotOne,
 )
-from qgame.linalg import matrix_unit
+from qgame.game import matrix_unit_basis
 from qgame.quantum import (
     ChiMatrix,
     KrausChannel,
@@ -24,7 +24,6 @@ from qgame.quantum import (
     identity_chi,
     kraus_to_chi,
     measure_probs,
-    sample_outcome,
     shift_channel,
     validate_chi,
     validate_density,
@@ -34,7 +33,8 @@ from qgame.quantum import (
 from qgame.random_ops import random_chi, random_density, random_kraus_channel
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-RESET_OPS = [matrix_unit(2, 0, 0), matrix_unit(2, 0, 1)]  # measure-and-reset to state 0
+UNITS = matrix_unit_basis(2)  # UNITS[i*2 + j] is the matrix unit (i, j)
+RESET_OPS = [UNITS[0], UNITS[1]]  # measure-and-reset to state 0
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def test_kraus_to_chi_reset_is_chi_star():
 
 
 def test_kraus_to_chi_shifted_reset_is_xi_star():
-    chi = kraus_to_chi(validate_kraus([matrix_unit(2, 1, 0), matrix_unit(2, 1, 1)]))
+    chi = kraus_to_chi(validate_kraus([UNITS[2], UNITS[3]]))
     np.testing.assert_allclose(chi.matrix, np.diag([0.0, 0.0, 1.0, 1.0]), atol=1e-14)
 
 
@@ -305,13 +305,13 @@ def test_kraus_to_chi_output_always_valid(rng):
 # ---------------------------------------------------------------------------
 
 def test_measure_probs_projective_on_pure_state():
-    povm = validate_povm([matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)])
+    povm = validate_povm([UNITS[0], UNITS[3]])
     probs = measure_probs(povm, validate_density(np.diag([1.0, 0.0])))
     np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-14)
 
 
 def test_measure_probs_maximally_mixed():
-    povm = validate_povm([matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)])
+    povm = validate_povm([UNITS[0], UNITS[3]])
     probs = measure_probs(povm, validate_density(np.eye(2) / 2))
     np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-14)
 
@@ -327,31 +327,6 @@ def test_measure_probs_is_a_distribution(seed):
     assert np.all(probs >= -1e-9)
     assert np.all(probs <= 1 + 1e-9)
     assert abs(probs.sum() - 1) <= 1e-9
-
-
-def test_sample_outcome_deterministic_povm(rng):
-    povm = validate_povm([np.eye(2)])
-    assert all(sample_outcome(povm, random_density(2, rng), rng) == 0 for _ in range(10))
-
-
-def test_sample_outcome_frequencies(rng):
-    povm = validate_povm([matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)])
-    rho = validate_density(np.eye(2) / 2)
-    draws = 100_000
-    ones = sum(sample_outcome(povm, rho, rng) for _ in range(draws))
-    assert abs(ones / draws - 0.5) <= 3 * np.sqrt(0.25 / draws)
-
-
-def test_sample_outcome_reproducible():
-    povm = validate_povm([matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)])
-    rho = validate_density(np.eye(2) / 2)
-
-    def run(seed):
-        gen = np.random.default_rng(seed)
-        return [sample_outcome(povm, rho, gen) for _ in range(20)]
-
-    assert run(5) == run(5)
-    assert set(run(5)) <= {0, 1}
 
 
 def test_states_are_immutable(rng):
