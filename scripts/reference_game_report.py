@@ -34,7 +34,7 @@ def main():
 
     for player, fixture in zip(("I", "II"), named.reference_tensors):
         tensor = payoff_tensor_matrix_unit(game, player)
-        deviation = float(np.max(np.abs(tensor.entries - fixture.entries)))
+        deviation = float(np.max(np.abs(tensor.entries - fixture)))
         print(f"\npayoff grid, player {player} (max deviation from fixture {deviation:.1e})")
         print_grid(tensor.grid)
 

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    qgame validate GAME
+    qgame validate GAME [--json]
     qgame tensor GAME PLAYER [--format text|json] [--check-fixture] [--exact-fractions]
     qgame payoff GAME STRATEGY_I STRATEGY_II [--json]
     qgame best-response GAME OPPONENT PLAYER [--tol T] [--max-iters N] [--json]
@@ -115,9 +115,16 @@ def _print_matrix(m: np.ndarray, exact: bool = False) -> None:
 
 def cmd_validate(args) -> int:
     checks = files.game_file_checks(args.game, args.tol)
-    width = max(len(check.name) for check in checks)
-    for check in checks:
-        print(f"{check.name.ljust(width)}  {'PASS' if check.passed else 'FAIL'}  {check.detail}")
+    if args.json:
+        # a residual can be infinite (payoff_length_check), which JSON cannot carry
+        rows = [{"name": check.name, "passed": check.passed,
+                 "residual": float(check.residual) if np.isfinite(check.residual) else None,
+                 "limit": check.limit, "detail": check.detail} for check in checks]
+        sys.stdout.write(files.emit_document({"checks": rows}))
+    else:
+        width = max(len(check.name) for check in checks)
+        for check in checks:
+            print(f"{check.name.ljust(width)}  {'PASS' if check.passed else 'FAIL'}  {check.detail}")
     return EXIT_OK if all(check.passed for check in checks) else EXIT_VALIDATION
 
 
@@ -125,31 +132,25 @@ def cmd_tensor(args) -> int:
     game = files.load_game(args.game, args.tol)
     player = normalize_player(args.player)
     tensor = payoff_tensor_matrix_unit(game, player)
-    grid = tensor.grid
 
     if args.check_fixture:
-        fixtures = figure1_reference_tensors()
-        reference = fixtures[0] if player == "I" else fixtures[1]
-        if reference.grid.shape != grid.shape:
+        entries = tensor.entries
+        reference = figure1_reference_tensors()[0 if player == "I" else 1]
+        if reference.shape != entries.shape:
             raise ValidationError(
-                f"fixture grid is {reference.grid.shape}, computed grid is {grid.shape}"
+                f"fixture tensor is {reference.shape}, computed tensor is {entries.shape}"
             )
-        diff = np.abs(grid - reference.grid)
-        matches = int(np.sum(diff <= 1e-12))
-        total = grid.size
-        print(f"match: {matches}/{total} entries")
-        if matches != total:
-            n_sq = tensor.entries.shape[0]
-            for r, c in zip(*np.nonzero(diff > 1e-12)):
-                alpha, beta = divmod(int(r), n_sq)
-                gamma, delta = divmod(int(c), tensor.entries.shape[2])
-                print(
-                    f"  mismatch at (alpha={alpha}, beta={beta}, gamma={gamma}, delta={delta}): "
-                    f"computed {format_complex(grid[r, c])}, fixture {format_complex(reference.grid[r, c])}"
-                )
-            return EXIT_VALIDATION
-        return EXIT_OK
+        bad = np.argwhere(np.abs(entries - reference) > 1e-12)
+        print(f"match: {entries.size - len(bad)}/{entries.size} entries")
+        for label in map(tuple, bad):
+            alpha, beta, gamma, delta = label
+            print(
+                f"  mismatch at (alpha={alpha}, beta={beta}, gamma={gamma}, delta={delta}): "
+                f"computed {format_complex(entries[label])}, fixture {format_complex(reference[label])}"
+            )
+        return EXIT_VALIDATION if len(bad) else EXIT_OK
 
+    grid = tensor.grid
     if args.format == "json":
         payload = {
             "player": player,
@@ -259,7 +260,7 @@ def cmd_simulate(args) -> int:
         seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFFFFFFFFFF
     rng = np.random.default_rng(seed)
     result = simulate_play(game, povm, payoffs_i, payoffs_ii, channel_i, channel_ii,
-                           args.rounds, rng)
+                           args.rounds, rng, args.tol)
     exact_i = payoff_direct(game, channel_i, channel_ii, "I")
     exact_ii = payoff_direct(game, channel_i, channel_ii, "II")
 
@@ -340,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a game file against all validity conditions")
     p.add_argument("game")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("tensor", help="print a player's payoff tensor grid")

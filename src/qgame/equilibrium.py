@@ -54,6 +54,7 @@ from .game import (
     payoff_contract,
     payoff_tensor_matrix_unit,
     require_real,
+    response_matrix,
 )
 from .linalg import hermitian_part
 from .quantum import ChiMatrix, maximally_mixing_chi, partial_trace_first, validate_chi
@@ -99,23 +100,14 @@ class BestResponseResult:
 def response_problem(tensor: PayoffTensor, opponent: ChiMatrix, player) -> ResponseProblem:
     """Contract the opponent's strategy out of the payoff tensor.
 
-    For player I the opponent is player II's xi and
-    ``G[b, a] = sum_gd A[a, b, g, d] xi[g, d]``; for player II the roles of
-    the index pairs swap.  Either way ``tr(G chi)`` is the responder's
-    payoff, and G is Hermitian whenever the tensor satisfies its pairing
-    invariant (symmetrized here against floating-point noise).
+    ``tr(G chi)`` is the responder's payoff (:func:`response_matrix`); G is
+    Hermitian because the tensor satisfies its pairing invariant, and is
+    symmetrized here against floating-point noise.
     """
     player = normalize_player(player)
-    expected = tensor.entries.shape[2 if player == PLAYER_I else 0]
-    if opponent.dim != expected:
-        raise DimensionMismatch(f"opponent strategy dim {opponent.dim} != tensor dim {expected}")
-    if player == PLAYER_I:
-        g = np.einsum("abcd,cd->ba", tensor.entries, opponent.matrix)
-        n = tensor.n1
-    else:
-        g = np.einsum("abcd,ab->dc", tensor.entries, opponent.matrix)
-        n = tensor.n2
-    return ResponseProblem(hermitian_part(g), n, player)
+    g = response_matrix(tensor, opponent, player)
+    return ResponseProblem(hermitian_part(g), tensor.n1 if player == PLAYER_I else tensor.n2,
+                           player)
 
 
 def response_value(problem: ResponseProblem, chi: ChiMatrix) -> float:

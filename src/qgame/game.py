@@ -2,21 +2,25 @@
 
 A static quantum game is fixed by an initial joint state ``rho`` on
 ``C^{n1} (x) C^{n2}`` and one Hermitian payoff operator per player.  Player
-strategies are physical operations on their own factor; expected payoffs are
-obtained either by applying the product channel and tracing against the
-payoff operator, or by contracting the rank-4 payoff tensor
+strategies are physical operations on their own factor, and a player's
+expected payoff is the contraction ``sum chi_ab xi_gd A[a, b, g, d]`` of the
+players' chi matrices with the rank-4 payoff tensor
 
     A[alpha, beta, gamma, delta] = tr[ R (B_alpha (x) B_gamma) rho
-                                       (B_beta (x) B_delta)^dag ]
+                                       (B_beta (x) B_delta)^dag ].
 
-with the players' chi matrices.  Over the matrix-unit basis the tensor has
-the closed form (0-based labels alpha=(a,b), beta=(c,d), gamma=(i,j),
-delta=(k,l))
+Over the matrix-unit basis the tensor has the closed form (0-based labels
+alpha=(a,b), beta=(c,d), gamma=(i,j), delta=(k,l))
 
-    A = R[c*n2 + k, a*n2 + i] * rho[b*n2 + j, d*n2 + l]
+    A = R[c*n2 + k, a*n2 + i] * rho[b*n2 + j, d*n2 + l],
 
-which this module keeps alongside the literal trace construction; the two
-are mutual cross-checks and must agree entrywise.
+one factor of R times one factor of rho.  The closed form is the production
+path: a :class:`PayoffTensor` holds the two factors, and a contraction takes
+the opponent's chi into rho first and then into R, in O(n^6) time and O(n^4)
+memory, without forming the (n1^2)^2 (n2^2)^2 entries.  Two independent
+cross-checks stay: :func:`payoff_tensor_general` evaluates the trace formula
+literally, and :func:`payoff_direct` applies the product channel to the
+state and traces it against R, never touching the closed form.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ PLAYER_I = "I"
 PLAYER_II = "II"
 
 PAIRING_ATOL = 1e-10
+MEASUREMENT_ATOL = 1e-9
 # imaginary parts of payoffs are checked relative to max(1, scale)
 IMAG_RTOL = 1e-9
 
@@ -120,41 +125,36 @@ def build_game(rho, payoff_i, payoff_ii, n1: int, n2: int, tol: float | None = N
 
 @dataclass(frozen=True)
 class PayoffTensor:
-    """Rank-4 payoff tensor for one player.
+    """Rank-4 payoff tensor for one player, held as the two factors of its closed form.
 
-    ``entries[alpha, beta, gamma, delta]`` with alpha, beta flattened
-    matrix-unit labels of player I (range n1^2) and gamma, delta of player II
-    (range n2^2).  ``grid`` is the flattened 2-D view with row
-    ``alpha*n1^2 + beta`` and column ``gamma*n2^2 + delta``.
+    ``payoff_op`` and ``state`` are the game's R and rho reshaped to
+    (n1, n2, n1, n2): entry ``A[(a,b), (c,d), (i,j), (k,l)]`` is
+    ``payoff_op[c, k, a, i] * state[b, j, d, l]``.  ``entries[alpha, beta,
+    gamma, delta]`` (alpha, beta flattened labels of player I, gamma, delta
+    of player II) and ``grid`` (row ``alpha*n1^2 + beta``, column
+    ``gamma*n2^2 + delta``) are formed on each access, at O(n^8) cost.
     """
 
-    entries: np.ndarray
-    player: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
-        object.__setattr__(self, "player", normalize_player(self.player))
-        d1, d1b, d2, d2b = self.entries.shape
-        if d1 != d1b or d2 != d2b:
-            raise DimensionMismatch(f"tensor has inconsistent shape {self.entries.shape}")
-        pairing = float(np.max(np.abs(self.entries - self.entries.conj().transpose(1, 0, 3, 2))))
-        if pairing > PAIRING_ATOL:
-            raise ValidationError(
-                f"tensor breaks the Hermiticity pairing A[a,b,c,d] = conj(A[b,a,d,c]) "
-                f"by {pairing:.3e}; payoffs would not be real"
-            )
+    payoff_op: np.ndarray
+    state: np.ndarray
 
     @property
     def n1(self) -> int:
-        return int(round(np.sqrt(self.entries.shape[0])))
+        return self.state.shape[0]
 
     @property
     def n2(self) -> int:
-        return int(round(np.sqrt(self.entries.shape[2])))
+        return self.state.shape[1]
+
+    @property
+    def entries(self) -> np.ndarray:
+        s1, s2 = self.n1 ** 2, self.n2 ** 2
+        entries = np.einsum("ckai,bjdl->abcdijkl", self.payoff_op, self.state)
+        return entries.reshape(s1, s1, s2, s2)
 
     @property
     def grid(self) -> np.ndarray:
-        s1, s2 = self.entries.shape[0], self.entries.shape[2]
+        s1, s2 = self.n1 ** 2, self.n2 ** 2
         return self.entries.reshape(s1 * s1, s2 * s2)
 
 
@@ -201,8 +201,7 @@ def payoff_operator(povm: Povm, payoffs) -> ComplexMatrix:
     ``tr(R rho) = sum_k a_k p_k`` for every state.
     """
     linalg.require([payoff_length_check(povm.outcome_count, payoffs)])
-    effects = np.einsum("kai,kaj->kij", povm.elements.conj(), povm.elements)
-    return np.einsum("k,kij->ij", np.asarray(payoffs, dtype=float), effects)
+    return np.einsum("k,kij->ij", np.asarray(payoffs, dtype=float), povm.effects)
 
 
 def matrix_unit_basis(n: int) -> np.ndarray:
@@ -214,16 +213,30 @@ def matrix_unit_basis(n: int) -> np.ndarray:
     return basis
 
 
-def payoff_tensor_general(game: QuantumGame, player, basis1: np.ndarray | None = None,
-                          basis2: np.ndarray | None = None) -> PayoffTensor:
-    """Build the payoff tensor by literal evaluation of the trace formula.
+def validate_tensor_entries(entries) -> np.ndarray:
+    """Explicit entries ``A[alpha, beta, gamma, delta]``, checked and frozen.
 
-    Works for an arbitrary operator basis per player (defaults to matrix
-    units).  Batched as a Gram matrix: with ``B[ag] = basis1_a (x) basis2_g``
-    the tensor entry is the Frobenius inner product of ``B[bd]`` with
-    ``R B[ag] rho``.
+    A :class:`PayoffTensor` satisfies the Hermiticity pairing by construction.
     """
-    player = normalize_player(player)
+    a = _frozen(entries)
+    if a.ndim != 4 or a.shape[0] != a.shape[1] or a.shape[2] != a.shape[3]:
+        raise DimensionMismatch(f"tensor has inconsistent shape {a.shape}")
+    pairing = float(np.max(np.abs(a - a.conj().transpose(1, 0, 3, 2))))
+    linalg.require([Check("tensor Hermiticity pairing", pairing, PAIRING_ATOL, ValidationError,
+                          f"A[a,b,c,d] = conj(A[b,a,d,c]) broken by {pairing:.3e}; "
+                          f"payoffs would not be real")])
+    return a
+
+
+def payoff_tensor_general(game: QuantumGame, player, basis1: np.ndarray | None = None,
+                          basis2: np.ndarray | None = None) -> np.ndarray:
+    """Explicit tensor entries by literal evaluation of the trace formula.
+
+    The cross-check of the closed form.  Works for an arbitrary operator
+    basis per player (defaults to matrix units).  Batched as a Gram matrix:
+    with ``B[ag] = basis1_a (x) basis2_g`` the tensor entry is the Frobenius
+    inner product of ``B[bd]`` with ``R B[ag] rho``.
+    """
     r = game.payoff_op(player)
     b1 = matrix_unit_basis(game.n1) if basis1 is None else np.asarray(basis1, dtype=complex)
     b2 = matrix_unit_basis(game.n2) if basis2 is None else np.asarray(basis2, dtype=complex)
@@ -234,24 +247,16 @@ def payoff_tensor_general(game: QuantumGame, player, basis1: np.ndarray | None =
     flat_lhs = lhs.reshape(s1 * s2, dim * dim)
     flat_rhs = joint.reshape(s1 * s2, dim * dim)
     gram = flat_lhs @ flat_rhs.conj().T  # [ag, bd] = tr(R B_ag rho B_bd^dag)
-    entries = gram.reshape(s1, s2, s1, s2).transpose(0, 2, 1, 3)
-    return PayoffTensor(entries, player)
+    return validate_tensor_entries(gram.reshape(s1, s2, s1, s2).transpose(0, 2, 1, 3))
 
 
 def payoff_tensor_matrix_unit(game: QuantumGame, player) -> PayoffTensor:
-    """Build the payoff tensor from its matrix-unit closed form.
+    """The payoff tensor in the matrix-unit basis, held as its closed-form factors.
 
-    Algebraically identical to :func:`payoff_tensor_general` with the default
-    basis; kept permanently as the fast path and as an independent
-    cross-check of the trace construction.
+    Its entries equal :func:`payoff_tensor_general` with the default basis.
     """
-    player = normalize_player(player)
-    n1, n2 = game.n1, game.n2
-    r4 = game.payoff_op(player).reshape(n1, n2, n1, n2)
-    rho4 = game.rho.matrix.reshape(n1, n2, n1, n2)
-    entries = np.einsum("ckai,bjdl->abcdijkl", r4, rho4)
-    entries = entries.reshape(n1 * n1, n1 * n1, n2 * n2, n2 * n2)
-    return PayoffTensor(entries, player)
+    shape = (game.n1, game.n2, game.n1, game.n2)
+    return PayoffTensor(game.payoff_op(player).reshape(shape), game.rho.matrix.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +271,37 @@ def require_real(value: complex, scale: float, what: str) -> float:
     return float(value.real)
 
 
+def response_matrix(tensor: PayoffTensor, opponent: ChiMatrix, player) -> np.ndarray:
+    """The matrix G with ``tr(G chi)`` the responding player's payoff against ``opponent``.
+
+    For player I ``G[b, a] = sum_gd A[a, b, g, d] xi[g, d]``.  The opponent's
+    chi goes into the state factor first, then into the payoff factor:
+    O(n1^2 n2^4 + n1^4 n2^2) time and O(n^4) memory.  G is not symmetrized.
+    """
+    r, state, n, m = tensor.payoff_op, tensor.state, tensor.n1, tensor.n2
+    if normalize_player(player) != PLAYER_I:
+        # swapping the factors of both R and rho swaps the players' roles
+        r, state, n, m = r.transpose(1, 0, 3, 2), state.transpose(1, 0, 3, 2), m, n
+    if opponent.dim != m * m:
+        raise DimensionMismatch(f"opponent strategy dim {opponent.dim} != tensor dim {m * m}")
+    # partial[b, d, i, k] = sum_jl state[b, j, d, l] xi[(i,j), (k,l)]
+    partial = np.tensordot(state, opponent.matrix.reshape(m, m, m, m), axes=((1, 3), (1, 3)))
+    # g[c, a, b, d] = sum_ik r[c, k, a, i] partial[b, d, i, k], rows (c,d) and columns (a,b)
+    g = np.tensordot(r, partial, axes=((3, 1), (2, 3)))
+    return g.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+
+
 def payoff_contract(tensor: PayoffTensor, chi: ChiMatrix, xi: ChiMatrix) -> float:
-    """Expected payoff ``sum chi_ab xi_gd A[a,b,g,d]``.
+    """Expected payoff ``sum chi_ab xi_gd A[a,b,g,d]``, as ``tr(G chi)`` with G against xi.
 
     The imaginary part must vanish within ``IMAG_RTOL * max(1, |value|)``; a
     violation signals a corrupted tensor or strategy and raises
     ``NonRealPayoff``.
     """
-    if chi.dim != tensor.entries.shape[0] or xi.dim != tensor.entries.shape[2]:
-        raise DimensionMismatch(
-            f"tensor expects strategy dims ({tensor.entries.shape[0]}, {tensor.entries.shape[2]}), "
-            f"got ({chi.dim}, {xi.dim})"
-        )
-    value = complex(np.einsum("ab,cd,abcd->", chi.matrix, xi.matrix, tensor.entries))
+    g = response_matrix(tensor, xi, PLAYER_I)
+    if chi.dim != g.shape[0]:
+        raise DimensionMismatch(f"strategy dim {chi.dim} != tensor dim {g.shape[0]}")
+    value = complex(np.einsum("ba,ab->", g, chi.matrix))
     return require_real(value, abs(value), "payoff")
 
 
@@ -326,15 +349,25 @@ class SimulationResult:
     rounds: int
 
 
+def _consistency_check(povm: Povm, payoffs: np.ndarray, payoff_op: ComplexMatrix, label: str,
+                       tol: float | None) -> Check:
+    """Measurement plus payoffs reproduce a payoff operator, entrywise."""
+    residual = float(np.max(np.abs(payoff_operator(povm, payoffs) - payoff_op)))
+    return Check(f"measurement and payoffs {label}", residual, linalg.limit(MEASUREMENT_ATOL, tol),
+                 InconsistentMeasurement,
+                 f"deviate from the game's payoff operator by {residual:.3e}")
+
+
 def simulate_play(game: QuantumGame, povm: Povm, payoffs_i, payoffs_ii,
                   ch_a: KrausChannel, ch_b: KrausChannel, rounds: int,
-                  rng: np.random.Generator) -> SimulationResult:
+                  rng: np.random.Generator, tol: float | None = None) -> SimulationResult:
     """Monte Carlo realization of the refereed game.
 
     Each round the players' channels act on a fresh copy of the initial
     state, the referee measures, and payoffs are assigned per outcome.  The
     supplied measurement and payoff vectors must reproduce the game's payoff
-    operators within 1e-9 (consistency guard).
+    operators entrywise within ``tol`` (default ``MEASUREMENT_ATOL``), or
+    ``InconsistentMeasurement`` is raised.
 
     Reported standard error is the sample standard deviation over sqrt(rounds).
     """
@@ -342,14 +375,10 @@ def simulate_play(game: QuantumGame, povm: Povm, payoffs_i, payoffs_ii,
         raise ValueError("rounds must be a positive integer")
     a_i = np.asarray(payoffs_i, dtype=float)
     a_ii = np.asarray(payoffs_ii, dtype=float)
-    for label, vec, op in (("I", a_i, game.payoff_op_i), ("II", a_ii, game.payoff_op_ii)):
-        rebuilt = payoff_operator(povm, vec)
-        residual = float(np.max(np.abs(rebuilt - op)))
-        if residual > 1e-9:
-            raise InconsistentMeasurement(
-                f"measurement + payoffs {label} deviate from the game's payoff operator "
-                f"by {residual:.3e}"
-            )
+    linalg.require(
+        _consistency_check(povm, vec, op, label, tol)
+        for label, vec, op in (("I", a_i, game.payoff_op_i), ("II", a_ii, game.payoff_op_ii))
+    )
     pi = apply_product_channel(ch_a, ch_b, game.rho)
     probs = np.clip(measure_probs(povm, pi), 0.0, None)
     probs = probs / probs.sum()

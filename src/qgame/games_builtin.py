@@ -14,7 +14,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import FixtureCorrupt
-from .game import PLAYER_I, PLAYER_II, PayoffTensor, QuantumGame, build_game
+from .game import QuantumGame, build_game, validate_tensor_entries
 from .quantum import ChiMatrix, Povm, validate_chi, validate_povm
 
 FIXTURE_NAME = "figure1_tensors.txt"
@@ -22,12 +22,12 @@ FIXTURE_NAME = "figure1_tensors.txt"
 
 @dataclass(frozen=True)
 class NamedGame:
-    """A bundled game plus its reference strategies and fixture tensors."""
+    """A bundled game plus its reference strategies and fixture tensors (players I, II)."""
 
     game: QuantumGame
     name: str
     reference_strategies: tuple[tuple[str, ChiMatrix], ...]
-    reference_tensors: tuple[PayoffTensor, PayoffTensor] | None = None
+    reference_tensors: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _ewl_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,7 +130,7 @@ def _fixture_text() -> str:
     return resources.files("qgame").joinpath(f"data/{FIXTURE_NAME}").read_text()
 
 
-def _parse_fixture(text: str) -> tuple[PayoffTensor, PayoffTensor]:
+def _parse_fixture(text: str) -> tuple[np.ndarray, np.ndarray]:
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
     body = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
     if not body or not body[0].startswith("dims "):
@@ -173,13 +173,11 @@ def _parse_fixture(text: str) -> tuple[PayoffTensor, PayoffTensor]:
 
     s1 = int(round(rows ** 0.5))
     s2 = int(round(cols ** 0.5))
-    tensor_i = PayoffTensor(grids["I"].reshape(s1, s1, s2, s2), PLAYER_I)
-    tensor_ii = PayoffTensor(grids["II"].reshape(s1, s1, s2, s2), PLAYER_II)
-    return tensor_i, tensor_ii
+    return tuple(validate_tensor_entries(grids[p].reshape(s1, s1, s2, s2)) for p in ("I", "II"))
 
 
-def figure1_reference_tensors() -> tuple[PayoffTensor, PayoffTensor]:
-    """Load the two reference payoff tensors from the bundled fixture.
+def figure1_reference_tensors() -> tuple[np.ndarray, np.ndarray]:
+    """Load the explicit entries of the two reference payoff tensors, players I and II.
 
     The data is transcribed by hand, never computed, so transcription errors
     and construction errors fail loudly against each other in the regression

@@ -14,7 +14,7 @@ from typing import NamedTuple, TypeAlias
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, ValidationError
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, QGameError, ValidationError
 
 #: Square complex matrix carrier used throughout the package.
 ComplexMatrix: TypeAlias = np.ndarray
@@ -31,7 +31,7 @@ class Check(NamedTuple):
     name: str
     residual: float
     limit: float
-    error: type[ValidationError]
+    error: type[QGameError]
     detail: str
 
     @property

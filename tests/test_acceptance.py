@@ -60,7 +60,7 @@ def test_criterion_1_figure_reproduction():
         worst = 0.0
         for player, fixture in zip(("I", "II"), fixtures):
             computed = payoff_tensor_matrix_unit(game, player)
-            worst = max(worst, float(np.max(np.abs(computed.entries - fixture.entries))))
+            worst = max(worst, float(np.max(np.abs(computed.entries - fixture))))
     ok = worst <= 1e-12 and clock.elapsed < 1.0
     report(1, f"reference grids reproduced, worst deviation {worst:.1e}", ok, clock.elapsed)
     assert worst <= 1e-12
@@ -77,7 +77,7 @@ def test_criterion_2_closed_form_identity():
                 for player in ("I", "II"):
                     general = payoff_tensor_general(game, player)
                     closed = payoff_tensor_matrix_unit(game, player)
-                    worst = max(worst, float(np.max(np.abs(general.entries - closed.entries))))
+                    worst = max(worst, float(np.max(np.abs(general - closed.entries))))
     ok = worst <= 1e-12 and clock.elapsed < 10.0
     report(2, f"trace form equals closed form, worst deviation {worst:.1e}", ok, clock.elapsed)
     assert worst <= 1e-12

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from qgame import cli, files
-from qgame.errors import ParseError, ValidationError
+from qgame.errors import LengthMismatch, ParseError, ValidationError
 from qgame.game import build_game
+from qgame.linalg import Check
 from qgame.random_ops import random_density, random_hermitian
 
 
@@ -138,6 +139,40 @@ def test_validate_agrees_with_loader(case, tol, tmp_path, capsys, monkeypatch):
         assert "FAIL" in out or err.startswith("validation error: ")
     if case in ("nan-in-rho", "infinity-in-rho"):
         assert "non-finite" in err
+
+
+@pytest.mark.parametrize("case", sorted(GAME_FILES))
+def test_validate_json_matches_text_mode(case, tmp_path, capsys):
+    path = tmp_path / "case.game"
+    path.write_text(json.dumps(GAME_FILES[case]()))
+    text_code, text_out, _ = run(capsys, "validate", str(path))
+    code, out, err = run(capsys, "validate", str(path), "--json")
+    assert code == text_code, out + err
+    if not text_out:
+        # raised before any check (non-finite entries, mixed sizes): no document
+        assert out == "" and err.startswith("validation error: ")
+        return
+    doc = files.parse_document(out)
+    assert files.emit_document(doc) == out
+    lines = [line.split() for line in text_out.splitlines()]
+    checks = doc["checks"]
+    assert len(checks) == len(lines)
+    for check, line in zip(checks, lines):
+        assert set(check) == {"name", "passed", "residual", "limit", "detail"}
+        assert line[:len(check["name"].split())] == check["name"].split()
+        assert check["passed"] == ("PASS" in line)
+        assert check["passed"] == (check["residual"] <= check["limit"])
+
+
+def test_validate_json_infinite_residual_is_null(capsys, monkeypatch):
+    # a payoff matrix where a vector belongs has an infinite length residual
+    bad = Check("payoffs I length", np.inf, 0, LengthMismatch, "(2, 2) payoffs for 4 outcomes")
+    monkeypatch.setattr(files, "game_file_checks", lambda path, tol: [bad])
+    code, out, _ = run(capsys, "validate", "ewl.game", "--json")
+    assert code == 1
+    assert "Infinity" not in out
+    check, = files.parse_document(out)["checks"]
+    assert check["residual"] is None and check["passed"] is False
 
 
 def test_validate_names_dimension_failure(tmp_path, capsys):
@@ -354,6 +389,21 @@ def test_simulate_deterministic_output(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     assert "seed: 42" in out_a
+
+
+def test_simulate_consistency_guard_follows_qgame_tol(tmp_path, capsys, monkeypatch):
+    doc = json.loads(files.resolve_input("ewl.povm").read_text())
+    doc["payoffs_I"][0] += 3e-7  # the rebuilt payoff operator is off by 1.5e-7
+    povm = tmp_path / "wobbly.povm"
+    povm.write_text(json.dumps(doc))
+    args = ("simulate", "ewl.game", str(povm), "identity.strategy", "identity.strategy",
+            "--rounds", "10", "--seed", "1")
+    code, _, err = run(capsys, *args)
+    assert code == 1
+    assert "deviate from the game's payoff operator by 1.500e-07" in err
+    monkeypatch.setenv("QGAME_TOL", "1e-5")
+    code, _, _ = run(capsys, *args)
+    assert code == 0
 
 
 def test_simulate_statistics(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from qgame.errors import (
     ValidationError,
 )
 from qgame.game import (
-    PayoffTensor,
     build_game,
     classical_reduction,
     matrix_unit_basis,
@@ -22,8 +23,11 @@ from qgame.game import (
     payoff_tensor_general,
     payoff_tensor_matrix_unit,
     simulate_play,
+    validate_tensor_entries,
 )
+from qgame.equilibrium import response_problem
 from qgame.games_builtin import ewl_referee_measurement
+from qgame.linalg import hermitian_part
 from qgame.quantum import (
     identity_chi,
     kraus_to_chi,
@@ -50,11 +54,11 @@ def random_game(n1, n2, rng):
     return build_game(rho, random_hermitian(n1 * n2, rng), random_hermitian(n1 * n2, rng), n1, n2)
 
 
-def flat(tensor, alpha, beta, gamma, delta):
+def flat(entries, alpha, beta, gamma, delta):
     """Tensor entry by (i, j) label pairs, e.g. flat(A, (0, 0), (0, 0), (1, 0), (1, 0))."""
-    n1 = tensor.n1
-    n2 = tensor.n2
-    return tensor.entries[
+    n1 = int(round(np.sqrt(entries.shape[0])))
+    n2 = int(round(np.sqrt(entries.shape[2])))
+    return entries[
         alpha[0] * n1 + alpha[1],
         beta[0] * n1 + beta[1],
         gamma[0] * n2 + gamma[1],
@@ -104,7 +108,7 @@ def test_tensor_entries_from_reference_game(ewl_game):
     assert flat(a_i, (0, 0), (0, 0), (1, 0), (1, 0)) == pytest.approx(1.25)
     assert flat(a_i, (0, 1), (0, 1), (1, 1), (1, 1)) == pytest.approx(1.25)
     # player II flips the sign of the purely imaginary inner-block family
-    a_ii = payoff_tensor_matrix_unit(ewl_game, "II")
+    a_ii = payoff_tensor_matrix_unit(ewl_game, "II").entries
     assert flat(a_ii, (0, 0), (1, 0), (1, 0), (0, 0)) == pytest.approx(1.25j)
     assert flat(a_i, (0, 0), (1, 0), (1, 0), (0, 0)) == pytest.approx(-1.25j)
 
@@ -116,14 +120,14 @@ def test_tensor_constructions_agree(rng):
             for player in ("I", "II"):
                 general = payoff_tensor_general(game, player)
                 closed = payoff_tensor_matrix_unit(game, player)
-                assert np.max(np.abs(general.entries - closed.entries)) <= 1e-12
+                assert np.max(np.abs(general - closed.entries)) <= 1e-12
 
 
 def test_tensor_constructions_agree_mixed_dims(rng):
     game = random_game(2, 3, rng)
     general = payoff_tensor_general(game, "I")
     closed = payoff_tensor_matrix_unit(game, "I")
-    assert np.max(np.abs(general.entries - closed.entries)) <= 1e-12
+    assert np.max(np.abs(general - closed.entries)) <= 1e-12
 
 
 def test_general_tensor_supports_other_operator_bases(rng):
@@ -148,7 +152,7 @@ def test_general_tensor_supports_other_operator_bases(rng):
     ch_a = random_kraus_channel(2, rng)
     ch_b = random_kraus_channel(2, rng)
     mixed_value = np.einsum("ab,cd,abcd->", chi_in_basis(ch_a), chi_in_basis(ch_b),
-                            tensor_mixed.entries)
+                            tensor_mixed)
     default_value = payoff_contract(tensor_default, kraus_to_chi(ch_a), kraus_to_chi(ch_b))
     assert abs(mixed_value.imag) <= 1e-9
     assert mixed_value.real == pytest.approx(default_value, abs=1e-9)
@@ -157,9 +161,12 @@ def test_general_tensor_supports_other_operator_bases(rng):
 def test_constant_game_contracts_to_constant(rng):
     rho = random_density(4, rng)
     game = build_game(rho, np.eye(4), np.eye(4), 2, 2)
-    tensor = payoff_tensor_general(game, "I")
+    tensor = payoff_tensor_matrix_unit(game, "I")
+    general = payoff_tensor_general(game, "I")
     for _ in range(5):
-        value = payoff_contract(tensor, random_chi(2, rng), random_chi(2, rng))
+        chi, xi = random_chi(2, rng), random_chi(2, rng)
+        assert payoff_contract(tensor, chi, xi) == pytest.approx(1.0, abs=1e-10)
+        value = np.einsum("ab,cd,abcd->", chi.matrix, xi.matrix, general)
         assert value == pytest.approx(1.0, abs=1e-10)
 
 
@@ -175,7 +182,7 @@ def test_tensor_rejects_pairing_violation():
     bad = np.zeros((4, 4, 4, 4), dtype=complex)
     bad[0, 1, 0, 0] = 1.0  # conjugate partner missing
     with pytest.raises(ValidationError):
-        PayoffTensor(bad, "I")
+        validate_tensor_entries(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +235,42 @@ def test_direct_equals_contraction_on_random_channels(rng):
             via_tensor = payoff_contract(tensor, kraus_to_chi(ch_a), kraus_to_chi(ch_b))
             via_direct = payoff_direct(game, ch_a, ch_b, player)
             assert abs(via_tensor - via_direct) <= 1e-9
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 3), (3, 2), (3, 4), (4, 3)])
+def test_factored_contraction_matches_entries(n1, n2, rng):
+    # the production path never forms the entries; here they are materialised
+    for _ in range(3):
+        game = random_game(n1, n2, rng)
+        chi, xi = random_chi(n1, rng), random_chi(n2, rng)
+        for player in ("I", "II"):
+            tensor = payoff_tensor_matrix_unit(game, player)
+            entries = tensor.entries
+            value = np.einsum("ab,cd,abcd->", chi.matrix, xi.matrix, entries).real
+            assert abs(payoff_contract(tensor, chi, xi) - value) <= 1e-12
+            g_i = hermitian_part(np.einsum("abcd,cd->ba", entries, xi.matrix))
+            g_ii = hermitian_part(np.einsum("abcd,ab->dc", entries, chi.matrix))
+            assert np.max(np.abs(response_problem(tensor, xi, "I").matrix - g_i)) <= 1e-12
+            assert np.max(np.abs(response_problem(tensor, chi, "II").matrix - g_ii)) <= 1e-12
+
+
+def test_payoff_and_responses_stay_tensor_free():
+    # at n1 = n2 = 8 each tensor has (64^2)^2 entries, 268 MB; its factors take 64 kB
+    rng = np.random.default_rng(8)
+    game = random_game(8, 8, rng)
+    chi, xi = random_chi(8, rng), random_chi(8, rng)
+    tracemalloc.start()
+    try:
+        tensor_i = payoff_tensor_matrix_unit(game, "I")
+        tensor_ii = payoff_tensor_matrix_unit(game, "II")
+        payoff_contract(tensor_i, chi, xi)
+        payoff_contract(tensor_ii, chi, xi)
+        response_problem(tensor_i, xi, "I")
+        response_problem(tensor_ii, chi, "II")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_contract_flags_corrupted_strategy(ewl_game):

@@ -78,7 +78,7 @@ def test_classical_restriction(ewl_game):
 
 def test_fixture_first_row():
     tensor_i, _ = figure1_reference_tensors()
-    row = tensor_i.grid[0]
+    row = tensor_i.reshape(16, 16)[0]
     expected = np.zeros(16, dtype=complex)
     expected[0] = 1.0
     expected[10] = 1.25
@@ -87,12 +87,13 @@ def test_fixture_first_row():
 
 def test_fixture_grid_ii_row_12_diagonal():
     _, tensor_ii = figure1_reference_tensors()
-    assert tensor_ii.grid[11, 11] == -1j
+    assert tensor_ii.reshape(16, 16)[11, 11] == -1j
 
 
 def test_fixture_grids_coincide_on_diagonal():
     tensor_i, tensor_ii = figure1_reference_tensors()
-    np.testing.assert_array_equal(np.diag(tensor_i.grid), np.diag(tensor_ii.grid))
+    np.testing.assert_array_equal(np.diag(tensor_i.reshape(16, 16)),
+                                  np.diag(tensor_ii.reshape(16, 16)))
 
 
 def test_computed_tensors_match_fixture(ewl_game):
@@ -104,13 +105,13 @@ def test_computed_tensors_match_fixture(ewl_game):
     """
     fixtures = figure1_reference_tensors()
     for player, fixture in zip(("I", "II"), fixtures):
-        for build in (payoff_tensor_matrix_unit, payoff_tensor_general):
-            computed = build(ewl_game, player)
-            diff = np.abs(computed.entries - fixture.entries)
+        for computed in (payoff_tensor_matrix_unit(ewl_game, player).entries,
+                         payoff_tensor_general(ewl_game, player)):
+            diff = np.abs(computed - fixture)
             bad = np.argwhere(diff > 1e-12)
             message = "; ".join(
                 f"player {player} (alpha={a}, beta={b}, gamma={g}, delta={d}): "
-                f"computed {computed.entries[a, b, g, d]}, fixture {fixture.entries[a, b, g, d]}"
+                f"computed {computed[a, b, g, d]}, fixture {fixture[a, b, g, d]}"
                 for a, b, g, d in bad[:8]
             )
             assert bad.size == 0, f"tensor/fixture mismatch: {message}"
@@ -131,5 +132,7 @@ def test_fixture_header_guard():
 
 def test_named_game_carries_reference_tensors(ewl):
     assert ewl.reference_tensors is not None
-    tensor_i, tensor_ii = ewl.reference_tensors
-    assert tensor_i.player == "I" and tensor_ii.player == "II"
+    # players I and II in that order: the fixture's tensor I is its first
+    for player, tensor in zip(("I", "II"), ewl.reference_tensors):
+        np.testing.assert_array_equal(tensor, figure1_reference_tensors()[player == "II"])
+        assert tensor.shape == (4, 4, 4, 4)

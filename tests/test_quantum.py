@@ -158,6 +158,19 @@ def test_apply_product_channel_double_flip():
     np.testing.assert_allclose(out.matrix, np.diag([0.0, 0, 0, 1.0]), atol=1e-14)
 
 
+@pytest.mark.parametrize("rank", ["1", "n", "n^2"])
+@pytest.mark.parametrize("n1, n2", [(2, 3), (3, 2)])
+def test_apply_product_channel_matches_joint_kraus(n1, n2, rank, rng):
+    ranks = {"1": (1, 1), "n": (n1, n2), "n^2": (n1 * n1, n2 * n2)}[rank]
+    ch_a = random_kraus_channel(n1, rng, ranks[0])
+    ch_b = random_kraus_channel(n2, rng, ranks[1])
+    rho = random_density(n1 * n2, rng)
+    expected = sum(np.kron(e, f) @ rho.matrix @ np.kron(e, f).conj().T
+                   for e in ch_a.operators for f in ch_b.operators)
+    out = apply_product_channel(ch_a, ch_b, rho)
+    assert np.max(np.abs(out.matrix - expected)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # chi representation
 # ---------------------------------------------------------------------------
