@@ -10,17 +10,10 @@ import argparse
 
 import numpy as np
 
-from qgame.cli import format_complex
+from qgame.cli import print_matrix
 from qgame.equilibrium import verify_nash
 from qgame.game import classical_reduction, payoff_contract, payoff_tensor_matrix_unit
 from qgame.games_builtin import ewl_equilibrium_strategies, ewl_prisoners_dilemma
-
-
-def print_grid(grid, exact=True):
-    cells = [[format_complex(z, exact) for z in row] for row in grid]
-    width = max(len(c) for row in cells for c in row)
-    for row in cells:
-        print("  ".join(c.rjust(width) for c in row))
 
 
 def main():
@@ -36,7 +29,7 @@ def main():
         tensor = payoff_tensor_matrix_unit(game, player)
         deviation = float(np.max(np.abs(tensor.entries - fixture)))
         print(f"\npayoff grid, player {player} (max deviation from fixture {deviation:.1e})")
-        print_grid(tensor.grid)
+        print_matrix(tensor.grid, exact=True)
 
     print("\nclassical reduction (identity / bit flip):")
     bim = classical_reduction(game)

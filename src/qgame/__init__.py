@@ -12,10 +12,7 @@ prisoner's dilemma.
 from .equilibrium import (
     BestResponseResult,
     NashReport,
-    ResponseProblem,
     best_response,
-    response_problem,
-    response_value,
     unitary_oracle,
     verify_nash,
 )
@@ -43,6 +40,7 @@ from .game import (
     ClassicalBimatrix,
     PayoffTensor,
     QuantumGame,
+    ResponseProblem,
     SimulationResult,
     build_game,
     classical_reduction,
@@ -51,6 +49,8 @@ from .game import (
     payoff_operator,
     payoff_tensor_general,
     payoff_tensor_matrix_unit,
+    response_problem,
+    response_value,
     simulate_play,
 )
 from .games_builtin import (

@@ -37,13 +37,14 @@ from .errors import (
     QGameError,
     ValidationError,
 )
-from .equilibrium import best_response, response_problem, verify_nash
+from .equilibrium import best_response, verify_nash
 from .game import (
     classical_reduction,
     normalize_player,
     payoff_contract,
     payoff_direct,
     payoff_tensor_matrix_unit,
+    response_problem,
     simulate_play,
 )
 from .games_builtin import figure1_reference_tensors
@@ -55,6 +56,7 @@ EXIT_PARSE = 2
 EXIT_CROSSCHECK = 3
 EXIT_NO_CONVERGENCE = 4
 
+# the payoff cross-check's limit, relative to max(1, max|R_I|, max|R_II|)
 CROSS_CHECK_ATOL = 1e-9
 
 
@@ -72,14 +74,6 @@ def _fraction_str(frac: Fraction, imaginary: bool = False) -> str:
     if frac.denominator == 1:
         return f"{frac.numerator}{unit}"
     return f"{frac.numerator}{unit}/{frac.denominator}"
-
-
-def format_real(x: float, exact: bool = False) -> str:
-    if exact:
-        frac = _as_fraction(x)
-        if frac is not None:
-            return _fraction_str(frac)
-    return f"{x:.12g}"
 
 
 def format_complex(z: complex, exact: bool = False) -> str:
@@ -102,11 +96,16 @@ def format_complex(z: complex, exact: bool = False) -> str:
     return f"{re:.12g}{sign}{abs(im):.12g}i"
 
 
-def _print_matrix(m: np.ndarray, exact: bool = False) -> None:
-    cells = [[format_complex(z, exact) for z in row] for row in m]
+def print_cells(cells: list[list[str]]) -> None:
+    """Print a grid of text cells, right-aligned to one width, two spaces apart."""
     width = max(len(c) for row in cells for c in row)
     for row in cells:
         print("  ".join(c.rjust(width) for c in row))
+
+
+def print_matrix(m: np.ndarray, exact: bool = False) -> None:
+    """Print a matrix as a grid of :func:`format_complex` cells."""
+    print_cells([[format_complex(z, exact) for z in row] for row in m])
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def cmd_tensor(args) -> int:
         sys.stdout.write(files.emit_document(payload))
     else:
         print(f"payoff tensor, player {player} ({grid.shape[0]}x{grid.shape[1]} grid)")
-        _print_matrix(grid, exact=args.exact_fractions)
+        print_matrix(grid, exact=args.exact_fractions)
     return EXIT_OK
 
 
@@ -183,16 +182,19 @@ def cmd_payoff(args) -> int:
         direct_i = payoff_direct(game, strat_i.channel, strat_ii.channel, "I")
         direct_ii = payoff_direct(game, strat_i.channel, strat_ii.channel, "II")
         worst = max(abs(direct_i - value_i), abs(direct_ii - value_ii))
-        if worst > CROSS_CHECK_ATOL:
+        # both payoffs carry rounding of order eps * max|R|
+        limit = CROSS_CHECK_ATOL * max(1.0, float(np.max(np.abs(game.payoff_op_i))),
+                                       float(np.max(np.abs(game.payoff_op_ii))))
+        if worst > limit:
             raise CrossCheckFailure(
-                f"contraction and direct evaluation disagree by {worst:.3e} > {CROSS_CHECK_ATOL:.1e}"
+                f"contraction and direct evaluation disagree by {worst:.3e} > {limit:.1e}"
             )
 
     if args.json:
         sys.stdout.write(files.emit_document({"payoff_I": value_i, "payoff_II": value_ii}))
     else:
-        print(f"payoff I  = {format_real(value_i)}")
-        print(f"payoff II = {format_real(value_ii)}")
+        print(f"payoff I  = {format_complex(value_i)}")
+        print(f"payoff II = {format_complex(value_ii)}")
     return EXIT_OK
 
 
@@ -217,13 +219,13 @@ def cmd_best_response(args) -> int:
         }
         sys.stdout.write(files.emit_document(payload))
     else:
-        print(f"best response value = {format_real(result.value)}")
-        print(f"dual bound          = {format_real(result.dual_bound)}")
+        print(f"best response value = {format_complex(result.value)}")
+        print(f"dual bound          = {format_complex(result.dual_bound)}")
         print(f"duality gap         = {result.gap:.3e}")
         print(f"iterations          = {result.iterations}")
         print(f"converged           = {result.converged}")
         print("optimal chi:")
-        _print_matrix(result.chi_opt.matrix)
+        print_matrix(result.chi_opt.matrix)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -244,7 +246,7 @@ def cmd_verify_nash(args) -> int:
         sys.stdout.write(files.emit_document(payload))
     else:
         print(f"{verdict} (gaps {report.gap_i:.1e}, {report.gap_ii:.1e})")
-        print(f"payoffs: ({format_real(report.payoff_i)}, {format_real(report.payoff_ii)})")
+        print(f"payoffs: ({format_complex(report.payoff_i)}, {format_complex(report.payoff_ii)})")
     return EXIT_OK if report.is_equilibrium else EXIT_VALIDATION
 
 
@@ -290,7 +292,7 @@ def cmd_simulate(args) -> int:
         ):
             z = z_score(mean, exact, stderr)
             print(f"player {label:<2} empirical {mean:.6f}  stderr {stderr:.6f}  "
-                  f"exact {format_real(exact)}  z {z:+.3f}")
+                  f"exact {format_complex(exact)}  z {z:+.3f}")
     return EXIT_OK
 
 
@@ -304,15 +306,8 @@ def cmd_classical(args) -> int:
         }
         sys.stdout.write(files.emit_document(payload))
     else:
-        rows, cols = bimatrix.payoff_i.shape
-        cells = [
-            [f"({format_real(bimatrix.payoff_i[s, t])}, {format_real(bimatrix.payoff_ii[s, t])})"
-             for t in range(cols)]
-            for s in range(rows)
-        ]
-        width = max(len(c) for row in cells for c in row)
-        for row in cells:
-            print("  ".join(c.rjust(width) for c in row))
+        print_cells([[f"({format_complex(a)}, {format_complex(b)})" for a, b in zip(row_i, row_ii)]
+                     for row_i, row_ii in zip(bimatrix.payoff_i, bimatrix.payoff_ii)])
     return EXIT_OK
 
 

@@ -1,8 +1,10 @@
 """Best responses over the full strategy set and epsilon-Nash verification.
 
 Fixing the opponent's chi matrix makes one player's expected payoff linear
-in their own strategy, ``payoff = tr(G chi)``, so the best response is the
-maximum of a linear functional over the spectrahedron
+in their own strategy, ``payoff = tr(G chi)``; :func:`qgame.game.response_problem`
+forms G, and every closed-form payoff, here and in :mod:`qgame.game`, is a
+:func:`~qgame.game.response_value` of it.  The best response is the maximum
+of that linear functional over the spectrahedron
 
     Omega_n = { chi >= 0 : partial-trace over the first index factor = I }.
 
@@ -40,21 +42,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InfeasibleProjection,
-    NoConvergence,
-    UnsupportedDimension,
-)
+from .errors import InfeasibleProjection, NoConvergence, UnsupportedDimension
 from .game import (
     PLAYER_I,
+    PLAYER_II,
     PayoffTensor,
     QuantumGame,
-    normalize_player,
-    payoff_contract,
+    ResponseProblem,
     payoff_tensor_matrix_unit,
-    require_real,
-    response_matrix,
+    response_problem,
+    response_value,
 )
 from .linalg import hermitian_part
 from .quantum import ChiMatrix, maximally_mixing_chi, partial_trace_first, validate_chi
@@ -70,15 +67,6 @@ CENTERED_DECREMENT = 1e-2
 
 
 @dataclass(frozen=True)
-class ResponseProblem:
-    """Linear payoff functional ``tr(matrix @ chi)`` over Omega_n."""
-
-    matrix: np.ndarray
-    n: int
-    player: str
-
-
-@dataclass(frozen=True)
 class BestResponseResult:
     """A feasible strategy, its value and a certified upper bound on the optimum.
 
@@ -91,34 +79,6 @@ class BestResponseResult:
     gap: float
     iterations: int
     converged: bool
-
-
-# ---------------------------------------------------------------------------
-# response problems
-# ---------------------------------------------------------------------------
-
-def response_problem(tensor: PayoffTensor, opponent: ChiMatrix, player) -> ResponseProblem:
-    """Contract the opponent's strategy out of the payoff tensor.
-
-    ``tr(G chi)`` is the responder's payoff (:func:`response_matrix`); G is
-    Hermitian because the tensor satisfies its pairing invariant, and is
-    symmetrized here against floating-point noise.
-    """
-    player = normalize_player(player)
-    g = response_matrix(tensor, opponent, player)
-    return ResponseProblem(hermitian_part(g), tensor.n1 if player == PLAYER_I else tensor.n2,
-                           player)
-
-
-def response_value(problem: ResponseProblem, chi: ChiMatrix) -> float:
-    """Evaluate ``tr(G chi)`` for a validated strategy.
-
-    The imaginary part must vanish relative to ``max(1, max |G|)``.
-    """
-    if chi.dim != problem.matrix.shape[0]:
-        raise DimensionMismatch(f"strategy dim {chi.dim} != problem dim {problem.matrix.shape[0]}")
-    value = complex(np.trace(problem.matrix @ chi.matrix))
-    return require_real(value, float(np.max(np.abs(problem.matrix))), "response value")
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +277,12 @@ def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float
         NoConvergence: if either best-response solve fails to certify; the
             exception's ``partial`` attribute carries the report so far.
     """
-    tensor_i = payoff_tensor_matrix_unit(game, "I")
-    tensor_ii = payoff_tensor_matrix_unit(game, "II")
-    payoff_i = payoff_contract(tensor_i, chi, xi)
-    payoff_ii = payoff_contract(tensor_ii, chi, xi)
-    br_i = best_response(response_problem(tensor_i, xi, "I"), max_iters, solver_tol)
-    br_ii = best_response(response_problem(tensor_ii, chi, "II"), max_iters, solver_tol)
+    problem_i = response_problem(payoff_tensor_matrix_unit(game, PLAYER_I), xi, PLAYER_I)
+    problem_ii = response_problem(payoff_tensor_matrix_unit(game, PLAYER_II), chi, PLAYER_II)
+    payoff_i = response_value(problem_i, chi)
+    payoff_ii = response_value(problem_ii, xi)
+    br_i = best_response(problem_i, max_iters, solver_tol)
+    br_ii = best_response(problem_ii, max_iters, solver_tol)
     gap_i = br_i.value - payoff_i
     gap_ii = br_ii.value - payoff_ii
     report = NashReport(

@@ -137,6 +137,16 @@ def load_document(path) -> dict:
     return doc
 
 
+def _measurement_fields(doc: dict, what: str) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The ``elements``, ``payoffs_I`` and ``payoffs_II`` of a measurement, parsed."""
+    elements = _require(doc, "elements", what)
+    if not isinstance(elements, list) or not elements:
+        raise ParseError(f"{what}: elements must be a non-empty array of matrices")
+    return ([matrix_from_lists(m, f"povm element {k}") for k, m in enumerate(elements)],
+            real_vector_from_list(_require(doc, "payoffs_I", what), "payoffs_I"),
+            real_vector_from_list(_require(doc, "payoffs_II", what), "payoffs_II"))
+
+
 # ---------------------------------------------------------------------------
 # game files
 # ---------------------------------------------------------------------------
@@ -158,7 +168,6 @@ def parse_game_raw(path) -> dict:
         "n1": n1,
         "n2": n2,
         "rho": matrix_from_lists(_require(doc, "rho", what), "rho"),
-        "name": doc.get("name", ""),
     }
     if "payoff_ops" in doc:
         ops = doc["payoff_ops"]
@@ -169,17 +178,9 @@ def parse_game_raw(path) -> dict:
             "II": matrix_from_lists(_require(ops, "II", "payoff_ops"), "payoff operator II"),
         }
     elif "povm" in doc:
-        block = doc["povm"]
-        if not isinstance(block, dict):
+        if not isinstance(doc["povm"], dict):
             raise ParseError(f"{what}: povm must be an object")
-        elements = _require(block, "elements", "povm")
-        if not isinstance(elements, list) or not elements:
-            raise ParseError("povm: elements must be a non-empty array of matrices")
-        out["povm"] = {
-            "elements": [matrix_from_lists(m, f"povm element {k}") for k, m in enumerate(elements)],
-            "payoffs_i": real_vector_from_list(_require(block, "payoffs_I", "povm"), "payoffs_I"),
-            "payoffs_ii": real_vector_from_list(_require(block, "payoffs_II", "povm"), "payoffs_II"),
-        }
+        out["povm"] = _measurement_fields(doc["povm"], "povm")
     else:
         raise ParseError(f"{what}: needs either payoff_ops or povm")
     return out
@@ -189,9 +190,8 @@ def _payoff_operators(raw: dict, tol: float | None) -> tuple[list[Check], tuple 
     """A parsed game's measurement checks, and its payoff operators if they can be folded."""
     if "payoff_ops" in raw:
         return [], (raw["payoff_ops"]["I"], raw["payoff_ops"]["II"])
-    block = raw["povm"]
-    povm = Povm(operator_stack(block["elements"], "POVM element"))
-    vectors = (block["payoffs_i"], block["payoffs_ii"])
+    elements, *vectors = raw["povm"]
+    povm = Povm(operator_stack(elements, "POVM element"))
     lengths = [payoff_length_check(povm.outcome_count, vec, f"payoffs {label}")
                for label, vec in zip(("I", "II"), vectors)]
     checks = [completeness_check(povm.elements, tol, "measurement"), *lengths]
@@ -249,10 +249,8 @@ class LoadedStrategy:
     the direct-evaluation cross-check.
     """
 
-    kind: str
     chi: ChiMatrix
     channel: KrausChannel | None
-    label: str
 
 
 def load_strategy(path, n: int, tol: float | None = None) -> LoadedStrategy:
@@ -261,11 +259,10 @@ def load_strategy(path, n: int, tol: float | None = None) -> LoadedStrategy:
     kind = _require(doc, "kind", what)
     if kind not in STRATEGY_KINDS:
         raise ParseError(f"{what}: kind must be one of {STRATEGY_KINDS}, got {kind!r}")
-    label = str(doc.get("name", pathlib.Path(str(path)).stem))
 
     if kind == "chi":
         mat = matrix_from_lists(_require(doc, "matrix", what), "chi matrix")
-        return LoadedStrategy(kind, validate_chi(mat, n, tol), None, label)
+        return LoadedStrategy(validate_chi(mat, n, tol), None)
 
     if kind == "classical":
         index = _int_field(doc, "index", what)
@@ -284,7 +281,7 @@ def load_strategy(path, n: int, tol: float | None = None) -> LoadedStrategy:
         channel = validate_kraus(mats, tol)
         if channel.dim != n:
             raise ValidationError(f"strategy acts on dim {channel.dim}, game needs {n}")
-    return LoadedStrategy(kind, kraus_to_chi(channel), channel, label)
+    return LoadedStrategy(kraus_to_chi(channel), channel)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +289,8 @@ def load_strategy(path, n: int, tol: float | None = None) -> LoadedStrategy:
 # ---------------------------------------------------------------------------
 
 def load_povm_file(path, dim: int, tol: float | None = None) -> tuple[Povm, np.ndarray, np.ndarray]:
-    doc = load_document(path)
-    what = "povm file"
-    elements = _require(doc, "elements", what)
-    if not isinstance(elements, list) or not elements:
-        raise ParseError(f"{what}: elements must be a non-empty array of matrices")
-    mats = [matrix_from_lists(m, f"povm element {k}") for k, m in enumerate(elements)]
+    mats, payoffs_i, payoffs_ii = _measurement_fields(load_document(path), "povm file")
     povm = validate_povm(mats, tol)
     if povm.dim != dim:
         raise ValidationError(f"measurement acts on dim {povm.dim}, game needs {dim}")
-    payoffs_i = real_vector_from_list(_require(doc, "payoffs_I", what), "payoffs_I")
-    payoffs_ii = real_vector_from_list(_require(doc, "payoffs_II", what), "payoffs_II")
     return povm, payoffs_i, payoffs_ii

@@ -14,13 +14,22 @@ alpha=(a,b), beta=(c,d), gamma=(i,j), delta=(k,l))
 
     A = R[c*n2 + k, a*n2 + i] * rho[b*n2 + j, d*n2 + l],
 
-one factor of R times one factor of rho.  The closed form is the production
-path: a :class:`PayoffTensor` holds the two factors, and a contraction takes
-the opponent's chi into rho first and then into R, in O(n^6) time and O(n^4)
-memory, without forming the (n1^2)^2 (n2^2)^2 entries.  Two independent
-cross-checks stay: :func:`payoff_tensor_general` evaluates the trace formula
-literally, and :func:`payoff_direct` applies the product channel to the
-state and traces it against R, never touching the closed form.
+one factor of R times one factor of rho.  The closed form is the one
+production path: a :class:`PayoffTensor` holds the two factors, and
+:func:`response_problem` takes the opponent's chi into rho first and then
+into R, in O(n^6) time and O(n^4) memory, without forming the
+(n1^2)^2 (n2^2)^2 entries.  It yields the Hermitian matrix G with
+``tr(G chi)`` the responder's payoff, and every closed-form payoff,
+:func:`payoff_contract` included, is :func:`response_value` over it.  Two
+independent cross-checks stay: :func:`payoff_tensor_general` evaluates the
+trace formula literally, and :func:`payoff_direct` applies the product
+channel to the state and traces it against R, never touching the closed
+form.
+
+A payoff is a trace against one operator (G, or R for the direct path) and
+carries rounding of order eps * max|operator| in its imaginary part, however
+small the payoff itself; :func:`require_real` therefore judges every payoff
+against ``IMAG_RTOL * max(1, max|operator|)``.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ PLAYER_II = "II"
 
 PAIRING_ATOL = 1e-10
 MEASUREMENT_ATOL = 1e-9
-# imaginary parts of payoffs are checked relative to max(1, scale)
+# imaginary parts of payoffs are checked relative to max(1, max|operator|)
 IMAG_RTOL = 1e-9
 
 
@@ -263,20 +272,37 @@ def payoff_tensor_matrix_unit(game: QuantumGame, player) -> PayoffTensor:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def require_real(value: complex, scale: float, what: str) -> float:
-    """The real part of ``value``; its imaginary part must vanish relative to ``scale``."""
-    if abs(value.imag) > IMAG_RTOL * max(1.0, scale):
+@dataclass(frozen=True)
+class ResponseProblem:
+    """Linear payoff ``tr(matrix @ chi)`` over the strategies of a player of dimension ``n``."""
+
+    matrix: np.ndarray
+    n: int
+
+
+def require_real(value: complex, operator: np.ndarray, what: str) -> float:
+    """The real part of ``value``, a trace against ``operator``.
+
+    Rounding in such a trace is of order eps * max|operator|, so the
+    imaginary part must vanish within ``IMAG_RTOL * max(1, max|operator|)``;
+    a larger one signals a corrupted strategy and raises ``NonRealPayoff``.
+    """
+    scale = max(1.0, float(np.max(np.abs(operator))))
+    if abs(value.imag) > IMAG_RTOL * scale:
         raise NonRealPayoff(f"{what} has imaginary part {value.imag:.3e}, "
-                            f"limit {IMAG_RTOL:.1e} x max(1, {scale:.3e})")
+                            f"limit {IMAG_RTOL:.1e} x {scale:.3e}")
     return float(value.real)
 
 
-def response_matrix(tensor: PayoffTensor, opponent: ChiMatrix, player) -> np.ndarray:
-    """The matrix G with ``tr(G chi)`` the responding player's payoff against ``opponent``.
+def response_problem(tensor: PayoffTensor, opponent: ChiMatrix, player) -> ResponseProblem:
+    """Contract the opponent's strategy out of the payoff tensor.
 
-    For player I ``G[b, a] = sum_gd A[a, b, g, d] xi[g, d]``.  The opponent's
-    chi goes into the state factor first, then into the payoff factor:
-    O(n1^2 n2^4 + n1^4 n2^2) time and O(n^4) memory.  G is not symmetrized.
+    The result's matrix G makes ``tr(G chi)`` the responding player's
+    payoff; for player I ``G[b, a] = sum_gd A[a, b, g, d] xi[g, d]``.  The
+    opponent's chi goes into the state factor first, then into the payoff
+    factor: O(n1^2 n2^4 + n1^4 n2^2) time and O(n^4) memory.  G is Hermitian
+    because the tensor satisfies its pairing invariant, and is symmetrized
+    here against floating-point noise.
     """
     r, state, n, m = tensor.payoff_op, tensor.state, tensor.n1, tensor.n2
     if normalize_player(player) != PLAYER_I:
@@ -288,29 +314,27 @@ def response_matrix(tensor: PayoffTensor, opponent: ChiMatrix, player) -> np.nda
     partial = np.tensordot(state, opponent.matrix.reshape(m, m, m, m), axes=((1, 3), (1, 3)))
     # g[c, a, b, d] = sum_ik r[c, k, a, i] partial[b, d, i, k], rows (c,d) and columns (a,b)
     g = np.tensordot(r, partial, axes=((3, 1), (2, 3)))
-    return g.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    return ResponseProblem(linalg.hermitian_part(g.transpose(0, 3, 1, 2).reshape(n * n, n * n)), n)
+
+
+def response_value(problem: ResponseProblem, chi: ChiMatrix) -> float:
+    """The payoff ``tr(G chi)`` of ``chi`` in a response problem, real by :func:`require_real`."""
+    if chi.dim != problem.matrix.shape[0]:
+        raise DimensionMismatch(f"strategy dim {chi.dim} != problem dim {problem.matrix.shape[0]}")
+    value = complex(np.einsum("ba,ab->", problem.matrix, chi.matrix))
+    return require_real(value, problem.matrix, "payoff")
 
 
 def payoff_contract(tensor: PayoffTensor, chi: ChiMatrix, xi: ChiMatrix) -> float:
-    """Expected payoff ``sum chi_ab xi_gd A[a,b,g,d]``, as ``tr(G chi)`` with G against xi.
-
-    The imaginary part must vanish within ``IMAG_RTOL * max(1, |value|)``; a
-    violation signals a corrupted tensor or strategy and raises
-    ``NonRealPayoff``.
-    """
-    g = response_matrix(tensor, xi, PLAYER_I)
-    if chi.dim != g.shape[0]:
-        raise DimensionMismatch(f"strategy dim {chi.dim} != tensor dim {g.shape[0]}")
-    value = complex(np.einsum("ba,ab->", g, chi.matrix))
-    return require_real(value, abs(value), "payoff")
+    """Expected payoff ``sum chi_ab xi_gd A[a,b,g,d]``: the response value of chi against xi."""
+    return response_value(response_problem(tensor, xi, PLAYER_I), chi)
 
 
 def payoff_direct(game: QuantumGame, ch_a: KrausChannel, ch_b: KrausChannel, player) -> float:
     """Expected payoff by direct channel application: ``tr(R pi)``."""
-    player = normalize_player(player)
+    r = game.payoff_op(player)
     pi = apply_product_channel(ch_a, ch_b, game.rho)
-    value = complex(np.trace(game.payoff_op(player) @ pi.matrix))
-    return require_real(value, abs(value), "payoff")
+    return require_real(complex(np.trace(r @ pi.matrix)), r, "payoff")
 
 
 def classical_reduction(game: QuantumGame) -> ClassicalBimatrix:

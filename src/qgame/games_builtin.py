@@ -25,7 +25,6 @@ class NamedGame:
     """A bundled game plus its reference strategies and fixture tensors (players I, II)."""
 
     game: QuantumGame
-    name: str
     reference_strategies: tuple[tuple[str, ChiMatrix], ...]
     reference_tensors: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -115,7 +114,6 @@ def ewl_prisoners_dilemma(with_reference_tensors: bool = True) -> NamedGame:
     tensors = figure1_reference_tensors() if with_reference_tensors else None
     return NamedGame(
         game=game,
-        name="ewl-prisoners-dilemma",
         reference_strategies=(
             ("chi_star", chi_star),
             ("xi_star", xi_star),

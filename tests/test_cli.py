@@ -289,6 +289,25 @@ def test_payoff_kraus_strategy_cross_check(tmp_path, capsys):
     assert "payoff I  = 2.5" in out
 
 
+def test_payoff_near_zero_at_large_scale(tmp_path, capsys):
+    # payoff operators of order 1e9, shifted so that the identity pair pays
+    # about 0: the payoff's rounding, of order eps * 1e9, is neither an
+    # imaginary part to reject nor a cross-check failure
+    rng = np.random.default_rng(0)
+    rho = random_density(4, rng).matrix
+    ops = [random_hermitian(4, rng, 1e9) for _ in range(2)]
+    game = build_game(rho, *(r - np.trace(r @ rho).real * np.eye(4) for r in ops), 2, 2)
+    path = tmp_path / "large.game"
+    path.write_text(files.emit_document(files.game_to_payload(game)))
+    assert run(capsys, "validate", str(path))[0] == 0
+    code, out, err = run(capsys, "payoff", str(path), "identity.strategy", "identity.strategy",
+                         "--json")
+    assert code == 0, err
+    assert all(abs(value) <= 1e-12 * 1e9 for value in files.parse_document(out).values())
+    _, _, err = run(capsys, "verify-nash", str(path), "identity.strategy", "identity.strategy")
+    assert "imaginary part" not in err
+
+
 def test_payoff_cross_check_failure(tmp_path, capsys, monkeypatch):
     import qgame.cli as cli_module
 

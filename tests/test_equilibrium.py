@@ -16,7 +16,13 @@ from qgame.equilibrium import (
 )
 from qgame.errors import DimensionMismatch, UnsupportedDimension
 from qgame.game import build_game, payoff_contract, payoff_direct, payoff_tensor_matrix_unit
-from qgame.quantum import identity_chi, kraus_to_chi, shift_channel, validate_chi
+from qgame.quantum import (
+    apply_product_channel,
+    identity_chi,
+    kraus_to_chi,
+    shift_channel,
+    validate_chi,
+)
 from qgame.random_ops import random_chi, random_density, random_hermitian, random_kraus_channel
 
 
@@ -187,7 +193,9 @@ def test_best_response_scaled_payoffs(seed):
 @pytest.mark.parametrize("scale", [1e7, 1e8, 1e9], ids=["1e7", "1e8", "1e9"])
 def test_large_payoffs_stay_real(scale):
     # rounding grows with the payoff scale: the tensor's Hermiticity pairing
-    # must still hold, and imaginary parts are judged relative to the scale
+    # must still hold, and imaginary parts are judged relative to the scale of
+    # the operators, also when the profile pays about 0 (each payoff operator
+    # shifted by -tr(R pi) I, with pi the profile's output state)
     for seed in range(20):
         for n1, n2 in ((2, 2), (2, 3), (3, 2)):
             rng = np.random.default_rng(seed)
@@ -196,13 +204,19 @@ def test_large_payoffs_stay_real(scale):
                               random_hermitian(d, rng, scale), n1, n2)
             ch_a, ch_b = random_kraus_channel(n1, rng), random_kraus_channel(n2, rng)
             chi, xi = kraus_to_chi(ch_a), kraus_to_chi(ch_b)
-            for player, own, opponent in (("I", chi, xi), ("II", xi, chi)):
-                tensor = payoff_tensor_matrix_unit(game, player)
-                value = payoff_contract(tensor, chi, xi)
-                direct = payoff_direct(game, ch_a, ch_b, player)
-                response = response_value(response_problem(tensor, opponent, player), own)
-                assert abs(direct - value) <= 1e-12 * scale
-                assert abs(response - value) <= 1e-12 * scale
+            pi = apply_product_channel(ch_a, ch_b, game.rho).matrix
+            shifted = build_game(game.rho, *(r - np.trace(r @ pi).real * np.eye(d)
+                                             for r in (game.payoff_op_i, game.payoff_op_ii)),
+                                 n1, n2)
+            for g in (game, shifted):
+                for player, own, opponent in (("I", chi, xi), ("II", xi, chi)):
+                    tensor = payoff_tensor_matrix_unit(g, player)
+                    value = payoff_contract(tensor, chi, xi)
+                    direct = payoff_direct(g, ch_a, ch_b, player)
+                    response = response_value(response_problem(tensor, opponent, player), own)
+                    assert abs(direct - value) <= 1e-12 * scale
+                    assert abs(response - value) <= 1e-12 * scale
+            assert abs(payoff_direct(shifted, ch_a, ch_b, "I")) <= 1e-12 * scale
 
 
 def test_best_response_large_constant_game(rng):

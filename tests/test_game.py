@@ -22,10 +22,10 @@ from qgame.game import (
     payoff_operator,
     payoff_tensor_general,
     payoff_tensor_matrix_unit,
+    response_problem,
     simulate_play,
     validate_tensor_entries,
 )
-from qgame.equilibrium import response_problem
 from qgame.games_builtin import ewl_referee_measurement
 from qgame.linalg import hermitian_part
 from qgame.quantum import (
