@@ -12,8 +12,8 @@ import argparse
 
 import numpy as np
 
-from qgame.equilibrium import best_response, response_problem, unitary_oracle
-from qgame.game import build_game, payoff_tensor_matrix_unit
+from qgame.equilibrium import best_response, unitary_oracle
+from qgame.game import build_game, payoff_tensor_matrix_unit, response_problem
 from qgame.games_builtin import ewl_prisoners_dilemma
 from qgame.quantum import kraus_to_chi
 from qgame.random_ops import random_chi, random_density, random_hermitian, random_kraus_channel
@@ -29,7 +29,7 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    base = ewl_prisoners_dilemma(with_reference_tensors=False).game
+    base = ewl_prisoners_dilemma().game
 
     print(f"{'trial':>5} {'player':>6} {'solver':>12} {'dual bound':>12} {'gap':>9} "
           f"{'unitary grid':>12} {'extreme pts':>12} {'margin':>9}")

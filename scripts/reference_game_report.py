@@ -13,7 +13,11 @@ import numpy as np
 from qgame.cli import print_matrix
 from qgame.equilibrium import verify_nash
 from qgame.game import classical_reduction, payoff_contract, payoff_tensor_matrix_unit
-from qgame.games_builtin import ewl_equilibrium_strategies, ewl_prisoners_dilemma
+from qgame.games_builtin import (
+    ewl_equilibrium_strategies,
+    ewl_prisoners_dilemma,
+    figure1_reference_tensors,
+)
 
 
 def main():
@@ -21,11 +25,10 @@ def main():
     parser.add_argument("--epsilon", type=float, default=1e-6)
     args = parser.parse_args()
 
-    named = ewl_prisoners_dilemma()
-    game = named.game
+    game = ewl_prisoners_dilemma().game
     chi_star, xi_star = ewl_equilibrium_strategies()
 
-    for player, fixture in zip(("I", "II"), named.reference_tensors):
+    for player, fixture in zip(("I", "II"), figure1_reference_tensors()):
         tensor = payoff_tensor_matrix_unit(game, player)
         deviation = float(np.max(np.abs(tensor.entries - fixture)))
         print(f"\npayoff grid, player {player} (max deviation from fixture {deviation:.1e})")

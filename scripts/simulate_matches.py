@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from qgame.game import payoff_direct, simulate_play
+from qgame.game import simulate_play
 from qgame.games_builtin import (
     ewl_equilibrium_strategies,
     ewl_prisoners_dilemma,
@@ -25,7 +25,7 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    game = ewl_prisoners_dilemma(with_reference_tensors=False).game
+    game = ewl_prisoners_dilemma().game
     povm, a_i, a_ii = ewl_referee_measurement()
     chi_star, xi_star = ewl_equilibrium_strategies()
     lineup = [
@@ -44,12 +44,10 @@ def main():
             rng = np.random.default_rng(streams[k])
             k += 1
             res = simulate_play(game, povm, a_i, a_ii, ch_a, ch_b, args.rounds, rng)
-            exact_i = payoff_direct(game, ch_a, ch_b, "I")
-            exact_ii = payoff_direct(game, ch_a, ch_b, "II")
-            z_i = (res.mean_i - exact_i) / res.stderr_i if res.stderr_i else 0.0
-            z_ii = (res.mean_ii - exact_ii) / res.stderr_ii if res.stderr_ii else 0.0
+            z_i = (res.mean_i - res.exact_i) / res.stderr_i if res.stderr_i else 0.0
+            z_ii = (res.mean_ii - res.exact_ii) / res.stderr_ii if res.stderr_ii else 0.0
             print(f"{name_a:>10} {name_b:>10} {res.mean_i:>9.4f} {res.mean_ii:>9.4f} "
-                  f"{exact_i:>9.4f} {exact_ii:>9.4f} {z_i:>+6.2f} {z_ii:>+6.2f}")
+                  f"{res.exact_i:>9.4f} {res.exact_ii:>9.4f} {z_i:>+6.2f} {z_ii:>+6.2f}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     FixtureCorrupt,
     InconsistentMeasurement,
-    InfeasibleProjection,
     LengthMismatch,
     NoConvergence,
     NonRealPayoff,
@@ -35,6 +34,7 @@ from .errors import (
     TraceNotOne,
     UnsupportedDimension,
     ValidationError,
+    WeakDualityViolation,
 )
 from .game import (
     ClassicalBimatrix,
@@ -70,7 +70,6 @@ from .quantum import (
     apply_chi,
     apply_product_channel,
     chi_to_kraus,
-    identity_channel,
     identity_chi,
     kraus_to_chi,
     maximally_mixing_chi,

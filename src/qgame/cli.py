@@ -17,7 +17,7 @@ xi_star.strategy`` works from any directory.
 Exit codes are a stable contract: 0 success, 1 validation failure (including
 a negative verify-nash verdict), 2 parse/usage error, 3 internal cross-check
 failure, 4 non-convergence.  ``QGAME_TOL`` optionally overrides the default
-validation tolerances.
+validation tolerances with a finite number >= 0.
 """
 
 from __future__ import annotations
@@ -42,13 +42,13 @@ from .game import (
     classical_reduction,
     normalize_player,
     payoff_contract,
-    payoff_direct,
     payoff_tensor_matrix_unit,
     response_problem,
     simulate_play,
+    state_payoff,
 )
 from .games_builtin import figure1_reference_tensors
-from .quantum import chi_to_kraus
+from .quantum import apply_product_channel, chi_to_kraus
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -164,24 +164,24 @@ def cmd_tensor(args) -> int:
     return EXIT_OK
 
 
-def _load_pair(args, game, tol):
-    strat_i = files.load_strategy(args.strategy_i, game.n1, tol)
-    strat_ii = files.load_strategy(args.strategy_ii, game.n2, tol)
+def _load_pair(args, game):
+    strat_i = files.load_strategy(args.strategy_i, game.n1, args.tol)
+    strat_ii = files.load_strategy(args.strategy_ii, game.n2, args.tol)
     return strat_i, strat_ii
 
 
 def cmd_payoff(args) -> int:
     game = files.load_game(args.game, args.tol)
-    strat_i, strat_ii = _load_pair(args, game, args.tol)
+    strat_i, strat_ii = _load_pair(args, game)
     tensor_i = payoff_tensor_matrix_unit(game, "I")
     tensor_ii = payoff_tensor_matrix_unit(game, "II")
     value_i = payoff_contract(tensor_i, strat_i.chi, strat_ii.chi)
     value_ii = payoff_contract(tensor_ii, strat_i.chi, strat_ii.chi)
 
     if strat_i.channel is not None and strat_ii.channel is not None:
-        direct_i = payoff_direct(game, strat_i.channel, strat_ii.channel, "I")
-        direct_ii = payoff_direct(game, strat_i.channel, strat_ii.channel, "II")
-        worst = max(abs(direct_i - value_i), abs(direct_ii - value_ii))
+        pi = apply_product_channel(strat_i.channel, strat_ii.channel, game.rho)
+        worst = max(abs(state_payoff(game, pi, "I") - value_i),
+                    abs(state_payoff(game, pi, "II") - value_ii))
         # both payoffs carry rounding of order eps * max|R|
         limit = CROSS_CHECK_ATOL * max(1.0, float(np.max(np.abs(game.payoff_op_i))),
                                        float(np.max(np.abs(game.payoff_op_ii))))
@@ -231,7 +231,7 @@ def cmd_best_response(args) -> int:
 
 def cmd_verify_nash(args) -> int:
     game = files.load_game(args.game, args.tol)
-    strat_i, strat_ii = _load_pair(args, game, args.tol)
+    strat_i, strat_ii = _load_pair(args, game)
     report = verify_nash(game, strat_i.chi, strat_ii.chi, args.epsilon)
     verdict = "EQUILIBRIUM" if report.is_equilibrium else "NOT EQUILIBRIUM"
     if args.json:
@@ -253,7 +253,7 @@ def cmd_verify_nash(args) -> int:
 def cmd_simulate(args) -> int:
     game = files.load_game(args.game, args.tol)
     povm, payoffs_i, payoffs_ii = files.load_povm_file(args.povm, game.rho.dim, args.tol)
-    strat_i, strat_ii = _load_pair(args, game, args.tol)
+    strat_i, strat_ii = _load_pair(args, game)
     channel_i = strat_i.channel if strat_i.channel is not None else chi_to_kraus(strat_i.chi)
     channel_ii = strat_ii.channel if strat_ii.channel is not None else chi_to_kraus(strat_ii.chi)
 
@@ -263,8 +263,6 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(seed)
     result = simulate_play(game, povm, payoffs_i, payoffs_ii, channel_i, channel_ii,
                            args.rounds, rng, args.tol)
-    exact_i = payoff_direct(game, channel_i, channel_ii, "I")
-    exact_ii = payoff_direct(game, channel_i, channel_ii, "II")
 
     def z_score(mean, exact, stderr):
         return (mean - exact) / stderr if stderr > 0 else 0.0
@@ -277,18 +275,18 @@ def cmd_simulate(args) -> int:
             "mean_II": result.mean_ii,
             "stderr_I": result.stderr_i,
             "stderr_II": result.stderr_ii,
-            "exact_I": exact_i,
-            "exact_II": exact_ii,
-            "z_I": z_score(result.mean_i, exact_i, result.stderr_i),
-            "z_II": z_score(result.mean_ii, exact_ii, result.stderr_ii),
+            "exact_I": result.exact_i,
+            "exact_II": result.exact_ii,
+            "z_I": z_score(result.mean_i, result.exact_i, result.stderr_i),
+            "z_II": z_score(result.mean_ii, result.exact_ii, result.stderr_ii),
         }
         sys.stdout.write(files.emit_document(payload))
     else:
         print(f"seed: {seed}")
         print(f"rounds: {result.rounds}")
         for label, mean, stderr, exact in (
-            ("I", result.mean_i, result.stderr_i, exact_i),
-            ("II", result.mean_ii, result.stderr_ii, exact_ii),
+            ("I", result.mean_i, result.stderr_i, result.exact_i),
+            ("II", result.mean_ii, result.stderr_ii, result.exact_ii),
         ):
             z = z_score(mean, exact, stderr)
             print(f"player {label:<2} empirical {mean:.6f}  stderr {stderr:.6f}  "
@@ -315,14 +313,24 @@ def cmd_classical(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _bounded(kind: type, low, high, description: str):
+    """An argparse type: ``kind(text)`` in ``[low, high]`` (never a NaN), else a usage error."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if low <= value <= high:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {description}, got {text!r}")
+
+    return parse
+
+
+_positive_int = _bounded(int, 1, np.inf, "a positive integer")
+_seed = _bounded(int, 0, 2 ** 64 - 1, "an integer in [0, 2^64 - 1]")
+_tolerance = _bounded(float, 0.0, sys.float_info.max, "a finite number >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("opponent", help="the opponent's strategy file")
     p.add_argument("player", choices=["I", "II", "i", "ii", "1", "2"],
                    help="the responding player")
-    p.add_argument("--tol", dest="br_tol", type=float, default=1e-7)
+    p.add_argument("--tol", dest="br_tol", type=_tolerance, default=1e-7)
     p.add_argument("--max-iters", type=_positive_int, default=5000,
                    help="budget of Newton steps for the barrier solver")
     p.add_argument("--json", action="store_true")
@@ -371,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("strategy_i", metavar="strategy-I")
     p.add_argument("strategy_ii", metavar="strategy-II")
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=_tolerance, default=1e-6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_nash)
 
@@ -381,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("strategy_i", metavar="strategy-I")
     p.add_argument("strategy_ii", metavar="strategy-II")
     p.add_argument("--rounds", type=_positive_int, default=100000)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="64-bit seed for the single deterministic generator; "
                         "chosen and printed when unspecified")
     p.add_argument("--json", action="store_true")
@@ -400,9 +408,9 @@ def _env_tol() -> float | None:
     if raw is None:
         return None
     try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"QGAME_TOL must be a float, got {raw!r}") from None
+        return _tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"QGAME_TOL {exc}") from None
 
 
 # exit code and stderr label of each failure, most specific class first

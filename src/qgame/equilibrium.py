@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleProjection, NoConvergence, UnsupportedDimension
+from .errors import NoConvergence, UnsupportedDimension, WeakDualityViolation
 from .game import (
     PLAYER_I,
     PLAYER_II,
@@ -194,7 +194,7 @@ def best_response(problem: ResponseProblem, max_iters: int = 5000,
     value = response_value(problem, chi_opt)
     raw_gap = bound - value
     if raw_gap < -WEAK_DUALITY_ATOL:
-        raise InfeasibleProjection(
+        raise WeakDualityViolation(
             f"primal value {value!r} exceeds certified bound {bound!r}; solver bug"
         )
     # bound can dip below value by eigensolver noise; the reported gap is

@@ -60,7 +60,7 @@ class NoConvergence(QGameError):
         self.partial = partial
 
 
-class InfeasibleProjection(QGameError):
+class WeakDualityViolation(QGameError):
     """A solver's primal value exceeded its certified dual bound.
 
     Weak duality rules this out, so it signals an internal bug.

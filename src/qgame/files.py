@@ -220,8 +220,8 @@ def load_game(path, tol: float | None = None) -> QuantumGame:
     return build_game(raw["rho"], *ops, raw["n1"], raw["n2"], tol)
 
 
-def game_to_payload(game: QuantumGame, name: str = "") -> dict:
-    payload = {
+def game_to_payload(game: QuantumGame) -> dict:
+    return {
         "format_version": FORMAT_VERSION,
         "n1": game.n1,
         "n2": game.n2,
@@ -231,9 +231,6 @@ def game_to_payload(game: QuantumGame, name: str = "") -> dict:
             "II": matrix_to_lists(game.payoff_op_ii),
         },
     }
-    if name:
-        payload["name"] = name
-    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ into R, in O(n^6) time and O(n^4) memory, without forming the
 ``tr(G chi)`` the responder's payoff, and every closed-form payoff,
 :func:`payoff_contract` included, is :func:`response_value` over it.  Two
 independent cross-checks stay: :func:`payoff_tensor_general` evaluates the
-trace formula literally, and :func:`payoff_direct` applies the product
-channel to the state and traces it against R, never touching the closed
-form.
+trace formula literally, and the direct path, which never touches the closed
+form, forms a profile's output state ``pi = (A (x) B) rho (A (x) B)^dag`` once
+and traces it against both R's with :func:`state_payoff`.
 
 A payoff is a trace against one operator (G, or R for the direct path) and
 carries rounding of order eps * max|operator| in its imaginary part, however
@@ -186,9 +186,6 @@ class ClassicalBimatrix:
         object.__setattr__(self, "payoff_i", pi)
         object.__setattr__(self, "payoff_ii", pii)
 
-    def entry(self, s: int, t: int) -> tuple[float, float]:
-        return float(self.payoff_i[s, t]), float(self.payoff_ii[s, t])
-
 
 # ---------------------------------------------------------------------------
 # payoff operators and tensors
@@ -330,11 +327,15 @@ def payoff_contract(tensor: PayoffTensor, chi: ChiMatrix, xi: ChiMatrix) -> floa
     return response_value(response_problem(tensor, xi, PLAYER_I), chi)
 
 
+def state_payoff(game: QuantumGame, state: DensityMatrix, player) -> float:
+    """Expected payoff ``tr(R pi)`` of a profile's output state, real by :func:`require_real`."""
+    r = game.payoff_op(player)
+    return require_real(complex(np.trace(r @ state.matrix)), r, "payoff")
+
+
 def payoff_direct(game: QuantumGame, ch_a: KrausChannel, ch_b: KrausChannel, player) -> float:
     """Expected payoff by direct channel application: ``tr(R pi)``."""
-    r = game.payoff_op(player)
-    pi = apply_product_channel(ch_a, ch_b, game.rho)
-    return require_real(complex(np.trace(r @ pi.matrix)), r, "payoff")
+    return state_payoff(game, apply_product_channel(ch_a, ch_b, game.rho), player)
 
 
 def classical_reduction(game: QuantumGame) -> ClassicalBimatrix:
@@ -355,8 +356,9 @@ def classical_reduction(game: QuantumGame) -> ClassicalBimatrix:
     pay_ii = np.zeros((n, n))
     for s in range(n):
         for t in range(n):
-            pay_i[s, t] = payoff_direct(game, channels[s], channels[t], PLAYER_I)
-            pay_ii[s, t] = payoff_direct(game, channels[s], channels[t], PLAYER_II)
+            pi = apply_product_channel(channels[s], channels[t], game.rho)
+            pay_i[s, t] = state_payoff(game, pi, PLAYER_I)
+            pay_ii[s, t] = state_payoff(game, pi, PLAYER_II)
     return ClassicalBimatrix(pay_i, pay_ii)
 
 
@@ -371,6 +373,8 @@ class SimulationResult:
     stderr_i: float
     stderr_ii: float
     rounds: int
+    exact_i: float
+    exact_ii: float
 
 
 def _consistency_check(povm: Povm, payoffs: np.ndarray, payoff_op: ComplexMatrix, label: str,
@@ -393,7 +397,8 @@ def simulate_play(game: QuantumGame, povm: Povm, payoffs_i, payoffs_ii,
     operators entrywise within ``tol`` (default ``MEASUREMENT_ATOL``), or
     ``InconsistentMeasurement`` is raised.
 
-    Reported standard error is the sample standard deviation over sqrt(rounds).
+    Standard errors are sample standard deviations over sqrt(rounds); the
+    exact payoffs are those of the measured output state.
     """
     if rounds < 1:
         raise ValueError("rounds must be a positive integer")
@@ -421,4 +426,6 @@ def simulate_play(game: QuantumGame, povm: Povm, payoffs_i, payoffs_ii,
         stderr_i=stderr(samples_i),
         stderr_ii=stderr(samples_ii),
         rounds=rounds,
+        exact_i=state_payoff(game, pi, PLAYER_I),
+        exact_ii=state_payoff(game, pi, PLAYER_II),
     )

@@ -22,11 +22,10 @@ FIXTURE_NAME = "figure1_tensors.txt"
 
 @dataclass(frozen=True)
 class NamedGame:
-    """A bundled game plus its reference strategies and fixture tensors (players I, II)."""
+    """A bundled game plus its named reference strategies."""
 
     game: QuantumGame
     reference_strategies: tuple[tuple[str, ChiMatrix], ...]
-    reference_tensors: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _ewl_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -95,12 +94,13 @@ def ewl_referee_measurement() -> tuple[Povm, np.ndarray, np.ndarray]:
     return povm, payoffs_i, payoffs_ii
 
 
-def ewl_prisoners_dilemma(with_reference_tensors: bool = True) -> NamedGame:
+def ewl_prisoners_dilemma() -> NamedGame:
     """Construct the built-in quantized prisoner's dilemma.
 
     The initial state is the maximally entangled pure state with +-i/2
     corner coherences; restricting both players to the identity and the bit
     flip recovers the classical bimatrix [[(3,3),(0,5)],[(5,0),(1,1)]].
+    Its reference payoff tensors are :func:`figure1_reference_tensors`.
     """
     rho, r_i, r_ii = _ewl_matrices()
     game = build_game(rho, r_i, r_ii, n1=2, n2=2)
@@ -111,7 +111,6 @@ def ewl_prisoners_dilemma(with_reference_tensors: bool = True) -> NamedGame:
     bitflip = validate_chi(
         np.array([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]], dtype=complex), 2
     )
-    tensors = figure1_reference_tensors() if with_reference_tensors else None
     return NamedGame(
         game=game,
         reference_strategies=(
@@ -120,7 +119,6 @@ def ewl_prisoners_dilemma(with_reference_tensors: bool = True) -> NamedGame:
             ("identity", identity),
             ("bitflip", bitflip),
         ),
-        reference_tensors=tensors,
     )
 
 

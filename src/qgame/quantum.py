@@ -33,6 +33,8 @@ from .errors import (
 )
 from .linalg import Check, ComplexMatrix
 
+KRAUS_RANK_TOL = 1e-10
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
@@ -288,10 +290,10 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     return ChiMatrix(linalg.hermitian_part(np.einsum("ka,kb->ab", flat, flat.conj())), n)
 
 
-def chi_to_kraus(chi: ChiMatrix, rank_tol: float = 1e-10) -> KrausChannel:
+def chi_to_kraus(chi: ChiMatrix) -> KrausChannel:
     """Extract a minimal Kraus set from a chi matrix.
 
-    Eigendecomposes chi and keeps eigenvalues above ``rank_tol``; operator k
+    Eigendecomposes chi and keeps eigenvalues above ``KRAUS_RANK_TOL``; operator k
     is ``sqrt(lambda_k)`` times the un-flattened eigenvector.  Kraus sets are
     unique only up to unitary mixing, so callers should compare channels by
     their action, not operator-by-operator.
@@ -304,7 +306,7 @@ def chi_to_kraus(chi: ChiMatrix, rank_tol: float = 1e-10) -> KrausChannel:
     except ValidationError as exc:
         raise NotInOmega(f"not a valid strategy: {exc}") from exc
     w, v = linalg.hermitian_eigen(chi.matrix)
-    keep = w > rank_tol
+    keep = w > KRAUS_RANK_TOL
     if not np.any(keep):
         raise NotInOmega("chi matrix has no eigenvalue above the rank tolerance")
     ops = [np.sqrt(w[k]) * v[:, k].reshape(chi.n, chi.n) for k in np.nonzero(keep)[0]]
@@ -327,11 +329,6 @@ def measure_probs(povm: Povm, rho: DensityMatrix) -> np.ndarray:
 # common channels
 # ---------------------------------------------------------------------------
 
-def identity_channel(n: int) -> KrausChannel:
-    """The do-nothing operation on n-dimensional states."""
-    return KrausChannel(np.eye(n, dtype=complex)[None, :, :])
-
-
 def cyclic_shift(n: int, s: int) -> ComplexMatrix:
     """Cyclic-shift unitary of order n raised to the power ``s``.
 
@@ -349,8 +346,8 @@ def shift_channel(n: int, s: int) -> KrausChannel:
 
 
 def identity_chi(n: int) -> ChiMatrix:
-    """Chi matrix of the identity channel."""
-    return kraus_to_chi(identity_channel(n))
+    """Chi matrix of the identity channel, the zeroth power of the cyclic shift."""
+    return kraus_to_chi(shift_channel(n, 0))
 
 
 def maximally_mixing_chi(n: int) -> ChiMatrix:

@@ -28,14 +28,6 @@ def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(g / np.trace(g))
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase correction."""
-    q, r = np.linalg.qr(random_complex(rng, (n, n)))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
-
-
 def random_kraus_channel(n: int, rng: np.random.Generator, n_operators: int | None = None) -> KrausChannel:
     """Random CPTP channel with ``n_operators`` Kraus operators.
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qgame import cli, game, quantum
 from qgame.games_builtin import ewl_equilibrium_strategies, ewl_prisoners_dilemma
 
 
@@ -22,6 +23,22 @@ def ewl_stars():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture
+def product_channel_calls(monkeypatch):
+    """A list that records every product-channel application, in any qgame module."""
+    original = quantum.apply_product_channel
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (quantum, game, cli):
+        if getattr(module, "apply_product_channel", None) is original:
+            monkeypatch.setattr(module, "apply_product_channel", counted)
+    return calls
 
 
 def paper_rho() -> np.ndarray:

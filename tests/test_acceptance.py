@@ -55,7 +55,7 @@ def random_game(n1, n2, rng):
 
 def test_criterion_1_figure_reproduction():
     with Stopwatch() as clock:
-        game = ewl_prisoners_dilemma(with_reference_tensors=False).game
+        game = ewl_prisoners_dilemma().game
         fixtures = figure1_reference_tensors()
         worst = 0.0
         for player, fixture in zip(("I", "II"), fixtures):
@@ -86,7 +86,7 @@ def test_criterion_2_closed_form_identity():
 
 def test_criterion_3_classical_reduction():
     with Stopwatch() as clock:
-        game = ewl_prisoners_dilemma(with_reference_tensors=False).game
+        game = ewl_prisoners_dilemma().game
         bim = classical_reduction(game)
         expected_i = np.array([[3.0, 0.0], [5.0, 1.0]])
         expected_ii = np.array([[3.0, 5.0], [0.0, 1.0]])
@@ -101,7 +101,7 @@ def test_criterion_3_classical_reduction():
 
 def test_criterion_4_equilibrium_reproduction():
     with Stopwatch() as clock:
-        game = ewl_prisoners_dilemma(with_reference_tensors=False).game
+        game = ewl_prisoners_dilemma().game
         chi_star, xi_star = ewl_equilibrium_strategies()
         payoffs = [
             payoff_contract(payoff_tensor_matrix_unit(game, player), chi_star, xi_star)
@@ -121,7 +121,7 @@ def test_criterion_4_equilibrium_reproduction():
 
 def test_criterion_5_non_equilibrium_detection():
     with Stopwatch() as clock:
-        game = ewl_prisoners_dilemma(with_reference_tensors=False).game
+        game = ewl_prisoners_dilemma().game
         chi_id = identity_chi(2)
         result = verify_nash(game, chi_id, chi_id, epsilon=1e-3)
     ok = (not result.is_equilibrium) and result.gap_i >= 2 - 1e-3
@@ -174,7 +174,7 @@ def test_criterion_7_channel_round_trip():
 def test_criterion_8_payoff_range():
     rng = np.random.default_rng(8)
     with Stopwatch() as clock:
-        game = ewl_prisoners_dilemma(with_reference_tensors=False).game
+        game = ewl_prisoners_dilemma().game
         tensor = payoff_tensor_matrix_unit(game, "I")
         tensor_ii = payoff_tensor_matrix_unit(game, "II")
         lo, hi = np.inf, -np.inf
@@ -193,7 +193,7 @@ def test_criterion_8_payoff_range():
 def test_criterion_9_oracle_dominance():
     rng = np.random.default_rng(9)
     with Stopwatch() as clock:
-        game = ewl_prisoners_dilemma(with_reference_tensors=False).game
+        game = ewl_prisoners_dilemma().game
         tensors = {"I": payoff_tensor_matrix_unit(game, "I"),
                    "II": payoff_tensor_matrix_unit(game, "II")}
         worst_margin = np.inf
@@ -215,7 +215,7 @@ def test_criterion_9_oracle_dominance():
 
 def test_criterion_10_monte_carlo_consistency():
     with Stopwatch() as clock:
-        game = ewl_prisoners_dilemma(with_reference_tensors=False).game
+        game = ewl_prisoners_dilemma().game
         povm, a_i, a_ii = ewl_referee_measurement()
 
         def run():

@@ -311,10 +311,17 @@ def test_payoff_near_zero_at_large_scale(tmp_path, capsys):
 def test_payoff_cross_check_failure(tmp_path, capsys, monkeypatch):
     import qgame.cli as cli_module
 
-    monkeypatch.setattr(cli_module, "payoff_direct", lambda *a, **k: 0.0)
+    monkeypatch.setattr(cli_module, "state_payoff", lambda *a, **k: 0.0)
     code, _, err = run(capsys, "payoff", "ewl.game", "identity.strategy", "identity.strategy")
     assert code == 3
     assert "cross-check" in err
+
+
+def test_payoff_forms_one_output_state(capsys, product_channel_calls):
+    # both strategies carry Kraus sets, so the direct cross-check runs
+    code, _, _ = run(capsys, "payoff", "ewl.game", "bitflip.strategy", "identity.strategy")
+    assert code == 0
+    assert len(product_channel_calls) == 1
 
 
 def test_payoff_unitary_strategy(tmp_path, capsys):
@@ -435,11 +442,50 @@ def test_simulate_statistics(capsys):
     assert abs(doc["z_I"]) <= 3.5
 
 
+def test_simulate_forms_one_output_state(capsys, product_channel_calls):
+    code, out, _ = run(capsys, "simulate", "ewl.game", "ewl.povm", "identity.strategy",
+                       "bitflip.strategy", "--rounds", "10", "--seed", "1", "--json")
+    assert code == 0
+    assert len(product_channel_calls) == 1
+    doc = files.parse_document(out)
+    assert (doc["exact_I"], doc["exact_II"]) == (0.0, 5.0)
+
+
 def test_simulate_zero_rounds_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "ewl.game", "ewl.povm", "identity.strategy",
                   "identity.strategy", "--rounds", "0"])
     assert exc.value.code == 2
+
+
+SIMULATE_IDENTITY = ("simulate", "ewl.game", "ewl.povm", "identity.strategy",
+                     "identity.strategy", "--rounds", "10")
+
+
+@pytest.mark.parametrize("argv", [
+    (*SIMULATE_IDENTITY, "--seed", "-1"),
+    (*SIMULATE_IDENTITY, "--seed", str(2 ** 64)),
+    (*SIMULATE_IDENTITY, "--seed", "1.5"),
+    ("verify-nash", "ewl.game", "chi_star.strategy", "xi_star.strategy", "--epsilon", "nan"),
+    ("verify-nash", "ewl.game", "chi_star.strategy", "xi_star.strategy", "--epsilon", "inf"),
+    ("verify-nash", "ewl.game", "chi_star.strategy", "xi_star.strategy", "--epsilon=-1e-3"),
+    ("best-response", "ewl.game", "xi_star.strategy", "I", "--tol", "nan"),
+    ("best-response", "ewl.game", "xi_star.strategy", "I", "--tol=-1"),
+], ids=["seed-negative", "seed-2^64", "seed-fraction", "epsilon-nan", "epsilon-inf",
+        "epsilon-negative", "tol-nan", "tol-negative"])
+def test_numeric_option_out_of_range_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["0", str(2 ** 64 - 1)])
+def test_simulate_accepts_every_64_bit_seed(seed, capsys):
+    code, out, _ = run(capsys, *SIMULATE_IDENTITY, "--seed", seed)
+    assert code == 0
+    assert f"seed: {seed}\n" in out
 
 
 def test_simulate_prints_chosen_seed(capsys):
@@ -481,6 +527,14 @@ def test_qgame_tol_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QGAME_TOL", "1e-5")
     code, _, _ = run(capsys, "validate", str(wobbly))
     assert code == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e400", "abc"])
+def test_qgame_tol_out_of_range_is_parse_error(tol, capsys, monkeypatch):
+    monkeypatch.setenv("QGAME_TOL", tol)
+    code, _, err = run(capsys, "validate", "ewl.game")
+    assert code == 2
+    assert err.startswith("parse error: QGAME_TOL ")
 
 
 def test_game_file_with_embedded_measurement(tmp_path, capsys):
@@ -539,7 +593,7 @@ def test_bundled_game_equals_builtin(ewl_game):
 
 
 def test_game_payload_round_trip(ewl_game):
-    payload = files.game_to_payload(ewl_game, name="ewl")
+    payload = files.game_to_payload(ewl_game)
     text = files.emit_document(payload)
     assert files.parse_document(text) == payload
 

@@ -134,11 +134,11 @@ def test_general_tensor_supports_other_operator_bases(rng):
     # expand both players' channels in a unitarily mixed operator basis and
     # check that the contraction is basis-independent
     from qgame.quantum import ChiMatrix
-    from qgame.random_ops import random_kraus_channel, random_unitary
+    from qgame.random_ops import random_kraus_channel
 
     game = random_game(2, 2, rng)
     units = matrix_unit_basis(2)
-    mix = random_unitary(4, rng)
+    mix = random_kraus_channel(4, rng, 1).operators[0]
     basis = np.einsum("ba,aij->bij", mix, units)
     tensor_mixed = payoff_tensor_general(game, "I", basis1=basis, basis2=basis)
     tensor_default = payoff_tensor_matrix_unit(game, "I")
@@ -292,10 +292,10 @@ def test_classical_reduction_reference(ewl_game):
     bim = classical_reduction(ewl_game)
     np.testing.assert_allclose(bim.payoff_i, [[3, 0], [5, 1]], atol=1e-10)
     np.testing.assert_allclose(bim.payoff_ii, [[3, 5], [0, 1]], atol=1e-10)
-    assert bim.entry(0, 0) == (3.0, 3.0)
-    assert bim.entry(0, 1) == (0.0, 5.0)
+    assert (bim.payoff_i[0, 0], bim.payoff_ii[0, 0]) == (3.0, 3.0)
+    assert (bim.payoff_i[0, 1], bim.payoff_ii[0, 1]) == (0.0, 5.0)
     # symmetric game: entry (0,1) mirrors swapped entry (1,0)
-    assert bim.entry(0, 1) == tuple(reversed(bim.entry(1, 0)))
+    assert (bim.payoff_i[0, 1], bim.payoff_ii[0, 1]) == (bim.payoff_ii[1, 0], bim.payoff_i[1, 0])
 
 
 def test_classical_reduction_constant_game(rng):
@@ -318,6 +318,14 @@ def test_classical_reduction_qutrit(rng):
     assert bim.payoff_i.shape == (3, 3)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classical_reduction_forms_one_state_per_profile(n, rng, product_channel_calls):
+    bim = classical_reduction(random_game(n, n, rng))
+    assert len(product_channel_calls) == n * n
+    # each state is traced against both payoff operators
+    assert bim.payoff_i.shape == bim.payoff_ii.shape == (n, n)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo play
 # ---------------------------------------------------------------------------
@@ -329,12 +337,22 @@ def test_simulate_identity_pair_matches_exact(ewl_game):
     result = simulate_play(ewl_game, povm, a_i, a_ii, shift_channel(2, 0), shift_channel(2, 0),
                            100_000, rng)
     assert (result.mean_i, result.mean_ii) == (3.0, 3.0)
+    assert (result.exact_i, result.exact_ii) == (3.0, 3.0)
     assert result.stderr_i == result.stderr_ii == 0.0
     # reset pair (chi*, xi*): outcomes 2 and 3 at 1/2 each, paying (0, 5) and (5, 0)
     result = simulate_play(ewl_game, povm, a_i, a_ii, RESET_0, RESET_1, 100_000, rng)
     assert abs(result.mean_i - 2.5) <= 3 * result.stderr_i
     assert abs(result.mean_ii - 2.5) <= 3 * result.stderr_ii
     assert result.stderr_i == pytest.approx(2.5 / np.sqrt(100_000), rel=1e-2)
+
+
+def test_simulate_exact_payoffs_are_direct_payoffs(ewl_game, rng):
+    povm, a_i, a_ii = ewl_referee_measurement()
+    for _ in range(5):
+        ch_a, ch_b = random_kraus_channel(2, rng), random_kraus_channel(2, rng)
+        result = simulate_play(ewl_game, povm, a_i, a_ii, ch_a, ch_b, 10, rng)
+        assert result.exact_i == payoff_direct(ewl_game, ch_a, ch_b, "I")
+        assert result.exact_ii == payoff_direct(ewl_game, ch_a, ch_b, "II")
 
 
 def test_simulate_single_round(ewl_game):

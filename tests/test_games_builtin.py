@@ -128,11 +128,3 @@ def test_fixture_checksum_guard():
 def test_fixture_header_guard():
     with pytest.raises(FixtureCorrupt):
         _parse_fixture("tensor I\n0 0 1 0\n")
-
-
-def test_named_game_carries_reference_tensors(ewl):
-    assert ewl.reference_tensors is not None
-    # players I and II in that order: the fixture's tensor I is its first
-    for player, tensor in zip(("I", "II"), ewl.reference_tensors):
-        np.testing.assert_array_equal(tensor, figure1_reference_tensors()[player == "II"])
-        assert tensor.shape == (4, 4, 4, 4)

@@ -5,19 +5,41 @@ benchmark calls fails here rather than in a benchmark run.
 """
 
 import importlib
+import subprocess
 from pathlib import Path
 
 import pytest
 
+from qgame import cli
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("name", ["solve", "payoff"])
-def test_workload_runs_one_checked_op(name, monkeypatch):
+def _workload(name, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     tracer = importlib.import_module("tracer").Tracer(enabled=False)
     workload = workloads.WORKLOADS[name](seed=1, corpus="tuned", tracer=tracer)
     workload.setup()
+    return workloads, workload
+
+
+@pytest.mark.parametrize("name", ["solve", "payoff"])
+def test_workload_runs_one_checked_op(name, monkeypatch):
+    _, workload = _workload(name, monkeypatch)
     inp = workload.prepare(0, workload.order(0)[0])
     assert workload.check(inp, workload.op(inp)) is None
+
+
+def test_cli_workload_checks_pass_in_process(monkeypatch, capsys):
+    # every README command the cli workload runs, through qgame.cli.main
+    # instead of a child interpreter, judged by the workload's own check
+    workloads, workload = _workload("cli", monkeypatch)
+    failures = []
+    for command in workloads.COMMANDS:
+        capsys.readouterr()
+        code = cli.main(list(command.argv))
+        out, err = capsys.readouterr()
+        proc = subprocess.CompletedProcess(["qgame", *command.argv], code, out, err)
+        failures.append(workload.check(command, proc))
+    assert failures == [None] * len(workloads.COMMANDS)

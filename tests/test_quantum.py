@@ -20,7 +20,6 @@ from qgame.quantum import (
     apply_chi,
     apply_product_channel,
     chi_to_kraus,
-    identity_channel,
     identity_chi,
     kraus_to_chi,
     measure_probs,
@@ -101,7 +100,7 @@ def test_validate_kraus_mixed_dims():
 
 def test_apply_channel_identity(rng):
     rho = random_density(3, rng)
-    out = apply_channel(identity_channel(3), rho)
+    out = apply_channel(shift_channel(3, 0), rho)
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
 
 
@@ -120,7 +119,7 @@ def test_apply_channel_bit_flip():
 
 def test_apply_channel_dimension_mismatch(rng):
     with pytest.raises(DimensionMismatch):
-        apply_channel(identity_channel(2), random_density(3, rng))
+        apply_channel(shift_channel(2, 0), random_density(3, rng))
 
 
 @settings(max_examples=25, deadline=None)
@@ -136,7 +135,7 @@ def test_apply_channel_output_is_valid_state(seed):
 
 
 def test_apply_product_channel_identity_pair(ewl_game):
-    out = apply_product_channel(identity_channel(2), identity_channel(2), ewl_game.rho)
+    out = apply_product_channel(shift_channel(2, 0), shift_channel(2, 0), ewl_game.rho)
     np.testing.assert_allclose(out.matrix, paper_rho(), atol=1e-14)
 
 
@@ -144,7 +143,7 @@ def test_apply_product_channel_flip_first_factor(ewl_game):
     # oracle: conjugate by X (x) I explicitly
     u = np.kron(PAULI_X, np.eye(2))
     expected = u @ paper_rho() @ u.conj().T
-    out = apply_product_channel(KrausChannel(PAULI_X[None]), identity_channel(2), ewl_game.rho)
+    out = apply_product_channel(KrausChannel(PAULI_X[None]), shift_channel(2, 0), ewl_game.rho)
     np.testing.assert_allclose(out.matrix, expected, atol=1e-14)
     assert abs(np.trace(out.matrix) - 1) < 1e-12
     # support moved onto the middle basis states
@@ -186,7 +185,7 @@ def test_kraus_to_chi_shifted_reset_is_xi_star():
 
 
 def test_kraus_to_chi_identity():
-    chi = kraus_to_chi(identity_channel(2))
+    chi = kraus_to_chi(shift_channel(2, 0))
     expected = np.zeros((4, 4))
     expected[np.ix_([0, 3], [0, 3])] = 1.0
     np.testing.assert_allclose(chi.matrix, expected, atol=1e-14)
