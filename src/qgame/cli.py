@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -369,9 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("opponent", help="the opponent's strategy file")
     p.add_argument("player", choices=["I", "II", "i", "ii", "1", "2"],
                    help="the responding player")
-    p.add_argument("--tol", dest="br_tol", type=_tolerance, default=1e-7)
+    p.add_argument("--tol", dest="br_tol", type=_tolerance, default=1e-7,
+                   help="gap to certify, relative to max(1, |H|), |H| the response's norm")
     p.add_argument("--max-iters", type=_positive_int, default=5000,
-                   help="budget of Newton steps for the barrier solver")
+                   help="budget of iterations for the primal-dual solver")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_best_response)
 
@@ -400,6 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classical)
 
+    # read "-1e-3" as a value, not as an option, as argparse does from Python 3.13
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

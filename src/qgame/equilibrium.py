@@ -8,29 +8,25 @@ of that linear functional over the spectrahedron
 
     Omega_n = { chi >= 0 : partial-trace over the first index factor = I }.
 
-That is a small semidefinite program.  It is solved here without an external
-SDP solver, by the log-barrier method (Boyd & Vandenberghe, *Convex
-Optimization*, sec. 11) applied to its dual, which has only n^2 real
-unknowns:
+That is a small semidefinite program, solved here without an external SDP
+solver by a feasible-start primal-dual path-following method (Todd, Toh &
+Tutuncu, *SIAM J. Optim.* 1998) on H, the Hermitian part of G, over
+max(1, |H|):
 
-* dual: minimize tr(Y) over Hermitian n x n matrices Y subject to
-  S(Y) = (I (x) Y) - H > 0, with H the Hermitian part of G.  For each
-  barrier parameter t, damped Newton steps minimize
-  t tr(Y) - log det S(Y); t then grows eightfold and the next centering
-  starts from the last point;
-* primal: at the end of each centering, the last Newton step D gives
-  chi = (W - W (I (x) D) W) / t with W = S(Y)^-1, the first-order change
-  of S^-1 / t along the step.  It is positive definite, and for a full
-  step its partial trace is exactly I.  The congruence
-  chi -> (I (x) M^-1/2) chi (I (x) M^-1/2), with M the partial trace of chi,
-  makes it exactly feasible in every case, because the partial trace
-  commutes with I (x) A;
+* primal: maximize tr(H X) over X >= 0 with tr_1(X) = I, from X = I/n;
+  dual: minimize tr(Y) subject to S = (I (x) Y) - H >= 0, from
+  Y = (lambda_max(H) + |H|) I.  Each iteration is a Mehrotra
+  predictor-corrector step along the Nesterov-Todd direction, whose Schur
+  system has n^2 unknowns; I (x) D acts on the n diagonal blocks of a
+  matrix, never as a Kronecker product.  The dual stays exactly feasible,
+  and X -> (I (x) M^-1/2) X (I (x) M^-1/2), M = tr_1(X), makes every primal
+  iterate exactly feasible, as tr_1 commutes with I (x) A;
 * certificate: weak duality.  For any Hermitian Y with (I (x) Y) - H >= 0,
   tr(Y) bounds the optimum from above, and for an arbitrary Hermitian Y the
-  shifted matrix Y + max(0, -lambda_min) I is feasible, so every candidate
+  shifted matrix Y + max(0, -lambda_min) I is feasible, so every iterate
   yields the certified bound tr(Y) + n * max(0, -lambda_min(I (x) Y - H)).
-  The gap is the best such bound minus the best primal value over all
-  stages.
+  The gap is the best such bound minus the best primal value, whatever path
+  the iterates took.
 
 A brute-force grid over single-qubit unitary strategies serves as an
 independent lower-bound oracle for cross-checking the solver.
@@ -56,21 +52,16 @@ from .game import (
 from .linalg import hermitian_part
 from .quantum import ChiMatrix, maximally_mixing_chi, partial_trace_first, validate_chi
 
-WEAK_DUALITY_ATOL = 1e-8
-# the barrier method stops once the gap is this small relative to
-# max(1, |H|), about the accuracy of the certified bound in double precision
+# relative to max(1, |H|); STOP_GAP_RTOL is about the certified bound's accuracy
+WEAK_DUALITY_RTOL = 1e-8
 STOP_GAP_RTOL = 1e-12
-BARRIER_GROWTH = 8.0
-# Newton decrement that ends a centering; the primal taken from the last
-# step is feasible however far from central the barrier point is
-CENTERED_DECREMENT = 1e-2
 
 
 @dataclass(frozen=True)
 class BestResponseResult:
     """A feasible strategy, its value and a certified upper bound on the optimum.
 
-    ``iterations`` counts the Newton steps of the barrier method.
+    ``iterations`` counts the iterations of the primal-dual method.
     """
 
     value: float
@@ -82,51 +73,72 @@ class BestResponseResult:
 
 
 # ---------------------------------------------------------------------------
-# barrier solver
+# primal-dual solver
 # ---------------------------------------------------------------------------
 
-def _certified_bound(y: np.ndarray, h: np.ndarray, n: int) -> float:
-    """Certified upper bound ``tr(Y) + n * max(0, -lambda_min(I (x) Y - H))``.
+def _plus_block(y: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """``(I (x) Y) + M``: Y added to the n diagonal blocks of M."""
+    s = m.reshape(n, n, n, n).copy()
+    s[np.arange(n), :, np.arange(n), :] += y
+    return s.reshape(n * n, n * n)
 
-    It is ``tr`` of the feasible dual point ``Y + max(0, -lambda_min) I``,
-    exact up to eigensolver accuracy.
-    """
-    m = hermitian_part(np.kron(np.eye(n), y) - h)
-    lam_min = float(np.linalg.eigvalsh(m)[0])
+
+def _times_block(y: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """``(I (x) Y) M``: Y applied to each block row of M."""
+    return np.matmul(y, m.reshape(n, n, n * n)).reshape(n * n, n * n)
+
+
+def _certified_bound(y: np.ndarray, h: np.ndarray, n: int) -> float:
+    """Upper bound ``tr`` of the feasible dual point ``Y + max(0, -lambda_min(I (x) Y - H)) I``."""
+    lam_min = float(np.linalg.eigvalsh(hermitian_part(_plus_block(y, -h, n)))[0])
     return float(np.trace(y).real + n * max(0.0, -lam_min))
 
 
-def _newton_step(y: np.ndarray, h: np.ndarray, n: int,
-                 t: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """Newton step for ``t tr(Y) - log det S(Y)``, its decrement, and S(Y)^-1.
+def _nt_step(x: np.ndarray, y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One Mehrotra predictor-corrector step along the Nesterov-Todd direction.
 
-    With W = S(Y)^-1 the gradient is ``t I - tr_1(W)`` and the Hessian maps
-    a direction D to ``tr_1(W (I (x) D) W)``.
+    With the NT scaling ``G^-1 X G^-H = G^H S G = diag(lam)``, ``W = G G^H``,
+    the linearized ``X S = mu I`` reads ``lam dV + dV lam = 2 R`` for
+    ``dV = G^-1 dX G^-H + G^H dS G``; dY solves the Schur system
+    ``tr_1(W (I (x) dY) W) = tr_1(G dV G^H) - (I - tr_1(X))``, fed the primal
+    residual.  Raises LinAlgError once X, S or the Schur matrix is singular.
     """
-    w = np.linalg.inv(np.kron(np.eye(n), y) - h)
-    grad = t * np.eye(n) - partial_trace_first(w, n)
-    w4 = w.reshape(n, n, n, n)
-    hessian = np.einsum("aibj,bmap->ipjm", w4, w4).reshape(n * n, n * n)
-    step = hermitian_part(np.linalg.solve(hessian, -grad.reshape(-1)).reshape(n, n))
-    decrement = float(np.sqrt(max(0.0, -np.vdot(grad, step).real)))
-    return step, decrement, w
+    lx = np.linalg.cholesky(x)
+    ls = np.linalg.cholesky(_plus_block(y, -h, n))
+    _, lam, vh = np.linalg.svd(ls.conj().T @ lx)
+    g = lx @ (vh.conj().T / np.sqrt(lam))
+    gh = g.conj().T
+    w4 = (g @ gh).reshape(n, n, n, n)
+    schur = np.einsum("aibj,bmap->ipjm", w4, w4).reshape(n * n, n * n)
+    lyapunov = 2.0 / np.add.outer(lam, lam)
+    unscale = np.outer(lam ** -0.5, lam ** -0.5)
 
+    def direction(r):
+        dv = r * lyapunov
+        rhs = partial_trace_first(g @ dv @ gh + x, n) - np.eye(n)
+        dy = hermitian_part(np.linalg.solve(schur, rhs.reshape(-1)).reshape(n, n))
+        ds = gh @ _times_block(dy, g, n)
+        return dy, dv - ds, ds
 
-def _barrier_primal(w: np.ndarray, step: np.ndarray, n: int) -> np.ndarray | None:
-    """Feasible chi from the last Newton step, or None if it is not definite.
+    def max_step(d):  # the largest a with diag(lam) + a D >= 0
+        low = np.linalg.eigvalsh(d * unscale)[0]
+        return -1.0 / low if low < 0.0 else np.inf
 
-    ``W - W (I (x) D) W`` linearizes S^-1 along the step D; scaled by 1/t it
-    satisfies the trace condition exactly for a full step, and it is
-    definite because the step stays inside the Dikin ellipsoid.  The
-    congruence by ``I (x) M^-1/2`` makes the trace condition exact for a
-    damped step and removes rounding; the scale 1/t cancels in it.
-    """
-    chi = hermitian_part(w - w @ np.kron(np.eye(n), step) @ w)
-    if np.linalg.eigvalsh(chi)[0] <= 0.0:
-        return None
-    mw, mv = np.linalg.eigh(partial_trace_first(chi, n))
-    root = np.kron(np.eye(n), (mv / np.sqrt(mw)) @ mv.conj().T)
-    return hermitian_part(root @ chi @ root)
+    # the affine predictor sets the centering and the corrector's second-order term
+    mu = float(lam @ lam) / lam.size
+    _, dx, ds = direction(-np.diag(lam * lam))
+    ap, ad = min(1.0, max_step(dx)), min(1.0, max_step(ds))
+    mu_aff = np.vdot(np.diag(lam) + ad * ds, np.diag(lam) + ap * dx).real / lam.size
+    cross = dx @ ds
+    rc = np.diag(min(1.0, (mu_aff / mu) ** 3) * mu - lam * lam) - 0.5 * (cross + cross.conj().T)
+    dy, dx, ds = direction(rc)
+    gamma = 0.9 + 0.09 * min(ap, ad)
+    x = hermitian_part(x + min(1.0, gamma * max_step(dx)) * (g @ dx @ gh))
+    # the congruence by I (x) M^-1/2, M = tr_1(X), makes tr_1(X) = I exactly
+    mw, mv = np.linalg.eigh(partial_trace_first(x, n))
+    root = (mv / np.sqrt(mw)) @ mv.conj().T
+    x = hermitian_part(_times_block(root, _times_block(root, x, n).conj().T, n))
+    return x, hermitian_part(y + min(1.0, gamma * max_step(ds)) * dy)
 
 
 def best_response(problem: ResponseProblem, max_iters: int = 5000,
@@ -134,10 +146,11 @@ def best_response(problem: ResponseProblem, max_iters: int = 5000,
     """Maximize ``tr(G chi)`` over the strategy set with a duality certificate.
 
     Returns the best feasible strategy found, the best certified upper
-    bound, and the duality gap.  ``max_iters`` bounds the number of Newton
-    steps.  ``converged`` is set iff the gap closed to within ``tol``; an
-    unconverged result still carries the best feasible strategy found
-    (callers decide whether to treat that as an error).
+    bound, and the duality gap.  ``max_iters`` bounds the iterations of the
+    primal-dual method.  ``tol`` is relative: ``converged`` is set iff the
+    gap closed to within ``tol * max(1, |H|)``, |H| the spectral norm of G's
+    Hermitian part.  An unconverged result still carries the best feasible
+    strategy found (callers decide whether to treat that as an error).
     """
     n = problem.n
     h = hermitian_part(problem.matrix)
@@ -148,59 +161,42 @@ def best_response(problem: ResponseProblem, max_iters: int = 5000,
         value = response_value(problem, chi)
         return BestResponseResult(value, chi, value, 0.0, 0, True)
 
+    # the method runs on H / max(1, |H|), so that its stopping gap is absolute
+    norm = max(1.0, scale)
+    h = h / norm
     eye = np.eye(n, dtype=complex)
     # trivial certificate: chi = I/n against the better of lambda_max(H) I
     # and tr_1(H)/n; the latter is exact for constant games, H = I (x) Z
-    best_x = np.eye(n * n, dtype=complex) / n
-    best_val = float(np.trace(h).real) / n
-    bound = min(_certified_bound(eig_h[-1] * eye, h, n),
+    x = np.eye(n * n, dtype=complex) / n
+    best_x, best_val = x, float(np.trace(h).real) / n
+    bound = min(_certified_bound(eig_h[-1] / norm * eye, h, n),
                 _certified_bound(partial_trace_first(h, n) / n, h, n))
-    stop_gap = STOP_GAP_RTOL * max(1.0, scale)
-
-    y = (eig_h[-1] + 1.0) * eye
-    t = 1.0 / scale
+    y = (eig_h[-1] + scale) / norm * eye
     iterations = 0
-    stage_gap = np.inf
-    stalls = 0
-    while bound - best_val > stop_gap and iterations < max_iters and stalls < 2:
-        # damped Newton steps keep S(Y) definite without a line search
-        previous = np.inf
-        while iterations < max_iters:
-            step, decrement, w = _newton_step(y, h, n, t)
-            if decrement > 0.25:
-                step = step / (1.0 + decrement)
-            y = y + step
-            iterations += 1
-            # near the center the decrement falls quadratically, so a
-            # decrement that stops falling there has hit rounding noise
-            if decrement <= CENTERED_DECREMENT or (decrement <= 0.25 and decrement >= previous):
-                break
-            previous = decrement
-        chi = _barrier_primal(w, step, n)
-        if chi is None:
+    while bound - best_val > STOP_GAP_RTOL and iterations < max_iters:
+        try:
+            x, y = _nt_step(x, y, h, n)
+        except np.linalg.LinAlgError:
+            # rounding has taken X or S to the boundary: keep the best pair
             break
-        val = float(np.trace(h @ chi).real)
-        stage_bound = _certified_bound(y, h, n)
+        iterations += 1
+        val = float(np.vdot(h, x).real)
         if val > best_val:
-            best_x, best_val = chi, val
-        bound = min(bound, stage_bound)
-        # the central path shrinks the gap eightfold per stage; two stages in
-        # a row that fail to halve it mean rounding error has taken over
-        stalls = stalls + 1 if stage_bound - val > 0.5 * stage_gap else 0
-        stage_gap = stage_bound - val
-        t *= BARRIER_GROWTH
+            best_x, best_val = x, val
+        bound = min(bound, _certified_bound(y, h, n))
 
     chi_opt = validate_chi(best_x, n, tol=1e-7)
     value = response_value(problem, chi_opt)
+    bound *= norm
     raw_gap = bound - value
-    if raw_gap < -WEAK_DUALITY_ATOL:
+    if raw_gap < -WEAK_DUALITY_RTOL * norm:
         raise WeakDualityViolation(
             f"primal value {value!r} exceeds certified bound {bound!r}; solver bug"
         )
     # bound can dip below value by eigensolver noise; the reported gap is
     # clamped but convergence is judged on the raw difference
     return BestResponseResult(value, chi_opt, float(bound), max(0.0, float(raw_gap)),
-                              iterations, raw_gap <= tol)
+                              iterations, bool(raw_gap <= tol * norm))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +226,7 @@ def unitary_oracle(tensor: PayoffTensor, opponent: ChiMatrix, player,
         raise ValueError("resolution must be positive")
     h = problem.matrix
 
-    t = np.pi * np.arange(res) / res
-    theta = np.pi * np.arange(res) / res
+    t = theta = np.pi * np.arange(res) / res
     phi = 2.0 * np.pi * np.arange(res) / res
     tg, thg, phg = (a.ravel() for a in np.meshgrid(t, theta, phi, indexing="ij"))
 

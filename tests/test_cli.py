@@ -388,6 +388,40 @@ def test_best_response_cli_starved_budget_exits_4(capsys):
     assert "converged           = False" in out  # partial output still printed
 
 
+def _equilibrium_game_at_scale(seed, scale):
+    # rho = |psi><psi| for a random psi, and each R = scale (|psi><psi| + A)
+    # with A random on the complement of psi and |A| < 1: the identity pair
+    # already reaches lambda_max(R) = scale, so it is an equilibrium
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    top = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    rest = np.eye(4) - top
+    ops = []
+    for _ in range(2):
+        a = rest @ random_hermitian(4, rng) @ rest
+        r = scale * (top + 0.5 * a / np.abs(np.linalg.eigvalsh(a)).max())
+        ops.append(0.5 * (r + r.conj().T))
+    return build_game(top, *ops, 2, 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solver_tolerance_is_relative_at_large_scale(seed, tmp_path, capsys):
+    # payoffs of order 1e9: a gap of about 1e-12 relative is about 1e-3
+    # absolute, which the default --tol of 1e-7 accepts because it is relative
+    path = tmp_path / "large.game"
+    path.write_text(files.emit_document(files.game_to_payload(_equilibrium_game_at_scale(seed, 1e9))))
+    for player in ("I", "II"):
+        code, out, err = run(capsys, "best-response", str(path), "identity.strategy", player,
+                             "--json")
+        assert code == 0, err
+        doc = files.parse_document(out)
+        assert doc["converged"] is True
+        assert abs(doc["value"] - 1e9) <= 1e-7 * 1e9
+    code, out, err = run(capsys, "verify-nash", str(path), "identity.strategy", "identity.strategy")
+    assert code == 0, err
+    assert out.startswith("EQUILIBRIUM")
+
+
 def test_verify_nash_cli_equilibrium(capsys):
     code, out, _ = run(capsys, "verify-nash", "ewl.game", "chi_star.strategy",
                        "xi_star.strategy", "--epsilon", "1e-5")
@@ -479,6 +513,22 @@ def test_numeric_option_out_of_range_is_usage_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument --" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-nash", "ewl.game", "chi_star.strategy", "xi_star.strategy", "--epsilon"),
+    ("best-response", "ewl.game", "xi_star.strategy", "I", "--tol"),
+], ids=["epsilon", "tol"])
+def test_negative_option_value_as_separate_word(argv, capsys):
+    # "--epsilon -1e-3" is the value -1e-3, as "--epsilon=-1e-3" is
+    errors = []
+    for spelling in ([f"{argv[-1]}=-1e-3"], [argv[-1], "-1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv[:-1], *spelling])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err.splitlines()[-1])
+    assert errors[0] == errors[1]
+    assert errors[0].endswith(f"argument {argv[-1]}: must be a finite number >= 0, got '-1e-3'")
 
 
 @pytest.mark.parametrize("seed", ["0", str(2 ** 64 - 1)])

@@ -230,6 +230,20 @@ def test_best_response_large_constant_game(rng):
     validate_chi(result.chi_opt.matrix, 2, tol=1e-9)
 
 
+def test_best_response_weak_duality_guard_is_relative():
+    # payoffs of order 1e9 that player I cannot influence, R = I (x) Z: the
+    # trivial certificate is exact, and value and bound differ by rounding
+    # of order 1e-7, which is no weak-duality violation
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        r = np.kron(np.eye(2), random_hermitian(2, rng, 1e9))
+        game = build_game(random_density(4, rng), r, r, 2, 2)
+        problem = response_problem(payoff_tensor_matrix_unit(game, "I"), random_chi(2, rng), "I")
+        result = best_response(problem)
+        assert result.converged
+        assert result.iterations == 0
+
+
 def test_best_response_starved_budget_reports_unconverged(ewl_game, rng):
     opponent = random_chi(2, rng)
     problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), opponent, "I")
@@ -257,6 +271,45 @@ def test_best_response_player_two(ewl_game, ewl_stars):
     result = best_response(problem)
     assert result.converged
     assert result.value == pytest.approx(2.5, abs=1e-6)
+
+
+def test_best_response_iteration_budget(ewl_game, ewl_stars):
+    # the primal-dual method needs 7 iterations per player on the bundled
+    # equilibrium and about 10 on random qubit and qutrit problems
+    chi_star, xi_star = ewl_stars
+    for player, opponent in (("I", xi_star), ("II", chi_star)):
+        problem = response_problem(payoff_tensor_matrix_unit(ewl_game, player), opponent, player)
+        assert best_response(problem).iterations <= 15
+    iterations = []
+    for seed in range(8):
+        for n1, n2 in ((2, 2), (2, 3), (3, 3)):
+            rng = np.random.default_rng([seed, n1, n2])
+            game = random_game(n1, n2, rng)
+            for player, n_opponent in (("I", n2), ("II", n1)):
+                tensor = payoff_tensor_matrix_unit(game, player)
+                result = best_response(response_problem(tensor, random_chi(n_opponent, rng), player))
+                assert result.converged
+                iterations.append(result.iterations)
+    assert np.mean(iterations) <= 25
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e9], ids=["1", "1e4", "1e9"])
+def test_best_response_certified_gap_is_tight(scale):
+    # the endgame closes the certified gap far below the default tolerance,
+    # relative to the scale of the payoffs
+    for seed in range(6):
+        for n1, n2 in ((2, 2), (2, 3), (3, 3)):
+            rng = np.random.default_rng([seed, n1, n2])
+            d = n1 * n2
+            game = build_game(random_density(d, rng), random_hermitian(d, rng, scale),
+                              random_hermitian(d, rng, scale), n1, n2)
+            for player, n_opponent in (("I", n2), ("II", n1)):
+                tensor = payoff_tensor_matrix_unit(game, player)
+                problem = response_problem(tensor, random_chi(n_opponent, rng), player)
+                result = best_response(problem)
+                assert result.converged
+                norm = max(1.0, float(np.abs(np.linalg.eigvalsh(problem.matrix)).max()))
+                assert result.dual_bound - result.value <= 1e-10 * norm
 
 
 # ---------------------------------------------------------------------------

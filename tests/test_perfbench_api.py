@@ -15,11 +15,11 @@ from qgame import cli
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _workload(name, monkeypatch):
+def _workload(name, monkeypatch, corpus="tuned"):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     tracer = importlib.import_module("tracer").Tracer(enabled=False)
-    workload = workloads.WORKLOADS[name](seed=1, corpus="tuned", tracer=tracer)
+    workload = workloads.WORKLOADS[name](seed=1, corpus=corpus, tracer=tracer)
     workload.setup()
     return workloads, workload
 
@@ -43,3 +43,15 @@ def test_cli_workload_checks_pass_in_process(monkeypatch, capsys):
         proc = subprocess.CompletedProcess(["qgame", *command.argv], code, out, err)
         failures.append(workload.check(command, proc))
     assert failures == [None] * len(workloads.COMMANDS)
+
+
+@pytest.mark.parametrize("corpus", ["tuned", "held-out"])
+def test_solve_corpus_passes_every_check(corpus, monkeypatch):
+    # all 40 problems of a solve corpus: convergence, the gap, weak duality
+    # and the unitary-oracle margin, as the benchmark checks them
+    _, workload = _workload("solve", monkeypatch, corpus)
+    failures = {}
+    for slot in range(workload.slots):
+        inp = workload.prepare(0, slot)
+        failures[slot] = workload.check(inp, workload.op(inp))
+    assert failures == dict.fromkeys(range(workload.slots))
