@@ -14,10 +14,14 @@ Input arguments resolve against the filesystem first and then against the
 bundled data files, so ``qgame payoff ewl.game chi_star.strategy
 xi_star.strategy`` works from any directory.
 
+Every command computes one payload and renders it once: as JSON with
+``--json`` (``--format json`` for tensor), otherwise as text.
+
 Exit codes are a stable contract: 0 success, 1 validation failure (including
 a negative verify-nash verdict), 2 parse/usage error, 3 internal cross-check
-failure, 4 non-convergence.  ``QGAME_TOL`` optionally overrides the default
-validation tolerances with a finite number >= 0.
+failure, 4 non-convergence or an undecided verify-nash verdict.
+``QGAME_TOL`` optionally overrides the default validation tolerances with a
+finite number >= 0.
 """
 
 from __future__ import annotations
@@ -70,8 +74,7 @@ def _as_fraction(x: float, max_den: int = 64, tol: float = 1e-12) -> Fraction | 
     return frac if abs(float(frac) - x) <= tol else None
 
 
-def _fraction_str(frac: Fraction, imaginary: bool = False) -> str:
-    unit = "i" if imaginary else ""
+def _fraction_str(frac: Fraction, unit: str) -> str:
     if frac.denominator == 1:
         return f"{frac.numerator}{unit}"
     return f"{frac.numerator}{unit}/{frac.denominator}"
@@ -80,21 +83,15 @@ def _fraction_str(frac: Fraction, imaginary: bool = False) -> str:
 def format_complex(z: complex, exact: bool = False) -> str:
     """Render a complex scalar; with ``exact`` small rationals print as fractions."""
     re, im = float(np.real(z)), float(np.imag(z))
-    if exact:
-        fre, fim = _as_fraction(re), _as_fraction(im)
-        if fre is not None and fim is not None:
-            if fim == 0:
-                return _fraction_str(fre)
-            if fre == 0:
-                return _fraction_str(fim, imaginary=True)
-            sign = "+" if fim > 0 else "-"
-            return f"{_fraction_str(fre)}{sign}{_fraction_str(abs(fim), imaginary=True)}"
+    text = "{:.12g}{}".format
+    fractions = (_as_fraction(re), _as_fraction(im)) if exact else (None,)
+    if None not in fractions:
+        (re, im), text = fractions, _fraction_str
     if im == 0:
-        return f"{re:.12g}"
+        return text(re, "")
     if re == 0:
-        return f"{im:.12g}i"
-    sign = "+" if im > 0 else "-"
-    return f"{re:.12g}{sign}{abs(im):.12g}i"
+        return text(im, "i")
+    return f"{text(re, '')}{'+' if im > 0 else '-'}{text(abs(im), 'i')}"
 
 
 def print_cells(cells: list[list[str]]) -> None:
@@ -110,59 +107,59 @@ def print_matrix(m: np.ndarray, exact: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its exit code and one payload, which _run renders
+# as JSON or through the command's text_* function
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, dict]:
     checks = files.game_file_checks(args.game, args.tol)
-    if args.json:
-        # a residual can be infinite (payoff_length_check), which JSON cannot carry
-        rows = [{"name": check.name, "passed": check.passed,
-                 "residual": float(check.residual) if np.isfinite(check.residual) else None,
-                 "limit": check.limit, "detail": check.detail} for check in checks]
-        sys.stdout.write(files.emit_document({"checks": rows}))
-    else:
-        width = max(len(check.name) for check in checks)
-        for check in checks:
-            print(f"{check.name.ljust(width)}  {'PASS' if check.passed else 'FAIL'}  {check.detail}")
-    return EXIT_OK if all(check.passed for check in checks) else EXIT_VALIDATION
+    # a residual can be infinite (payoff_length_check), which JSON cannot carry
+    rows = [{"name": check.name, "passed": check.passed,
+             "residual": float(check.residual) if np.isfinite(check.residual) else None,
+             "limit": check.limit, "detail": check.detail} for check in checks]
+    return EXIT_OK if all(check.passed for check in checks) else EXIT_VALIDATION, {"checks": rows}
 
 
-def cmd_tensor(args) -> int:
+def text_validate(payload, args) -> None:
+    width = max(len(row["name"]) for row in payload["checks"])
+    for row in payload["checks"]:
+        print(f"{row['name'].ljust(width)}  {'PASS' if row['passed'] else 'FAIL'}  {row['detail']}")
+
+
+def cmd_tensor(args) -> tuple[int, dict]:
     game = files.load_game(args.game, args.tol)
     player = normalize_player(args.player)
     tensor = payoff_tensor_matrix_unit(game, player)
+    if not args.check_fixture:
+        return EXIT_OK, {"player": player, "n1": game.n1, "n2": game.n2, "grid": tensor.grid}
 
+    entries = tensor.entries
+    reference = figure1_reference_tensors()[0 if player == "I" else 1]
+    if reference.shape != entries.shape:
+        raise ValidationError(
+            f"fixture tensor is {reference.shape}, computed tensor is {entries.shape}"
+        )
+    bad = map(tuple, np.argwhere(np.abs(entries - reference) > 1e-12))
+    mismatches = [{"label": label, "computed": entries[label], "fixture": reference[label]}
+                  for label in bad]
+    payload = {"matched": entries.size - len(mismatches), "entries": entries.size,
+               "mismatches": mismatches}
+    return EXIT_VALIDATION if mismatches else EXIT_OK, payload
+
+
+def text_tensor(payload, args) -> None:
     if args.check_fixture:
-        entries = tensor.entries
-        reference = figure1_reference_tensors()[0 if player == "I" else 1]
-        if reference.shape != entries.shape:
-            raise ValidationError(
-                f"fixture tensor is {reference.shape}, computed tensor is {entries.shape}"
-            )
-        bad = np.argwhere(np.abs(entries - reference) > 1e-12)
-        print(f"match: {entries.size - len(bad)}/{entries.size} entries")
-        for label in map(tuple, bad):
-            alpha, beta, gamma, delta = label
+        print(f"match: {payload['matched']}/{payload['entries']} entries")
+        for row in payload["mismatches"]:
+            alpha, beta, gamma, delta = row["label"]
             print(
                 f"  mismatch at (alpha={alpha}, beta={beta}, gamma={gamma}, delta={delta}): "
-                f"computed {format_complex(entries[label])}, fixture {format_complex(reference[label])}"
+                f"computed {format_complex(row['computed'])}, fixture {format_complex(row['fixture'])}"
             )
-        return EXIT_VALIDATION if len(bad) else EXIT_OK
-
-    grid = tensor.grid
-    if args.format == "json":
-        payload = {
-            "player": player,
-            "n1": game.n1,
-            "n2": game.n2,
-            "grid": files.matrix_to_lists(grid),
-        }
-        sys.stdout.write(files.emit_document(payload))
-    else:
-        print(f"payoff tensor, player {player} ({grid.shape[0]}x{grid.shape[1]} grid)")
-        print_matrix(grid, exact=args.exact_fractions)
-    return EXIT_OK
+        return
+    grid = payload["grid"]
+    print(f"payoff tensor, player {payload['player']} ({grid.shape[0]}x{grid.shape[1]} grid)")
+    print_matrix(grid, exact=args.exact_fractions)
 
 
 def _load_pair(args, game):
@@ -171,7 +168,7 @@ def _load_pair(args, game):
     return strat_i, strat_ii
 
 
-def cmd_payoff(args) -> int:
+def cmd_payoff(args) -> tuple[int, dict]:
     game = files.load_game(args.game, args.tol)
     strat_i, strat_ii = _load_pair(args, game)
     tensor_i = payoff_tensor_matrix_unit(game, "I")
@@ -190,16 +187,15 @@ def cmd_payoff(args) -> int:
             raise CrossCheckFailure(
                 f"contraction and direct evaluation disagree by {worst:.3e} > {limit:.1e}"
             )
-
-    if args.json:
-        sys.stdout.write(files.emit_document({"payoff_I": value_i, "payoff_II": value_ii}))
-    else:
-        print(f"payoff I  = {format_complex(value_i)}")
-        print(f"payoff II = {format_complex(value_ii)}")
-    return EXIT_OK
+    return EXIT_OK, {"payoff_I": value_i, "payoff_II": value_ii}
 
 
-def cmd_best_response(args) -> int:
+def text_payoff(payload, args) -> None:
+    print(f"payoff I  = {format_complex(payload['payoff_I'])}")
+    print(f"payoff II = {format_complex(payload['payoff_II'])}")
+
+
+def cmd_best_response(args) -> tuple[int, dict]:
     game = files.load_game(args.game, args.tol)
     player = normalize_player(args.player)
     opponent_dim = game.n2 if player == "I" else game.n1
@@ -207,51 +203,51 @@ def cmd_best_response(args) -> int:
     tensor = payoff_tensor_matrix_unit(game, player)
     problem = response_problem(tensor, opponent.chi, player)
     result = best_response(problem, max_iters=args.max_iters, tol=args.br_tol)
-
-    if args.json:
-        payload = {
-            "player": player,
-            "value": result.value,
-            "dual_bound": result.dual_bound,
-            "gap": result.gap,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "chi": files.matrix_to_lists(result.chi_opt.matrix),
-        }
-        sys.stdout.write(files.emit_document(payload))
-    else:
-        print(f"best response value = {format_complex(result.value)}")
-        print(f"dual bound          = {format_complex(result.dual_bound)}")
-        print(f"duality gap         = {result.gap:.3e}")
-        print(f"iterations          = {result.iterations}")
-        print(f"converged           = {result.converged}")
-        print("optimal chi:")
-        print_matrix(result.chi_opt.matrix)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    payload = {
+        "player": player,
+        "value": result.value,
+        "dual_bound": result.dual_bound,
+        "gap": result.gap,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "chi": result.chi_opt.matrix,
+    }
+    # an unconverged result is still rendered, as a partial answer
+    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE, payload
 
 
-def cmd_verify_nash(args) -> int:
+def text_best_response(payload, args) -> None:
+    print(f"best response value = {format_complex(payload['value'])}")
+    print(f"dual bound          = {format_complex(payload['dual_bound'])}")
+    print(f"duality gap         = {payload['gap']:.3e}")
+    print(f"iterations          = {payload['iterations']}")
+    print(f"converged           = {payload['converged']}")
+    print("optimal chi:")
+    print_matrix(payload["chi"])
+
+
+def cmd_verify_nash(args) -> tuple[int, dict]:
     game = files.load_game(args.game, args.tol)
     strat_i, strat_ii = _load_pair(args, game)
     report = verify_nash(game, strat_i.chi, strat_ii.chi, args.epsilon)
-    verdict = "EQUILIBRIUM" if report.is_equilibrium else "NOT EQUILIBRIUM"
-    if args.json:
-        payload = {
-            "is_equilibrium": report.is_equilibrium,
-            "epsilon": args.epsilon,
-            "gap_I": report.gap_i,
-            "gap_II": report.gap_ii,
-            "payoff_I": report.payoff_i,
-            "payoff_II": report.payoff_ii,
-        }
-        sys.stdout.write(files.emit_document(payload))
-    else:
-        print(f"{verdict} (gaps {report.gap_i:.1e}, {report.gap_ii:.1e})")
-        print(f"payoffs: ({format_complex(report.payoff_i)}, {format_complex(report.payoff_ii)})")
-    return EXIT_OK if report.is_equilibrium else EXIT_VALIDATION
+    payload = {
+        "is_equilibrium": report.is_equilibrium,
+        "epsilon": args.epsilon,
+        "gap_I": report.gap_i,
+        "gap_II": report.gap_ii,
+        "payoff_I": report.payoff_i,
+        "payoff_II": report.payoff_ii,
+    }
+    return EXIT_OK if report.is_equilibrium else EXIT_VALIDATION, payload
 
 
-def cmd_simulate(args) -> int:
+def text_verify_nash(payload, args) -> None:
+    verdict = "EQUILIBRIUM" if payload["is_equilibrium"] else "NOT EQUILIBRIUM"
+    print(f"{verdict} (gaps {payload['gap_I']:.1e}, {payload['gap_II']:.1e})")
+    print(f"payoffs: ({format_complex(payload['payoff_I'])}, {format_complex(payload['payoff_II'])})")
+
+
+def cmd_simulate(args) -> tuple[int, dict]:
     game = files.load_game(args.game, args.tol)
     povm, payoffs_i, payoffs_ii = files.load_povm_file(args.povm, game.rho.dim, args.tol)
     strat_i, strat_ii = _load_pair(args, game)
@@ -264,50 +260,33 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(seed)
     result = simulate_play(game, povm, payoffs_i, payoffs_ii, channel_i, channel_ii,
                            args.rounds, rng, args.tol)
-
-    def z_score(mean, exact, stderr):
-        return (mean - exact) / stderr if stderr > 0 else 0.0
-
-    if args.json:
-        payload = {
-            "seed": seed,
-            "rounds": result.rounds,
-            "mean_I": result.mean_i,
-            "mean_II": result.mean_ii,
-            "stderr_I": result.stderr_i,
-            "stderr_II": result.stderr_ii,
-            "exact_I": result.exact_i,
-            "exact_II": result.exact_ii,
-            "z_I": z_score(result.mean_i, result.exact_i, result.stderr_i),
-            "z_II": z_score(result.mean_ii, result.exact_ii, result.stderr_ii),
-        }
-        sys.stdout.write(files.emit_document(payload))
-    else:
-        print(f"seed: {seed}")
-        print(f"rounds: {result.rounds}")
-        for label, mean, stderr, exact in (
-            ("I", result.mean_i, result.stderr_i, result.exact_i),
-            ("II", result.mean_ii, result.stderr_ii, result.exact_ii),
-        ):
-            z = z_score(mean, exact, stderr)
-            print(f"player {label:<2} empirical {mean:.6f}  stderr {stderr:.6f}  "
-                  f"exact {format_complex(exact)}  z {z:+.3f}")
-    return EXIT_OK
+    payload = {"seed": seed, "rounds": result.rounds}
+    for label, mean, stderr, exact in (
+        ("I", result.mean_i, result.stderr_i, result.exact_i),
+        ("II", result.mean_ii, result.stderr_ii, result.exact_ii),
+    ):
+        payload.update({f"mean_{label}": mean, f"stderr_{label}": stderr, f"exact_{label}": exact,
+                        f"z_{label}": (mean - exact) / stderr if stderr > 0 else 0.0})
+    return EXIT_OK, payload
 
 
-def cmd_classical(args) -> int:
-    game = files.load_game(args.game, args.tol)
-    bimatrix = classical_reduction(game)
-    if args.json:
-        payload = {
-            "payoff_I": [[float(x) for x in row] for row in bimatrix.payoff_i],
-            "payoff_II": [[float(x) for x in row] for row in bimatrix.payoff_ii],
-        }
-        sys.stdout.write(files.emit_document(payload))
-    else:
-        print_cells([[f"({format_complex(a)}, {format_complex(b)})" for a, b in zip(row_i, row_ii)]
-                     for row_i, row_ii in zip(bimatrix.payoff_i, bimatrix.payoff_ii)])
-    return EXIT_OK
+def text_simulate(payload, args) -> None:
+    print(f"seed: {payload['seed']}")
+    print(f"rounds: {payload['rounds']}")
+    for label in ("I", "II"):
+        print(f"player {label:<2} empirical {payload['mean_' + label]:.6f}  "
+              f"stderr {payload['stderr_' + label]:.6f}  "
+              f"exact {format_complex(payload['exact_' + label])}  z {payload['z_' + label]:+.3f}")
+
+
+def cmd_classical(args) -> tuple[int, dict]:
+    bimatrix = classical_reduction(files.load_game(args.game, args.tol))
+    return EXIT_OK, {"payoff_I": bimatrix.payoff_i, "payoff_II": bimatrix.payoff_ii}
+
+
+def text_classical(payload, args) -> None:
+    print_cells([[f"({format_complex(a)}, {format_complex(b)})" for a, b in zip(row_i, row_ii)]
+                 for row_i, row_ii in zip(payload["payoff_I"], payload["payoff_II"])])
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a game file against all validity conditions")
     p.add_argument("game")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, text=text_validate)
 
     p = sub.add_parser("tensor", help="print a player's payoff tensor grid")
     p.add_argument("game")
@@ -356,14 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare against the bundled reference grids")
     p.add_argument("--exact-fractions", action="store_true",
                    help="render entries close to small rationals as fractions")
-    p.set_defaults(func=cmd_tensor)
+    p.set_defaults(func=cmd_tensor, text=text_tensor)
 
     p = sub.add_parser("payoff", help="expected payoffs for a strategy pair")
     p.add_argument("game")
     p.add_argument("strategy_i", metavar="strategy-I")
     p.add_argument("strategy_ii", metavar="strategy-II")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_payoff)
+    p.set_defaults(func=cmd_payoff, text=text_payoff)
 
     p = sub.add_parser("best-response", help="certified best response against a fixed opponent")
     p.add_argument("game")
@@ -374,16 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gap to certify, relative to max(1, |H|), |H| the response's norm")
     p.add_argument("--max-iters", type=_positive_int, default=5000,
                    help="budget of iterations for the primal-dual solver")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_best_response)
+    p.set_defaults(func=cmd_best_response, text=text_best_response)
 
     p = sub.add_parser("verify-nash", help="epsilon-Nash check for a strategy profile")
     p.add_argument("game")
     p.add_argument("strategy_i", metavar="strategy-I")
     p.add_argument("strategy_ii", metavar="strategy-II")
-    p.add_argument("--epsilon", type=_tolerance, default=1e-6)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify_nash)
+    p.add_argument("--epsilon", type=_tolerance, default=1e-6,
+                   help="certified gain a deviation may offer, relative to max(1, |H|) as --tol")
+    p.set_defaults(func=cmd_verify_nash, text=text_verify_nash)
 
     p = sub.add_parser("simulate", help="Monte Carlo play through the referee's measurement")
     p.add_argument("game")
@@ -394,14 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=None,
                    help="64-bit seed for the single deterministic generator; "
                         "chosen and printed when unspecified")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, text=text_simulate)
 
     p = sub.add_parser("classical", help="classical reduction to a bimatrix game")
     p.add_argument("game")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classical)
+    p.set_defaults(func=cmd_classical, text=text_classical)
 
+    for name, p in sub.choices.items():
+        if name != "tensor":  # tensor spells it --format json
+            p.add_argument("--json", dest="format", action="store_const", const="json",
+                           default="text")
     # read "-1e-3" as a value, not as an option, as argparse does from Python 3.13
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = re.compile(r"-\.?\d")
@@ -429,9 +407,10 @@ _FAILURES = (
 
 
 def _run(args) -> int:
+    """Run a command and render its payload once, as JSON or as the command's text."""
     try:
         args.tol = _env_tol()
-        return args.func(args)
+        code, payload = args.func(args)
     except QGameError as exc:
         code, label = next((code, label) for cls, code, label in _FAILURES if isinstance(exc, cls))
         print(f"{label}: {exc}", file=sys.stderr)
@@ -439,6 +418,11 @@ def _run(args) -> int:
         if partial is not None:
             print(f"partial gaps: {partial.gap_i:.3e}, {partial.gap_ii:.3e}", file=sys.stderr)
         return code
+    if args.format == "json":
+        sys.stdout.write(files.emit_document(payload))
+    else:
+        args.text(payload, args)
+    return code
 
 
 def main(argv=None) -> int:

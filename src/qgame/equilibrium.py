@@ -193,9 +193,9 @@ def best_response(problem: ResponseProblem, max_iters: int = 5000,
         raise WeakDualityViolation(
             f"primal value {value!r} exceeds certified bound {bound!r}; solver bug"
         )
-    # bound can dip below value by eigensolver noise; the reported gap is
-    # clamped but convergence is judged on the raw difference
-    return BestResponseResult(value, chi_opt, float(bound), max(0.0, float(raw_gap)),
+    # bound can dip below value by eigensolver noise, so the gap can be
+    # slightly negative; it is reported as is
+    return BestResponseResult(value, chi_opt, float(bound), float(raw_gap),
                               iterations, bool(raw_gap <= tol * norm))
 
 
@@ -261,16 +261,18 @@ class NashReport:
 
 def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float,
                 solver_tol: float = 1e-7, max_iters: int = 5000) -> NashReport:
-    """Check the epsilon-Nash property of a strategy profile.
+    """Check the epsilon-Nash property of a strategy profile from certificates.
 
-    ``gap_j`` is the certified best-response value for player j against the
-    opponent's fixed strategy, minus j's current payoff; the profile is an
-    epsilon-equilibrium iff both gaps are at most epsilon.  Gaps are
-    reported even when the verdict is negative.
+    ``gap_j`` is player j's certified best-response bound minus j's payoff.
+    ``epsilon`` is relative, as ``tol`` is: j's limit is
+    ``epsilon * max(1, |H_j|)``.  The profile is an epsilon-equilibrium iff
+    both gaps are within their limits, and is not one iff a best response
+    found beats a payoff by more than its limit.
 
     Raises:
-        NoConvergence: if either best-response solve fails to certify; the
-            exception's ``partial`` attribute carries the report so far.
+        NoConvergence: if a best-response solve fails to converge, or the
+            certificates decide neither verdict; the exception's
+            ``partial`` attribute carries the report so far.
     """
     problem_i = response_problem(payoff_tensor_matrix_unit(game, PLAYER_I), xi, PLAYER_I)
     problem_ii = response_problem(payoff_tensor_matrix_unit(game, PLAYER_II), chi, PLAYER_II)
@@ -278,10 +280,12 @@ def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float
     payoff_ii = response_value(problem_ii, xi)
     br_i = best_response(problem_i, max_iters, solver_tol)
     br_ii = best_response(problem_ii, max_iters, solver_tol)
-    gap_i = br_i.value - payoff_i
-    gap_ii = br_ii.value - payoff_ii
+    limit_i, limit_ii = (epsilon * max(1.0, float(np.linalg.norm(hermitian_part(p.matrix), 2)))
+                         for p in (problem_i, problem_ii))
+    gap_i = br_i.dual_bound - payoff_i
+    gap_ii = br_ii.dual_bound - payoff_ii
     report = NashReport(
-        is_equilibrium=bool(gap_i <= epsilon and gap_ii <= epsilon),
+        is_equilibrium=bool(gap_i <= limit_i and gap_ii <= limit_ii),
         gap_i=float(gap_i),
         gap_ii=float(gap_ii),
         payoff_i=payoff_i,
@@ -289,9 +293,10 @@ def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float
         response_i=br_i,
         response_ii=br_ii,
     )
+    refuted = br_i.value - payoff_i > limit_i or br_ii.value - payoff_ii > limit_ii
     if not (br_i.converged and br_ii.converged):
-        raise NoConvergence(
-            "best-response certification did not converge; gaps are lower bounds only",
-            partial=report,
-        )
+        raise NoConvergence("best-response certification did not converge", partial=report)
+    if not (report.is_equilibrium or refuted):
+        raise NoConvergence(f"undecided at epsilon {epsilon:.1e}: a certified gap exceeds its "
+                            "limit, but no response found beats the payoff by more", partial=report)
     return report

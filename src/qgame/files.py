@@ -48,13 +48,15 @@ STRATEGY_KINDS = ("kraus", "chi", "unitary", "classical")
 # primitives
 # ---------------------------------------------------------------------------
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def matrix_to_lists(m: np.ndarray) -> list[list[list[float]]]:
+def matrix_to_lists(m) -> list:
+    """A complex array (or scalar) as nested lists with ``[re, im]`` pairs at the leaves."""
     a = np.asarray(m, dtype=complex)
-    return [[complex_to_pair(z) for z in row] for row in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _is_number(x) -> bool:
+    """A JSON number; ``true`` and ``false`` are not, though Python's bool is an int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def matrix_from_lists(data, what: str) -> np.ndarray:
@@ -68,8 +70,7 @@ def matrix_from_lists(data, what: str) -> np.ndarray:
         width = len(row)
         entries = []
         for c, cell in enumerate(row):
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(x, (int, float)) for x in cell)):
+            if not isinstance(cell, list) or len(cell) != 2 or not all(map(_is_number, cell)):
                 raise ParseError(f"{what}: entry ({r}, {c}) is not a [re, im] pair")
             entries.append(complex(cell[0], cell[1]))
         rows.append(entries)
@@ -79,7 +80,7 @@ def matrix_from_lists(data, what: str) -> np.ndarray:
 
 
 def real_vector_from_list(data, what: str) -> np.ndarray:
-    if not isinstance(data, list) or not all(isinstance(x, (int, float)) for x in data):
+    if not isinstance(data, list) or not all(map(_is_number, data)):
         raise ParseError(f"{what}: expected an array of real numbers")
     return np.asarray(data, dtype=float)
 
@@ -101,9 +102,18 @@ def _int_field(doc: dict, key: str, what: str) -> int:
 # documents
 # ---------------------------------------------------------------------------
 
+def _json_value(obj):
+    """``json.dumps`` hook: complex numbers and arrays as ``[re, im]`` pairs, numpy as Python."""
+    if np.iscomplexobj(obj):
+        return matrix_to_lists(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def emit_document(payload: dict) -> str:
-    """Serialize a machine-readable payload; ``parse_document`` inverts it."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Serialize a payload, numpy values included; ``parse_document`` inverts it."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_value) + "\n"
 
 
 def parse_document(text: str) -> dict:

@@ -9,8 +9,9 @@ import pytest
 
 from qgame import cli, files
 from qgame.errors import LengthMismatch, ParseError, ValidationError
-from qgame.game import build_game
-from qgame.linalg import Check
+from qgame.game import build_game, payoff_tensor_matrix_unit, response_problem
+from qgame.linalg import Check, hermitian_part
+from qgame.quantum import identity_chi
 from qgame.random_ops import random_density, random_hermitian
 
 
@@ -429,12 +430,84 @@ def test_verify_nash_cli_equilibrium(capsys):
     assert out.startswith("EQUILIBRIUM")
 
 
+def test_verify_nash_exact_certificate_decides_epsilon_zero(capsys):
+    # (5/4) I certifies each player's bound 5/2, the payoff, in floating point too
+    code, out, _ = run(capsys, "verify-nash", "ewl.game", "chi_star.strategy",
+                       "xi_star.strategy", "--epsilon", "0")
+    assert code == 0
+    assert out.startswith("EQUILIBRIUM (gaps 0.0e+00, 0.0e+00)")
+
+
+def test_verify_nash_undecided_exits_4(tmp_path, capsys):
+    # an exact equilibrium whose certificates close to about 1e-13: at
+    # epsilon 0 the gaps are neither certified nor beaten by a response
+    path = tmp_path / "equilibrium.game"
+    path.write_text(files.emit_document(files.game_to_payload(_equilibrium_game_at_scale(0, 1.0))))
+    code, out, err = run(capsys, "verify-nash", str(path), "identity.strategy",
+                         "identity.strategy", "--epsilon", "0")
+    assert code == 4 and out == ""
+    assert err.startswith("no convergence: undecided") and "partial gaps: " in err
+    code, out, _ = run(capsys, "verify-nash", str(path), "identity.strategy",
+                       "identity.strategy", "--epsilon", "1e-9")
+    assert code == 0 and out.startswith("EQUILIBRIUM")
+
+
 def test_verify_nash_cli_rejects_classical_play(capsys):
     code, out, _ = run(capsys, "verify-nash", "ewl.game", "identity.strategy",
                        "identity.strategy", "--epsilon", "1e-3")
     assert code == 1
     assert out.startswith("NOT EQUILIBRIUM")
     assert "2.0e+00" in out
+
+
+# degenerate and hostile games, as (rho, R_I, R_II, n1, n2) from a generator
+ROBUSTNESS_GAMES = {
+    "constant": lambda rng: (random_density(4, rng).matrix, 3 * np.eye(4), -2 * np.eye(4), 2, 2),
+    "zero": lambda rng: (random_density(4, rng).matrix, np.zeros((4, 4)), np.zeros((4, 4)), 2, 2),
+    "rank-1-rho": lambda rng: (_equilibrium_game_at_scale(1, 1.0).rho.matrix,
+                               random_hermitian(4, rng), random_hermitian(4, rng), 2, 2),
+    "2x3": lambda rng: (random_density(6, rng).matrix, random_hermitian(6, rng),
+                        random_hermitian(6, rng), 2, 3),
+    "qutrits": lambda rng: (random_density(9, rng).matrix, random_hermitian(9, rng),
+                            random_hermitian(9, rng), 3, 3),
+    "scale-1e6": lambda rng: (random_density(4, rng).matrix, random_hermitian(4, rng, 1e6),
+                              random_hermitian(4, rng, 1e6), 2, 2),
+}
+
+
+def _response_scale(game, player):
+    """max(1, |H|) of a player's response to the identity."""
+    n_opponent = game.n2 if player == "I" else game.n1
+    problem = response_problem(payoff_tensor_matrix_unit(game, player),
+                               identity_chi(n_opponent), player)
+    return max(1.0, float(np.linalg.norm(hermitian_part(problem.matrix), 2)))
+
+
+@pytest.mark.parametrize("case", sorted(ROBUSTNESS_GAMES))
+def test_robustness_matrix(case, tmp_path, capsys):
+    # every command succeeds on each game, except classical for n1 != n2,
+    # and no certified gap is below zero by more than rounding
+    game = build_game(*ROBUSTNESS_GAMES[case](np.random.default_rng(17)))
+    path = tmp_path / f"{case}.game"
+    path.write_text(files.emit_document(files.game_to_payload(game)))
+    pair = (str(path), "identity.strategy", "identity.strategy")
+    for argv in (("validate", str(path)), ("payoff", *pair)):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+    for player in ("I", "II"):
+        code, out, err = run(capsys, "best-response", str(path), "identity.strategy", player,
+                             "--json")
+        assert code == 0, err
+        assert files.parse_document(out)["gap"] >= -1e-8 * _response_scale(game, player)
+    code, out, err = run(capsys, "verify-nash", *pair, "--epsilon", "1e-5", "--json")
+    doc = files.parse_document(out)
+    # only constant and zero payoffs leave the identity pair nothing to improve
+    assert doc["is_equilibrium"] is (case in ("constant", "zero"))
+    assert code == (0 if doc["is_equilibrium"] else 1), err
+    assert doc["gap_I"] >= -1e-8 * _response_scale(game, "I")
+    assert doc["gap_II"] >= -1e-8 * _response_scale(game, "II")
+    code, _, err = run(capsys, "classical", str(path))
+    assert code == (0 if game.n1 == game.n2 else 1), err
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +681,22 @@ def test_game_file_with_embedded_measurement(tmp_path, capsys):
     assert "payoff I  = 3" in out
     code, out, _ = run(capsys, "tensor", str(path), "I", "--check-fixture")
     assert code == 0
+
+
+@pytest.mark.parametrize("kind", ["game", "povm"])
+def test_json_booleans_are_not_numbers(kind, tmp_path, capsys):
+    # false stands where 0 does, so it would read as the same number
+    path = tmp_path / f"bool.{kind}"
+    if kind == "game":
+        doc, argv = _with_rho_entry(1, 1, [0, False]), ("validate", str(path))
+    else:
+        doc = _bundled("ewl.povm")
+        doc["payoffs_I"][2] = False
+        argv = (*SIMULATE_IDENTITY[:2], str(path), *SIMULATE_IDENTITY[3:])
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("parse error: ")
 
 
 def test_parse_error_names_position(tmp_path):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qgame import cli
+from qgame import cli, files
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,6 +43,20 @@ def test_cli_workload_checks_pass_in_process(monkeypatch, capsys):
         proc = subprocess.CompletedProcess(["qgame", *command.argv], code, out, err)
         failures.append(workload.check(command, proc))
     assert failures == [None] * len(workloads.COMMANDS)
+
+
+def test_cli_workload_commands_render_json(monkeypatch, capsys):
+    # each command's JSON form exits as its text form does, and its output
+    # round-trips through parse_document and emit_document
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for command in importlib.import_module("workloads").COMMANDS:
+        text_code = cli.main(list(command.argv))
+        capsys.readouterr()
+        flag = ["--format", "json"] if command.argv[0] == "tensor" else ["--json"]
+        code = cli.main([*command.argv, *flag])
+        out = capsys.readouterr().out
+        assert code == text_code, command.label
+        assert files.emit_document(files.parse_document(out)) == out, command.label
 
 
 @pytest.mark.parametrize("corpus", ["tuned", "held-out"])
