@@ -72,7 +72,6 @@ from .quantum import (
     chi_to_kraus,
     identity_chi,
     kraus_to_chi,
-    maximally_mixing_chi,
     measure_probs,
     shift_channel,
     validate_chi,

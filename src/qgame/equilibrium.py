@@ -50,7 +50,7 @@ from .game import (
     response_value,
 )
 from .linalg import hermitian_part
-from .quantum import ChiMatrix, maximally_mixing_chi, partial_trace_first, validate_chi
+from .quantum import ChiMatrix, partial_trace_first, validate_chi
 
 # relative to max(1, |H|); STOP_GAP_RTOL is about the certified bound's accuracy
 WEAK_DUALITY_RTOL = 1e-8
@@ -156,11 +156,6 @@ def best_response(problem: ResponseProblem, max_iters: int = 5000,
     h = hermitian_part(problem.matrix)
     eig_h = np.linalg.eigvalsh(h)
     scale = float(max(-eig_h[0], eig_h[-1]))
-    if scale <= 1e-14:
-        chi = maximally_mixing_chi(n)
-        value = response_value(problem, chi)
-        return BestResponseResult(value, chi, value, 0.0, 0, True)
-
     # the method runs on H / max(1, |H|), so that its stopping gap is absolute
     norm = max(1.0, scale)
     h = h / norm
@@ -280,7 +275,7 @@ def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float
     payoff_ii = response_value(problem_ii, xi)
     br_i = best_response(problem_i, max_iters, solver_tol)
     br_ii = best_response(problem_ii, max_iters, solver_tol)
-    limit_i, limit_ii = (epsilon * max(1.0, float(np.linalg.norm(hermitian_part(p.matrix), 2)))
+    limit_i, limit_ii = (epsilon * max(1.0, float(np.linalg.norm(p.matrix, 2)))
                          for p in (problem_i, problem_ii))
     gap_i = br_i.dual_bound - payoff_i
     gap_ii = br_ii.dual_bound - payoff_ii

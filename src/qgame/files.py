@@ -10,8 +10,10 @@ raise the matching ``ValidationError`` subclass (CLI exit 1).
 A ``.game`` file holds ``n1``, ``n2``, ``rho`` and either two explicit
 payoff operators or a measurement plus payoff vectors from which the
 operators are folded.  A ``.strategy`` file holds one of four payload
-kinds: ``kraus``, ``chi``, ``unitary`` or ``classical``.  A ``.povm`` file
-holds measurement elements plus both players' payoff vectors.
+kinds: ``kraus``, ``chi``, ``unitary`` or ``classical``; its dimension
+comes from the game (a ``chi`` matrix is checked against the player's n,
+and an ``n`` field in the file is not read).  A ``.povm`` file holds
+measurement elements plus both players' payoff vectors.
 """
 
 from __future__ import annotations
@@ -123,14 +125,19 @@ def parse_document(text: str) -> dict:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
+def bundled_path(name) -> pathlib.Path:
+    """The packaged data file with the final component of ``name``."""
+    return pathlib.Path(str(resources.files("qgame").joinpath(f"data/{pathlib.Path(name).name}")))
+
+
 def resolve_input(name) -> pathlib.Path:
     """Resolve an input path: the filesystem first, then bundled data files."""
     p = pathlib.Path(name)
     if p.is_file():
         return p
-    bundled = resources.files("qgame").joinpath(f"data/{pathlib.Path(name).name}")
+    bundled = bundled_path(name)
     if bundled.is_file():
-        return pathlib.Path(str(bundled))
+        return bundled
     raise ParseError(f"no such input file: {name}")
 
 
@@ -140,7 +147,7 @@ def load_document(path) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{resolved.name}: top level must be an object")
     version = doc.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if not (_is_number(version) and version == FORMAT_VERSION):
         raise ParseError(
             f"{resolved.name}: unsupported format_version {version!r}, expected {FORMAT_VERSION}"
         )

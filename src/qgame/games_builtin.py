@@ -1,23 +1,28 @@
 """The built-in quantized prisoner's dilemma and its reference fixtures.
 
-Ships the game exactly as specified by its defining matrices, the pair of
-equilibrium strategies, and the hand-transcribed 16x16 reference payoff
-grids used as the central regression fixture.
+The game, the referee's measurement and the reference strategies are the
+packaged data files (``ewl.game``, ``ewl.povm`` and ``<name>.strategy``),
+read by explicit path through :mod:`qgame.files`, so the library and the
+CLI build them from one definition.  The hand-transcribed 16x16 reference
+payoff grids are the central regression fixture.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from .errors import FixtureCorrupt
-from .game import QuantumGame, build_game, validate_tensor_entries
-from .quantum import ChiMatrix, Povm, validate_chi, validate_povm
+from .files import bundled_path, load_game, load_povm_file, load_strategy
+from .game import QuantumGame, validate_tensor_entries
+from .quantum import ChiMatrix, Povm
 
 FIXTURE_NAME = "figure1_tensors.txt"
+
+# per-player dimension of the bundled game; the loaders check the files against it
+_N = 2
 
 
 @dataclass(frozen=True)
@@ -28,102 +33,48 @@ class NamedGame:
     reference_strategies: tuple[tuple[str, ChiMatrix], ...]
 
 
-def _ewl_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rho = np.array(
-        [
-            [0.5, 0, 0, -0.5j],
-            [0, 0, 0, 0],
-            [0, 0, 0, 0],
-            [0.5j, 0, 0, 0.5],
-        ],
-        dtype=complex,
-    )
-    r_i = np.array(
-        [
-            [2, 0, 0, -1j],
-            [0, 2.5, 2.5j, 0],
-            [0, -2.5j, 2.5, 0],
-            [1j, 0, 0, 2],
-        ],
-        dtype=complex,
-    )
-    r_ii = np.array(
-        [
-            [2, 0, 0, -1j],
-            [0, 2.5, -2.5j, 0],
-            [0, 2.5j, 2.5, 0],
-            [1j, 0, 0, 2],
-        ],
-        dtype=complex,
-    )
-    return rho, r_i, r_ii
+def _bundled_chi(name: str) -> ChiMatrix:
+    return load_strategy(bundled_path(f"{name}.strategy"), _N).chi
 
 
 def ewl_equilibrium_strategies() -> tuple[ChiMatrix, ChiMatrix]:
     """The equilibrium strategy pair (chi*, xi*) with common payoff 2.5.
 
     chi* has unit diagonal entries at the flattened labels (0,0) and (0,1),
-    xi* at (1,0) and (1,1); both are validated members of the strategy set.
+    xi* at (1,0) and (1,1); both are validated members of the strategy set,
+    read from ``chi_star.strategy`` and ``xi_star.strategy``.
     """
-    chi_star = validate_chi(np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex), 2)
-    xi_star = validate_chi(np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex), 2)
-    return chi_star, xi_star
+    return _bundled_chi("chi_star"), _bundled_chi("xi_star")
 
 
 def ewl_referee_measurement() -> tuple[Povm, np.ndarray, np.ndarray]:
-    """The referee's 4-outcome projective measurement and payoff vectors.
+    """The referee's 4-outcome projective measurement and payoff vectors, ``ewl.povm``.
 
     The two payoff operators commute, so they share an eigenbasis; measuring
     in it and paying the matching eigenvalue pair reproduces both operators
     exactly via the payoff-operator fold.
     """
-    s = 1 / np.sqrt(2)
-    vectors = np.array(
-        [
-            [s, 0, 0, 1j * s],
-            [s, 0, 0, -1j * s],
-            [0, s, 1j * s, 0],
-            [0, s, -1j * s, 0],
-        ],
-        dtype=complex,
-    )
-    projectors = np.stack([np.outer(v, v.conj()) for v in vectors])
-    povm = validate_povm(projectors)
-    payoffs_i = np.array([3.0, 1.0, 0.0, 5.0])
-    payoffs_ii = np.array([3.0, 1.0, 5.0, 0.0])
-    return povm, payoffs_i, payoffs_ii
+    return load_povm_file(bundled_path("ewl.povm"), _N * _N)
 
 
 def ewl_prisoners_dilemma() -> NamedGame:
-    """Construct the built-in quantized prisoner's dilemma.
+    """The built-in quantized prisoner's dilemma, ``ewl.game``, and its reference strategies.
 
     The initial state is the maximally entangled pure state with +-i/2
     corner coherences; restricting both players to the identity and the bit
     flip recovers the classical bimatrix [[(3,3),(0,5)],[(5,0),(1,1)]].
     Its reference payoff tensors are :func:`figure1_reference_tensors`.
     """
-    rho, r_i, r_ii = _ewl_matrices()
-    game = build_game(rho, r_i, r_ii, n1=2, n2=2)
-    chi_star, xi_star = ewl_equilibrium_strategies()
-    identity = validate_chi(
-        np.array([[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex), 2
-    )
-    bitflip = validate_chi(
-        np.array([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]], dtype=complex), 2
-    )
     return NamedGame(
-        game=game,
-        reference_strategies=(
-            ("chi_star", chi_star),
-            ("xi_star", xi_star),
-            ("identity", identity),
-            ("bitflip", bitflip),
+        game=load_game(bundled_path("ewl.game")),
+        reference_strategies=tuple(
+            (name, _bundled_chi(name)) for name in ("chi_star", "xi_star", "identity", "bitflip")
         ),
     )
 
 
 def _fixture_text() -> str:
-    return resources.files("qgame").joinpath(f"data/{FIXTURE_NAME}").read_text()
+    return bundled_path(FIXTURE_NAME).read_text()
 
 
 def _parse_fixture(text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -348,8 +348,3 @@ def shift_channel(n: int, s: int) -> KrausChannel:
 def identity_chi(n: int) -> ChiMatrix:
     """Chi matrix of the identity channel, the zeroth power of the cyclic shift."""
     return kraus_to_chi(shift_channel(n, 0))
-
-
-def maximally_mixing_chi(n: int) -> ChiMatrix:
-    """Chi matrix of the channel sending every state to the maximally mixed one."""
-    return ChiMatrix(np.eye(n * n, dtype=complex) / n, n)

@@ -10,6 +10,7 @@ import pytest
 from qgame import cli, files
 from qgame.errors import LengthMismatch, ParseError, ValidationError
 from qgame.game import build_game, payoff_tensor_matrix_unit, response_problem
+from qgame.games_builtin import ewl_referee_measurement
 from qgame.linalg import Check, hermitian_part
 from qgame.quantum import identity_chi
 from qgame.random_ops import random_density, random_hermitian
@@ -196,6 +197,10 @@ def test_unknown_format_version_is_parse_error(tmp_path, capsys):
     strategy.write_text(json.dumps({"format_version": 2, "kind": "classical", "index": 0}))
     code, _, err = run(capsys, "payoff", "ewl.game", str(strategy), "identity.strategy")
     assert code == 2 and "format_version 2" in err
+    # true is not the number 1, though Python's bool is an int
+    path.write_text(json.dumps(_with("format_version", True)))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and "format_version True" in err
     # files without the field are read as the current version
     strategy.write_text(json.dumps({"kind": "classical", "index": 0}))
     code, _, _ = run(capsys, "payoff", "ewl.game", str(strategy), "identity.strategy")
@@ -724,11 +729,21 @@ def test_non_square_matrix_is_parse_error(tmp_path, capsys):
     assert "square" in err
 
 
-def test_bundled_game_equals_builtin(ewl_game):
+def test_bundled_game_equals_builtin(ewl, ewl_stars):
     loaded = files.load_game("ewl.game")
-    np.testing.assert_array_equal(loaded.rho.matrix, ewl_game.rho.matrix)
-    np.testing.assert_array_equal(loaded.payoff_op_i, ewl_game.payoff_op_i)
-    np.testing.assert_array_equal(loaded.payoff_op_ii, ewl_game.payoff_op_ii)
+    np.testing.assert_array_equal(loaded.rho.matrix, ewl.game.rho.matrix)
+    np.testing.assert_array_equal(loaded.payoff_op_i, ewl.game.payoff_op_i)
+    np.testing.assert_array_equal(loaded.payoff_op_ii, ewl.game.payoff_op_ii)
+    assert [name for name, _ in ewl.reference_strategies] == [
+        "chi_star", "xi_star", "identity", "bitflip"]
+    builtins = [*ewl.reference_strategies, *zip(("chi_star", "xi_star"), ewl_stars)]
+    for name, chi in builtins:
+        np.testing.assert_array_equal(
+            chi.matrix, files.load_strategy(f"{name}.strategy", 2).chi.matrix)
+    povm, *payoffs = ewl_referee_measurement()
+    loaded_povm, *loaded_payoffs = files.load_povm_file("ewl.povm", 4)
+    np.testing.assert_array_equal(povm.elements, loaded_povm.elements)
+    np.testing.assert_array_equal(payoffs, loaded_payoffs)
 
 
 def test_game_payload_round_trip(ewl_game):

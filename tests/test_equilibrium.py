@@ -122,10 +122,10 @@ def test_best_response_zero_objective(rng):
     game = build_game(rho, np.zeros((4, 4)), np.zeros((4, 4)), 2, 2)
     problem = response_problem(payoff_tensor_matrix_unit(game, "I"), random_chi(2, rng), "I")
     result = best_response(problem)
-    assert result.value == pytest.approx(0.0, abs=1e-12)
-    assert result.iterations == 0
+    assert result.value == result.dual_bound == result.gap == 0.0
+    assert result.iterations == 0 and result.converged
     # canonical feasible point: the maximally mixing strategy
-    np.testing.assert_allclose(result.chi_opt.matrix, np.eye(4) / 2, atol=1e-12)
+    np.testing.assert_array_equal(result.chi_opt.matrix, np.eye(4) / 2)
 
 
 def test_best_response_weak_duality_and_feasibility(rng):

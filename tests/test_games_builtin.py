@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import paper_rho
+from qgame import files
 from qgame.errors import FixtureCorrupt
 from qgame.game import (
     classical_reduction,
     matrix_unit_basis,
     payoff_contract,
+    payoff_operator,
     payoff_tensor_general,
     payoff_tensor_matrix_unit,
 )
@@ -14,6 +18,8 @@ from qgame.games_builtin import (
     _parse_fixture,
     _fixture_text,
     ewl_equilibrium_strategies,
+    ewl_prisoners_dilemma,
+    ewl_referee_measurement,
     figure1_reference_tensors,
 )
 from qgame.linalg import hermitian_eigen
@@ -43,6 +49,24 @@ def test_identity_play_value(ewl_game):
     # hand contraction: diagonal part 2*(1/2) + 2*(1/2), corners (-i)(i/2) + (i)(-i/2)
     value = np.trace(ewl_game.payoff_op_i @ ewl_game.rho.matrix)
     assert value == pytest.approx(3.0)
+
+
+def test_referee_measurement_folds_to_payoff_operators_exactly(ewl_game):
+    povm, a_i, a_ii = ewl_referee_measurement()
+    np.testing.assert_array_equal(payoff_operator(povm, a_i), ewl_game.payoff_op_i)
+    np.testing.assert_array_equal(payoff_operator(povm, a_ii), ewl_game.payoff_op_ii)
+
+
+def test_builtin_game_ignores_working_directory(ewl_game, tmp_path, monkeypatch):
+    doc = json.loads(files.bundled_path("ewl.game").read_text())
+    doc["payoff_ops"]["I"][0][0] = [7, 0]
+    (tmp_path / "ewl.game").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert files.load_game("ewl.game").payoff_op_i[0, 0] == 7
+    game = ewl_prisoners_dilemma().game
+    np.testing.assert_array_equal(game.rho.matrix, ewl_game.rho.matrix)
+    np.testing.assert_array_equal(game.payoff_op_i, ewl_game.payoff_op_i)
+    np.testing.assert_array_equal(game.payoff_op_ii, ewl_game.payoff_op_ii)
 
 
 def test_reference_strategies_all_validate(ewl):
