@@ -3,9 +3,9 @@
 
 Draws random opponent strategies, solves the certified best response, and
 compares it with the brute-force unitary grid and with random extreme
-points of the strategy set.  The solver should dominate both lower bounds
-and every gap should certify; use this before trusting the solver on a new
-game.
+points of the strategy set, on the built-in game or, with
+``--random-games``, on random 2x2 games.  The solver should dominate both
+lower bounds and every gap should certify.
 """
 
 import argparse

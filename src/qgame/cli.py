@@ -10,9 +10,10 @@ Subcommands::
     qgame simulate GAME POVM STRATEGY_I STRATEGY_II [--rounds N] [--seed S] [--json]
     qgame classical GAME [--json]
 
-Input arguments resolve against the filesystem first and then against the
-bundled data files, so ``qgame payoff ewl.game chi_star.strategy
-xi_star.strategy`` works from any directory.
+Input arguments resolve against the filesystem first; a bare file name (no
+directory part) that is not there then resolves against the bundled data
+files, so ``qgame payoff ewl.game chi_star.strategy xi_star.strategy`` works
+from any directory.
 
 Every command computes one payload and renders it once: as JSON with
 ``--json`` (``--format json`` for tensor), otherwise as text.
@@ -20,8 +21,11 @@ Every command computes one payload and renders it once: as JSON with
 Exit codes are a stable contract: 0 success, 1 validation failure (including
 a negative verify-nash verdict), 2 parse/usage error, 3 internal cross-check
 failure, 4 non-convergence or an undecided verify-nash verdict.
-``QGAME_TOL`` optionally overrides the default validation tolerances with a
-finite number >= 0.
+``QGAME_TOL`` optionally overrides, with a finite number >= 0, the default
+tolerances of the checks on input files and of ``simulate``'s
+measurement-consistency check.  The re-checks of the players' output state
+(fixed at 1e-8) and of a chi strategy converted to Kraus operators (default
+tolerances) do not follow it.
 """
 
 from __future__ import annotations

@@ -19,13 +19,14 @@ measurement elements plus both players' payoff vectors.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import DimensionMismatch, ParseError, ValidationError
 from .game import QuantumGame, build_game, game_checks, payoff_length_check, payoff_operator
 from .linalg import Check, require
 from .quantum import (
@@ -131,12 +132,12 @@ def bundled_path(name) -> pathlib.Path:
 
 
 def resolve_input(name) -> pathlib.Path:
-    """Resolve an input path: the filesystem first, then bundled data files."""
+    """Resolve an input path: the filesystem first, then bundled data for a bare file name."""
     p = pathlib.Path(name)
     if p.is_file():
         return p
     bundled = bundled_path(name)
-    if bundled.is_file():
+    if os.path.dirname(name) == "" and bundled.is_file():
         return bundled
     raise ParseError(f"no such input file: {name}")
 
@@ -154,6 +155,12 @@ def load_document(path) -> dict:
     return doc
 
 
+def _dimension_check(what: str, dim: int, need: int) -> Check:
+    """An operation from a file acts on the dimension the game gives it."""
+    return Check(f"{what} dimension", abs(dim - need), 0, DimensionMismatch,
+                 f"acts on dim {dim}, game needs {need}")
+
+
 def _measurement_fields(doc: dict, what: str) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """The ``elements``, ``payoffs_I`` and ``payoffs_II`` of a measurement, parsed."""
     elements = _require(doc, "elements", what)
@@ -168,12 +175,11 @@ def _measurement_fields(doc: dict, what: str) -> tuple[list[np.ndarray], np.ndar
 # game files
 # ---------------------------------------------------------------------------
 
-def parse_game_raw(path) -> dict:
-    """Parse a .game file structurally, without physical validation.
+def _parse_game(path, tol: float | None) -> tuple[list[Check], tuple | None]:
+    """A .game file's measurement checks, and :func:`build_game`'s positional arguments.
 
-    Returns a dict with keys n1, n2, rho (ndarray) and either
-    payoff_ops = {"I": ndarray, "II": ndarray} or
-    povm = (elements ndarray list, payoffs_i, payoffs_ii).
+    The arguments are ``None`` when a payoff vector's length leaves no
+    operator to fold.
     """
     doc = load_document(path)
     what = "game file"
@@ -181,40 +187,28 @@ def parse_game_raw(path) -> dict:
     n2 = _int_field(doc, "n2", what)
     if n1 < 2 or n2 < 2:
         raise ParseError(f"{what}: per-player dimensions must be at least 2")
-    out: dict = {
-        "n1": n1,
-        "n2": n2,
-        "rho": matrix_from_lists(_require(doc, "rho", what), "rho"),
-    }
+    rho = matrix_from_lists(_require(doc, "rho", what), "rho")
+    checks: list[Check] = []
     if "payoff_ops" in doc:
-        ops = doc["payoff_ops"]
-        if not isinstance(ops, dict):
+        fields = doc["payoff_ops"]
+        if not isinstance(fields, dict):
             raise ParseError(f"{what}: payoff_ops must be an object with fields 'I' and 'II'")
-        out["payoff_ops"] = {
-            "I": matrix_from_lists(_require(ops, "I", "payoff_ops"), "payoff operator I"),
-            "II": matrix_from_lists(_require(ops, "II", "payoff_ops"), "payoff operator II"),
-        }
+        ops = [matrix_from_lists(_require(fields, label, "payoff_ops"), f"payoff operator {label}")
+               for label in ("I", "II")]
     elif "povm" in doc:
         if not isinstance(doc["povm"], dict):
             raise ParseError(f"{what}: povm must be an object")
-        out["povm"] = _measurement_fields(doc["povm"], "povm")
+        elements, *vectors = _measurement_fields(doc["povm"], "povm")
+        povm = Povm(operator_stack(elements, "POVM element"))
+        lengths = [payoff_length_check(povm.outcome_count, vec, f"payoffs {label}")
+                   for label, vec in zip(("I", "II"), vectors)]
+        checks = [completeness_check(povm.elements, tol, "measurement"), *lengths]
+        if not all(check.passed for check in lengths):
+            return checks, None
+        ops = [payoff_operator(povm, vec) for vec in vectors]
     else:
         raise ParseError(f"{what}: needs either payoff_ops or povm")
-    return out
-
-
-def _payoff_operators(raw: dict, tol: float | None) -> tuple[list[Check], tuple | None]:
-    """A parsed game's measurement checks, and its payoff operators if they can be folded."""
-    if "payoff_ops" in raw:
-        return [], (raw["payoff_ops"]["I"], raw["payoff_ops"]["II"])
-    elements, *vectors = raw["povm"]
-    povm = Povm(operator_stack(elements, "POVM element"))
-    lengths = [payoff_length_check(povm.outcome_count, vec, f"payoffs {label}")
-               for label, vec in zip(("I", "II"), vectors)]
-    checks = [completeness_check(povm.elements, tol, "measurement"), *lengths]
-    if not all(check.passed for check in lengths):
-        return checks, None
-    return checks, tuple(payoff_operator(povm, vec) for vec in vectors)
+    return checks, (rho, *ops, n1, n2)
 
 
 def game_file_checks(path, tol: float | None = None) -> list[Check]:
@@ -222,19 +216,15 @@ def game_file_checks(path, tol: float | None = None) -> list[Check]:
 
     Non-finite entries and POVM elements of mixed sizes raise instead.
     """
-    raw = parse_game_raw(path)
-    checks, ops = _payoff_operators(raw, tol)
-    if ops is None:
-        return checks
-    return checks + list(game_checks(raw["rho"], *ops, raw["n1"], raw["n2"], tol))
+    checks, args = _parse_game(path, tol)
+    return checks if args is None else checks + list(game_checks(*args, tol))
 
 
 def load_game(path, tol: float | None = None) -> QuantumGame:
     """Parse and fully validate a .game file."""
-    raw = parse_game_raw(path)
-    checks, ops = _payoff_operators(raw, tol)
+    checks, args = _parse_game(path, tol)
     require(checks)
-    return build_game(raw["rho"], *ops, raw["n1"], raw["n2"], tol)
+    return build_game(*args, tol)
 
 
 def game_to_payload(game: QuantumGame) -> dict:
@@ -293,8 +283,7 @@ def load_strategy(path, n: int, tol: float | None = None) -> LoadedStrategy:
             # unitarity is exactly the one-operator completeness sum
             mats = [matrix_from_lists(_require(doc, "matrix", what), "unitary matrix")]
         channel = validate_kraus(mats, tol)
-        if channel.dim != n:
-            raise ValidationError(f"strategy acts on dim {channel.dim}, game needs {n}")
+        require([_dimension_check("strategy", channel.dim, n)])
     return LoadedStrategy(kraus_to_chi(channel), channel)
 
 
@@ -305,6 +294,5 @@ def load_strategy(path, n: int, tol: float | None = None) -> LoadedStrategy:
 def load_povm_file(path, dim: int, tol: float | None = None) -> tuple[Povm, np.ndarray, np.ndarray]:
     mats, payoffs_i, payoffs_ii = _measurement_fields(load_document(path), "povm file")
     povm = validate_povm(mats, tol)
-    if povm.dim != dim:
-        raise ValidationError(f"measurement acts on dim {povm.dim}, game needs {dim}")
+    require([_dimension_check("measurement", povm.dim, dim)])
     return povm, payoffs_i, payoffs_ii

@@ -101,15 +101,12 @@ def game_checks(rho, payoff_i, payoff_ii, n1: int, n2: int,
                 tol: float | None = None) -> Iterator[Check]:
     """Every check of :func:`build_game`, in the order it applies them.
 
-    The state checks of ``rho`` (none for a built ``DensityMatrix``), the
-    dimensions, and the Hermiticity of both payoff operators; non-finite
-    inputs raise at once.
+    The state checks of ``rho`` (a ``DensityMatrix`` is checked like an
+    array), the dimensions, and the Hermiticity of both payoff operators;
+    non-finite inputs raise at once.
     """
-    if isinstance(rho, DensityMatrix):
-        state = rho.matrix
-    else:
-        state = linalg.as_matrix(rho, "rho")
-        yield from density_checks(state, tol, "rho")
+    state = linalg.as_matrix(rho, "rho")
+    yield from density_checks(state, tol, "rho")
     ops = (linalg.as_matrix(payoff_i, "payoff operator I"),
            linalg.as_matrix(payoff_ii, "payoff operator II"))
     dims = [state.shape[0], ops[0].shape[0], ops[1].shape[0]]
@@ -122,13 +119,13 @@ def game_checks(rho, payoff_i, payoff_ii, n1: int, n2: int,
 def build_game(rho, payoff_i, payoff_ii, n1: int, n2: int, tol: float | None = None) -> QuantumGame:
     """Validate and assemble a game.
 
-    Raises the error of the first failed :func:`game_checks` check.  The
-    game stores the exact Hermitian part of the state and of both payoff
-    operators, so the payoff tensor's Hermiticity pairing holds exactly.
+    Raises the error of the first failed :func:`game_checks` check; a
+    ``DensityMatrix`` is checked like an array.  The game stores the exact
+    Hermitian part of the state and of both payoff operators, so the payoff
+    tensor's Hermiticity pairing holds exactly.
     """
     linalg.require(game_checks(rho, payoff_i, payoff_ii, n1, n2, tol))
-    state = rho.matrix if isinstance(rho, DensityMatrix) else rho
-    return QuantumGame(DensityMatrix(linalg.hermitian_part(state)),
+    return QuantumGame(DensityMatrix(linalg.hermitian_part(rho)),
                        linalg.hermitian_part(payoff_i), linalg.hermitian_part(payoff_ii), n1, n2)
 
 

@@ -56,6 +56,10 @@ class DensityMatrix:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
 
+    def __array__(self, dtype=None, copy=None):
+        """A copy of the matrix, so that numpy reads a state as it reads any array."""
+        return np.array(self.matrix, dtype=dtype)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

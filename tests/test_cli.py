@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qgame import cli, files
-from qgame.errors import LengthMismatch, ParseError, ValidationError
+from qgame.errors import DimensionMismatch, LengthMismatch, ParseError, ValidationError
 from qgame.game import build_game, payoff_tensor_matrix_unit, response_problem
 from qgame.games_builtin import ewl_referee_measurement
 from qgame.linalg import Check, hermitian_part
@@ -59,6 +59,17 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "definitely-not-there.game")
     assert code == 2
     assert "no such input file" in err
+
+
+def test_only_bare_names_fall_back_to_bundled_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("no/such/dir/ewl.game", "./ewl.game"):
+        code, _, err = run(capsys, "validate", name)
+        assert code == 2, name
+        assert f"no such input file: {name}" in err
+    code, out, err = run(capsys, "validate", "ewl.game")
+    assert code == 0, err
+    assert "FAIL" not in out
 
 
 def _bundled(name):
@@ -771,3 +782,29 @@ def test_closed_pipe_exits_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) in range(5)
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize("kind", ["kraus", "unitary"])
+def test_strategy_of_wrong_dimension_is_dimension_mismatch(kind, tmp_path, capsys):
+    qutrit = files.matrix_to_lists(np.eye(3))
+    doc = {"kind": kind, "operators": [qutrit]} if kind == "kraus" else {"kind": kind, "matrix": qutrit}
+    path = tmp_path / "qutrit.strategy"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DimensionMismatch, match="strategy dimension failed: acts on dim 3, game needs 2"):
+        files.load_strategy(path, 2)
+    code, _, err = run(capsys, "payoff", "ewl.game", str(path), "identity.strategy")
+    assert code == 1
+    assert err.startswith("validation error: strategy dimension failed")
+
+
+def test_measurement_of_wrong_dimension_is_dimension_mismatch(tmp_path, capsys):
+    path = tmp_path / "joint9.povm"
+    path.write_text(json.dumps({"elements": [files.matrix_to_lists(np.eye(9))],
+                                "payoffs_I": [1.0], "payoffs_II": [1.0]}))
+    game = files.load_game("ewl.game")
+    with pytest.raises(DimensionMismatch, match="measurement dimension failed: acts on dim 9, game needs 4"):
+        files.load_povm_file(path, game.rho.dim)
+    code, _, err = run(capsys, "simulate", "ewl.game", str(path), "identity.strategy",
+                       "identity.strategy", "--seed", "1")
+    assert code == 1
+    assert err.startswith("validation error: measurement dimension failed")

@@ -10,12 +10,16 @@ from qgame.errors import (
     InconsistentMeasurement,
     LengthMismatch,
     NonRealPayoff,
+    NotHermitian,
+    NotPositive,
+    TraceNotOne,
     UnsupportedDimension,
     ValidationError,
 )
 from qgame.game import (
     build_game,
     classical_reduction,
+    game_checks,
     matrix_unit_basis,
     payoff_contract,
     payoff_direct,
@@ -29,6 +33,7 @@ from qgame.game import (
 from qgame.games_builtin import ewl_referee_measurement
 from qgame.linalg import hermitian_part
 from qgame.quantum import (
+    DensityMatrix,
     identity_chi,
     kraus_to_chi,
     measure_probs,
@@ -404,3 +409,25 @@ def test_build_game_rejects_non_hermitian_payoff(rng):
     bad[0, 1] = 1.0
     with pytest.raises(ValidationError):
         build_game(rho, bad, np.eye(4), 2, 2)
+
+
+INVALID_STATES = {
+    "trace-four": (np.eye(4), TraceNotOne),
+    "negative-eigenvalue": (np.diag([1.5, -0.5, 0.0, 0.0]), NotPositive),
+    "non-hermitian": (np.eye(4) / 4 + 0.1 * np.triu(np.ones((4, 4)), 1), NotHermitian),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_STATES))
+def test_build_game_checks_a_density_matrix_like_an_array(case):
+    state, error = INVALID_STATES[case]
+    for rho in (state, DensityMatrix(state)):
+        with pytest.raises(error):
+            build_game(rho, np.eye(4), np.eye(4), 2, 2)
+
+
+def test_game_checks_list_a_density_matrix_like_an_array(rng):
+    rho = random_density(4, rng)
+    ops = (random_hermitian(4, rng), random_hermitian(4, rng))
+    # same names, residuals, limits and details, in the same order
+    assert list(game_checks(rho, *ops, 2, 2)) == list(game_checks(rho.matrix, *ops, 2, 2))
