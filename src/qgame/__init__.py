@@ -67,7 +67,6 @@ from .quantum import (
     KrausChannel,
     Povm,
     apply_channel,
-    apply_chi,
     apply_product_channel,
     chi_to_kraus,
     identity_chi,

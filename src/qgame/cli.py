@@ -23,9 +23,8 @@ a negative verify-nash verdict), 2 parse/usage error, 3 internal cross-check
 failure, 4 non-convergence or an undecided verify-nash verdict.
 ``QGAME_TOL`` optionally overrides, with a finite number >= 0, the default
 tolerances of the checks on input files and of ``simulate``'s
-measurement-consistency check.  The re-checks of the players' output state
-(fixed at 1e-8) and of a chi strategy converted to Kraus operators (default
-tolerances) do not follow it.
+measurement-consistency check; the re-checks of a chi strategy's Kraus form
+and of the players' output state follow it.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .game import (
     state_payoff,
 )
 from .games_builtin import figure1_reference_tensors
-from .quantum import apply_product_channel, chi_to_kraus
+from .quantum import apply_product_channel, kraus_to_chi
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -180,17 +179,20 @@ def cmd_payoff(args) -> tuple[int, dict]:
     value_i = payoff_contract(tensor_i, strat_i.chi, strat_ii.chi)
     value_ii = payoff_contract(tensor_ii, strat_i.chi, strat_ii.chi)
 
-    if strat_i.channel is not None and strat_ii.channel is not None:
-        pi = apply_product_channel(strat_i.channel, strat_ii.channel, game.rho)
-        worst = max(abs(state_payoff(game, pi, "I") - value_i),
-                    abs(state_payoff(game, pi, "II") - value_ii))
-        # both payoffs carry rounding of order eps * max|R|
-        limit = CROSS_CHECK_ATOL * max(1.0, float(np.max(np.abs(game.payoff_op_i))),
-                                       float(np.max(np.abs(game.payoff_op_ii))))
-        if worst > limit:
-            raise CrossCheckFailure(
-                f"contraction and direct evaluation disagree by {worst:.3e} > {limit:.1e}"
-            )
+    pi = apply_product_channel(strat_i.channel, strat_ii.channel, game.rho, args.tol)
+    worst = max(abs(state_payoff(game, pi, "I") - value_i),
+                abs(state_payoff(game, pi, "II") - value_ii))
+    # both payoffs carry rounding of order eps * max|R|; the direct path plays Kraus
+    # forms, and what one drops from chi moves a payoff by |R| times its trace norm
+    ops = (game.payoff_op_i, game.payoff_op_ii)
+    dropped = sum(np.linalg.norm(s.chi.matrix - kraus_to_chi(s.channel).matrix, "nuc")
+                  for s in (strat_i, strat_ii))
+    limit = (CROSS_CHECK_ATOL * max(1.0, *(float(np.max(np.abs(r))) for r in ops))
+             + max(np.linalg.norm(r, 2) for r in ops) * dropped)
+    if worst > limit:
+        raise CrossCheckFailure(
+            f"contraction and direct evaluation disagree by {worst:.3e} > {limit:.1e}"
+        )
     return EXIT_OK, {"payoff_I": value_i, "payoff_II": value_ii}
 
 
@@ -255,14 +257,12 @@ def cmd_simulate(args) -> tuple[int, dict]:
     game = files.load_game(args.game, args.tol)
     povm, payoffs_i, payoffs_ii = files.load_povm_file(args.povm, game.rho.dim, args.tol)
     strat_i, strat_ii = _load_pair(args, game)
-    channel_i = strat_i.channel if strat_i.channel is not None else chi_to_kraus(strat_i.chi)
-    channel_ii = strat_ii.channel if strat_ii.channel is not None else chi_to_kraus(strat_ii.chi)
 
     seed = args.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFFFFFFFFFF
     rng = np.random.default_rng(seed)
-    result = simulate_play(game, povm, payoffs_i, payoffs_ii, channel_i, channel_ii,
+    result = simulate_play(game, povm, payoffs_i, payoffs_ii, strat_i.channel, strat_ii.channel,
                            args.rounds, rng, args.tol)
     payload = {"seed": seed, "rounds": result.rounds}
     for label, mean, stderr, exact in (
@@ -284,7 +284,7 @@ def text_simulate(payload, args) -> None:
 
 
 def cmd_classical(args) -> tuple[int, dict]:
-    bimatrix = classical_reduction(files.load_game(args.game, args.tol))
+    bimatrix = classical_reduction(files.load_game(args.game, args.tol), args.tol)
     return EXIT_OK, {"payoff_I": bimatrix.payoff_i, "payoff_II": bimatrix.payoff_ii}
 
 

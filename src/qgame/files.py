@@ -33,6 +33,7 @@ from .quantum import (
     ChiMatrix,
     KrausChannel,
     Povm,
+    chi_to_kraus,
     completeness_check,
     kraus_to_chi,
     operator_stack,
@@ -246,15 +247,14 @@ def game_to_payload(game: QuantumGame) -> dict:
 
 @dataclass(frozen=True)
 class LoadedStrategy:
-    """A strategy bound to a player dimension.
+    """A strategy bound to a player dimension, in both forms of it.
 
-    ``chi`` is always populated; ``channel`` is populated for the kinds that
-    come with an explicit Kraus form (kraus, unitary, classical), enabling
-    the direct-evaluation cross-check.
+    ``channel`` is the file's Kraus set and ``chi`` its ``kraus_to_chi``, or
+    for a chi file ``chi`` is the file's and ``channel`` its ``chi_to_kraus``.
     """
 
     chi: ChiMatrix
-    channel: KrausChannel | None
+    channel: KrausChannel
 
 
 def load_strategy(path, n: int, tol: float | None = None) -> LoadedStrategy:
@@ -265,8 +265,8 @@ def load_strategy(path, n: int, tol: float | None = None) -> LoadedStrategy:
         raise ParseError(f"{what}: kind must be one of {STRATEGY_KINDS}, got {kind!r}")
 
     if kind == "chi":
-        mat = matrix_from_lists(_require(doc, "matrix", what), "chi matrix")
-        return LoadedStrategy(validate_chi(mat, n, tol), None)
+        chi = validate_chi(matrix_from_lists(_require(doc, "matrix", what), "chi matrix"), n, tol)
+        return LoadedStrategy(chi, chi_to_kraus(chi, tol))
 
     if kind == "classical":
         index = _int_field(doc, "index", what)

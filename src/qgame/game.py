@@ -335,13 +335,13 @@ def payoff_direct(game: QuantumGame, ch_a: KrausChannel, ch_b: KrausChannel, pla
     return state_payoff(game, apply_product_channel(ch_a, ch_b, game.rho), player)
 
 
-def classical_reduction(game: QuantumGame) -> ClassicalBimatrix:
+def classical_reduction(game: QuantumGame, tol: float | None = None) -> ClassicalBimatrix:
     """Restrict both players to powers of the cyclic shift.
 
     For qubit strategies the allowed operations are exactly the identity and
     the bit flip, which reduces the game to a classical bimatrix.  Requires
     ``n1 == n2``; pure strategies only (mixtures are recoverable as convex
-    combinations of chi matrices).
+    combinations of chi matrices).  ``tol`` is the tolerance the game passed.
     """
     if game.n1 != game.n2:
         raise UnsupportedDimension(
@@ -353,7 +353,7 @@ def classical_reduction(game: QuantumGame) -> ClassicalBimatrix:
     pay_ii = np.zeros((n, n))
     for s in range(n):
         for t in range(n):
-            pi = apply_product_channel(channels[s], channels[t], game.rho)
+            pi = apply_product_channel(channels[s], channels[t], game.rho, tol)
             pay_i[s, t] = state_payoff(game, pi, PLAYER_I)
             pay_ii[s, t] = state_payoff(game, pi, PLAYER_II)
     return ClassicalBimatrix(pay_i, pay_ii)
@@ -392,7 +392,7 @@ def simulate_play(game: QuantumGame, povm: Povm, payoffs_i, payoffs_ii,
     state, the referee measures, and payoffs are assigned per outcome.  The
     supplied measurement and payoff vectors must reproduce the game's payoff
     operators entrywise within ``tol`` (default ``MEASUREMENT_ATOL``), or
-    ``InconsistentMeasurement`` is raised.
+    ``InconsistentMeasurement`` is raised; ``apply_product_channel`` takes it too.
 
     Standard errors are sample standard deviations over sqrt(rounds); the
     exact payoffs are those of the measured output state.
@@ -405,7 +405,7 @@ def simulate_play(game: QuantumGame, povm: Povm, payoffs_i, payoffs_ii,
         _consistency_check(povm, vec, op, label, tol)
         for label, vec, op in (("I", a_i, game.payoff_op_i), ("II", a_ii, game.payoff_op_ii))
     )
-    pi = apply_product_channel(ch_a, ch_b, game.rho)
+    pi = apply_product_channel(ch_a, ch_b, game.rho, tol)
     probs = np.clip(measure_probs(povm, pi), 0.0, None)
     probs = probs / probs.sum()
     outcomes = rng.choice(povm.outcome_count, size=rounds, p=probs)

@@ -34,6 +34,7 @@ from .errors import (
 from .linalg import Check, ComplexMatrix
 
 KRAUS_RANK_TOL = 1e-10
+OUTPUT_STATE_ATOL = 1e-8  # floor of the output-state re-check, see apply_product_channel
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -49,7 +50,7 @@ def partial_trace_first(m: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated quantum state: positive Hermitian matrix of trace 1."""
+    """A state from :func:`validate_density` or a channel; the constructor checks nothing."""
 
     matrix: ComplexMatrix
 
@@ -247,34 +248,30 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     if n != rho.dim:
         raise DimensionMismatch(f"channel dim {n} != state dim {rho.dim}")
     out = _apply_first_factor(ch.operators, rho.matrix.reshape(n, 1, n, 1))
-    return validate_density(out.reshape(n, n), tol=1e-8)
+    return validate_density(out.reshape(n, n), OUTPUT_STATE_ATOL)
 
 
-def apply_product_channel(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+def apply_product_channel(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMatrix,
+                          tol: float | None = None) -> DensityMatrix:
     """Apply the product operation ``{E_k (x) F_l}`` to a joint state.
 
     ``E_k`` acts on factor 1, then ``F_l`` on factor 2; ``E_k (x) F_l`` is never formed.
+    The output state is re-checked at the tolerance ``tol`` that rho and the
+    channels passed: to first order |tr pi - 1| <= |tr rho - 1| + sum_j
+    |sum_k E_k^dag E_k - I|, a Kraus file's completeness defect is at most
+    n tol, and a chi file's Kraus form leaves out up to (n^2 - 1) tol
+    (:func:`chi_to_kraus`).  The limit is therefore
+    ``max(OUTPUT_STATE_ATOL, (1 + sum_j n_j (n_j + 1)) tol)``, and
+    ``OUTPUT_STATE_ATOL`` at the default tolerances (``tol`` None).
     """
     n1, n2 = ch_a.dim, ch_b.dim
     if n1 * n2 != rho.dim:
         raise DimensionMismatch(f"joint channel dim {n1}*{n2} != state dim {rho.dim}")
     state = _apply_first_factor(ch_a.operators, rho.matrix.reshape(n1, n2, n1, n2))
     state = _apply_first_factor(ch_b.operators, state.transpose(1, 0, 3, 2))
-    return validate_density(state.transpose(1, 0, 3, 2).reshape(rho.dim, rho.dim), tol=1e-8)
-
-
-def apply_chi(chi: ChiMatrix, rho: DensityMatrix) -> DensityMatrix:
-    """Apply a chi-matrix strategy directly: ``sum_ab chi_ab E_a rho E_b^dag``.
-
-    In the matrix-unit basis this reduces to
-    ``out[p, q] = sum_jl chi[(p,j), (q,l)] rho[j, l]``.
-    """
-    n = chi.n
-    if n != rho.dim:
-        raise DimensionMismatch(f"chi acts on dim {n} but state has dim {rho.dim}")
-    chi4 = chi.matrix.reshape(n, n, n, n)
-    out = np.einsum("pjql,jl->pq", chi4, rho.matrix)
-    return validate_density(out, tol=1e-8)
+    scale = 1 + n1 * (n1 + 1) + n2 * (n2 + 1)
+    limit = OUTPUT_STATE_ATOL if tol is None else max(OUTPUT_STATE_ATOL, scale * tol)
+    return validate_density(state.transpose(1, 0, 3, 2).reshape(rho.dim, rho.dim), limit)
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +291,20 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     return ChiMatrix(linalg.hermitian_part(np.einsum("ka,kb->ab", flat, flat.conj())), n)
 
 
-def chi_to_kraus(chi: ChiMatrix) -> KrausChannel:
+def chi_to_kraus(chi: ChiMatrix, tol: float | None = None) -> KrausChannel:
     """Extract a minimal Kraus set from a chi matrix.
 
-    Eigendecomposes chi and keeps eigenvalues above ``KRAUS_RANK_TOL``; operator k
-    is ``sqrt(lambda_k)`` times the un-flattened eigenvector.  Kraus sets are
-    unique only up to unitary mixing, so callers should compare channels by
-    their action, not operator-by-operator.
+    Re-validates chi at ``tol`` (None: the defaults) and keeps eigenvalues
+    above ``KRAUS_RANK_TOL``; operator k is ``sqrt(lambda_k)`` times the
+    un-flattened eigenvector.  The n^2 - 1 or fewer eigenvalues left out lie in
+    [-tol, KRAUS_RANK_TOL].  Kraus sets are unique only up to unitary mixing,
+    so callers should compare channels by their action, not operator-by-operator.
 
     Raises:
         NotInOmega: if the chi matrix fails its invariants.
     """
     try:
-        chi = validate_chi(chi.matrix, chi.n)
+        chi = validate_chi(chi.matrix, chi.n, tol)
     except ValidationError as exc:
         raise NotInOmega(f"not a valid strategy: {exc}") from exc
     w, v = linalg.hermitian_eigen(chi.matrix)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quantum import ChiMatrix, DensityMatrix, KrausChannel, kraus_to_chi, validate_kraus
+from .quantum import (ChiMatrix, DensityMatrix, KrausChannel, kraus_to_chi, validate_density,
+                      validate_kraus)
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -25,7 +26,7 @@ def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
     """Random full-rank state: normalized Wishart matrix."""
     a = random_complex(rng, (n, n))
     g = a @ a.conj().T
-    return DensityMatrix(g / np.trace(g))
+    return validate_density(g / np.trace(g))
 
 
 def random_kraus_channel(n: int, rng: np.random.Generator, n_operators: int | None = None) -> KrausChannel:

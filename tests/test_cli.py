@@ -9,10 +9,10 @@ import pytest
 
 from qgame import cli, files
 from qgame.errors import DimensionMismatch, LengthMismatch, ParseError, ValidationError
-from qgame.game import build_game, payoff_tensor_matrix_unit, response_problem
+from qgame.game import build_game, payoff_contract, payoff_tensor_matrix_unit, response_problem
 from qgame.games_builtin import ewl_referee_measurement
 from qgame.linalg import Check, hermitian_part
-from qgame.quantum import identity_chi
+from qgame.quantum import identity_chi, validate_chi
 from qgame.random_ops import random_density, random_hermitian
 
 
@@ -325,20 +325,62 @@ def test_payoff_near_zero_at_large_scale(tmp_path, capsys):
     assert "imaginary part" not in err
 
 
+# a Kraus pair, and the paper's chi pair, cross-checked through its Kraus form
+PAYOFF_PAIRS = (("identity.strategy", "identity.strategy"),
+                ("chi_star.strategy", "xi_star.strategy"))
+
+
 def test_payoff_cross_check_failure(tmp_path, capsys, monkeypatch):
     import qgame.cli as cli_module
 
     monkeypatch.setattr(cli_module, "state_payoff", lambda *a, **k: 0.0)
-    code, _, err = run(capsys, "payoff", "ewl.game", "identity.strategy", "identity.strategy")
-    assert code == 3
-    assert "cross-check" in err
+    for pair in PAYOFF_PAIRS:
+        code, _, err = run(capsys, "payoff", "ewl.game", *pair)
+        assert code == 3, pair
+        assert "cross-check" in err
 
 
 def test_payoff_forms_one_output_state(capsys, product_channel_calls):
-    # both strategies carry Kraus sets, so the direct cross-check runs
-    code, _, _ = run(capsys, "payoff", "ewl.game", "bitflip.strategy", "identity.strategy")
-    assert code == 0
-    assert len(product_channel_calls) == 1
+    # every strategy carries a Kraus set, so the direct cross-check always runs
+    pairs = (("bitflip.strategy", "identity.strategy"), *PAYOFF_PAIRS[1:])
+    for count, pair in enumerate(pairs, 1):
+        code, _, _ = run(capsys, "payoff", "ewl.game", *pair)
+        assert code == 0
+        assert len(product_channel_calls) == count
+
+
+def _edge_chi(unitary: np.ndarray, eps: float = 4.5e-10) -> np.ndarray:
+    """(1+eps) v v^dag - eps (I - v v^dag / 2), v = vec(unitary): eigenvalue -eps, thrice.
+
+    ``validate_chi`` accepts it at the default tolerances; its Kraus form,
+    sqrt(1+eps) times the unitary, leaves the negative eigenvalues out.
+    """
+    v = np.asarray(unitary, dtype=complex).reshape(-1)
+    return (1 + eps) * np.outer(v, v.conj()) - eps * (np.eye(v.size) - np.outer(v, v.conj()) / 2)
+
+
+@pytest.mark.parametrize("tol", [None, "1e-5"], ids=["default-tol", "qgame-tol-1e-5"])
+@pytest.mark.parametrize("unitary", ["identity", "flip"])
+def test_payoff_cross_check_allows_what_a_kraus_form_drops(unitary, tol, tmp_path, capsys,
+                                                           monkeypatch):
+    # the cross-check limit adds |R| times the trace norm the Kraus forms drop
+    # from chi; without it these files, valid at the defaults, exit 3
+    chi = _edge_chi(np.eye(2) if unitary == "identity" else np.array([[0, 1], [1, 0]]))
+    path = tmp_path / f"{unitary}.strategy"
+    path.write_text(json.dumps({"format_version": 1, "kind": "chi",
+                                "matrix": files.matrix_to_lists(chi)}))
+    if tol is not None:
+        monkeypatch.setenv("QGAME_TOL", tol)
+    game = files.load_game("ewl.game")
+    strategy = validate_chi(chi, 2)
+    for pair in ((path, path), (path, "identity.strategy"), ("identity.strategy", path)):
+        strats = [strategy if p == path else identity_chi(2) for p in pair]
+        expected = [payoff_contract(payoff_tensor_matrix_unit(game, player), *strats)
+                    for player in ("I", "II")]
+        code, out, err = run(capsys, "payoff", "ewl.game", *map(str, pair))
+        assert code == 0, err
+        assert out == (f"payoff I  = {cli.format_complex(expected[0])}\n"
+                       f"payoff II = {cli.format_complex(expected[1])}\n")
 
 
 def test_payoff_unitary_strategy(tmp_path, capsys):
@@ -656,16 +698,48 @@ def test_classical_json(capsys):
 # environment and file formats
 # ---------------------------------------------------------------------------
 
+def _loose_commands(tmp_path):
+    """Commands on inputs off by 2e-7 to 5e-7, which fail at the default tolerances.
+
+    At QGAME_TOL=1e-5 the inputs pass, and so must what is derived from them:
+    a chi file's Kraus form and the players' output state.
+    """
+    def write(name, doc):
+        (tmp_path / name).write_text(json.dumps(doc))
+        return str(tmp_path / name)
+
+    game = json.loads(files.resolve_input("ewl.game").read_text())
+    rho = files.matrix_from_lists(game["rho"], "rho")
+    wobbly = rho.copy()
+    wobbly[0, 0] += 3e-7  # trace off by 3e-7
+    w, v = np.linalg.eigh(rho)
+    w[0], w[-1] = -5e-7, w[-1] + 5e-7  # one eigenvalue of -5e-7, trace still 1
+    negative = write("negative.game",
+                     {**game, "rho": files.matrix_to_lists(v @ np.diag(w) @ v.conj().T)})
+    chi_star = json.loads(files.resolve_input("chi_star.strategy").read_text())
+    chi = files.matrix_from_lists(chi_star["matrix"], "chi") * (1 + 2e-7)  # trace sums off by 2e-7
+    kraus = {"format_version": 1, "kind": "kraus",  # completeness sum off by 2e-7
+             "operators": [files.matrix_to_lists(np.sqrt(1 + 2e-7) * np.eye(2))]}
+    return [
+        ("validate", write("wobbly.game", {**game, "rho": files.matrix_to_lists(wobbly)})),
+        ("payoff", "ewl.game", write("kraus.strategy", kraus), "identity.strategy"),
+        ("simulate", "ewl.game", "ewl.povm",
+         write("chi.strategy", {**chi_star, "matrix": files.matrix_to_lists(chi)}),
+         "xi_star.strategy", "--rounds", "10", "--seed", "1"),
+        ("payoff", negative, "identity.strategy", "identity.strategy"),
+        ("classical", negative),
+    ]
+
+
 def test_qgame_tol_env_override(tmp_path, capsys, monkeypatch):
-    doc = json.loads(files.resolve_input("ewl.game").read_text())
-    doc["rho"][0][0] = [0.5 + 3e-7, 0]  # trace off by 3e-7: fails default, passes loose
-    wobbly = tmp_path / "wobbly.game"
-    wobbly.write_text(json.dumps(doc))
-    code, _, _ = run(capsys, "validate", str(wobbly))
-    assert code == 1
-    monkeypatch.setenv("QGAME_TOL", "1e-5")
-    code, _, _ = run(capsys, "validate", str(wobbly))
-    assert code == 0
+    for argv in _loose_commands(tmp_path):
+        monkeypatch.delenv("QGAME_TOL", raising=False)
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        monkeypatch.setenv("QGAME_TOL", "1e-5")
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out and not err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e400", "abc"])

@@ -17,7 +17,6 @@ from qgame.quantum import (
     ChiMatrix,
     KrausChannel,
     apply_channel,
-    apply_chi,
     apply_product_channel,
     chi_to_kraus,
     identity_chi,
@@ -229,32 +228,8 @@ def test_mixture_of_identity_and_bitflip_is_valid():
     chi_id = identity_chi(2)
     chi_flip = kraus_to_chi(shift_channel(2, 1))
     mixed = validate_chi(0.5 * (chi_id.matrix + chi_flip.matrix), 2)
-    out = apply_chi(mixed, validate_density(np.diag([1.0, 0.0])))
+    out = apply_channel(chi_to_kraus(mixed), validate_density(np.diag([1.0, 0.0])))
     np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-14)
-
-
-def test_apply_chi_identity(rng):
-    rho = random_density(2, rng)
-    out = apply_chi(identity_chi(2), rho)
-    np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-13)
-
-
-def test_apply_chi_reset(rng):
-    chi = kraus_to_chi(validate_kraus(RESET_OPS))
-    out = apply_chi(chi, random_density(2, rng))
-    np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_apply_chi_matches_kraus_route(rng):
-    for _ in range(10):
-        ch = random_kraus_channel(2, rng)
-        chi = kraus_to_chi(ch)
-        dist = channel_action_distance(
-            lambda s: apply_channel(ch, validate_density(s)).matrix,
-            lambda s: apply_chi(chi, validate_density(s)).matrix,
-            2,
-        )
-        assert dist <= 1e-12
 
 
 def test_chi_to_kraus_identity_is_single_operator():
