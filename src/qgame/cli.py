@@ -56,7 +56,7 @@ from .game import (
     state_payoff,
 )
 from .games_builtin import figure1_reference_tensors
-from .quantum import apply_product_channel, kraus_to_chi
+from .quantum import apply_product_channel, kraus_form_loss, kraus_to_chi
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -182,11 +182,11 @@ def cmd_payoff(args) -> tuple[int, dict]:
     pi = apply_product_channel(strat_i.channel, strat_ii.channel, game.rho, args.tol)
     worst = max(abs(state_payoff(game, pi, "I") - value_i),
                 abs(state_payoff(game, pi, "II") - value_ii))
-    # both payoffs carry rounding of order eps * max|R|; the direct path plays Kraus
-    # forms, and what one drops from chi moves a payoff by |R| times its trace norm
+    # both payoffs carry rounding of order eps * max|R|; what a Kraus form drops from
+    # chi, up to kraus_form_loss, moves a payoff by |R| times its trace norm
     ops = (game.payoff_op_i, game.payoff_op_ii)
-    dropped = sum(np.linalg.norm(s.chi.matrix - kraus_to_chi(s.channel).matrix, "nuc")
-                  for s in (strat_i, strat_ii))
+    dropped = sum(min(np.linalg.norm(s.chi.matrix - kraus_to_chi(s.channel).matrix, "nuc"),
+                      kraus_form_loss(s.chi.n, args.tol)) for s in (strat_i, strat_ii))
     limit = (CROSS_CHECK_ATOL * max(1.0, *(float(np.max(np.abs(r))) for r in ops))
              + max(np.linalg.norm(r, 2) for r in ops) * dropped)
     if worst > limit:

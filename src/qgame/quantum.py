@@ -258,10 +258,9 @@ def apply_product_channel(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMa
     ``E_k`` acts on factor 1, then ``F_l`` on factor 2; ``E_k (x) F_l`` is never formed.
     The output state is re-checked at the tolerance ``tol`` that rho and the
     channels passed: to first order |tr pi - 1| <= |tr rho - 1| + sum_j
-    |sum_k E_k^dag E_k - I|, a Kraus file's completeness defect is at most
-    n tol, and a chi file's Kraus form leaves out up to (n^2 - 1) tol
-    (:func:`chi_to_kraus`).  The limit is therefore
-    ``max(OUTPUT_STATE_ATOL, (1 + sum_j n_j (n_j + 1)) tol)``, and
+    |sum_k E_k^dag E_k - I|, with a Kraus file's completeness defect at most
+    n tol and a chi file's Kraus form dropping eigenvalues of (n^2 - 1) tol at
+    most.  So the limit is ``max(OUTPUT_STATE_ATOL, (1 + sum_j n_j (n_j + 1)) tol)``,
     ``OUTPUT_STATE_ATOL`` at the default tolerances (``tol`` None).
     """
     n1, n2 = ch_a.dim, ch_b.dim
@@ -296,9 +295,9 @@ def chi_to_kraus(chi: ChiMatrix, tol: float | None = None) -> KrausChannel:
 
     Re-validates chi at ``tol`` (None: the defaults) and keeps eigenvalues
     above ``KRAUS_RANK_TOL``; operator k is ``sqrt(lambda_k)`` times the
-    un-flattened eigenvector.  The n^2 - 1 or fewer eigenvalues left out lie in
-    [-tol, KRAUS_RANK_TOL].  Kraus sets are unique only up to unitary mixing,
-    so callers should compare channels by their action, not operator-by-operator.
+    un-flattened eigenvector, and :func:`kraus_form_loss` bounds what is left
+    out.  Kraus sets are unique only up to unitary mixing, so callers should
+    compare channels by their action, not operator-by-operator.
 
     Raises:
         NotInOmega: if the chi matrix fails its invariants.
@@ -307,12 +306,23 @@ def chi_to_kraus(chi: ChiMatrix, tol: float | None = None) -> KrausChannel:
         chi = validate_chi(chi.matrix, chi.n, tol)
     except ValidationError as exc:
         raise NotInOmega(f"not a valid strategy: {exc}") from exc
-    w, v = linalg.hermitian_eigen(chi.matrix)
+    w, v = linalg.hermitian_eigen(chi.matrix, linalg.limit(linalg.HERMITIAN_ATOL, tol))
     keep = w > KRAUS_RANK_TOL
     if not np.any(keep):
         raise NotInOmega("chi matrix has no eigenvalue above the rank tolerance")
     ops = [np.sqrt(w[k]) * v[:, k].reshape(chi.n, chi.n) for k in np.nonzero(keep)[0]]
     return KrausChannel(np.stack(ops))
+
+
+def kraus_form_loss(n: int, tol: float | None = None) -> float:
+    """Bound on the trace norm of ``chi - kraus_to_chi(chi_to_kraus(chi, tol))``.
+
+    With N = n^2 and m the largest Hermiticity, positivity or rank limit, reading chi's
+    lower triangle moves N (N - 1) / 2 entries, and N - 1 or fewer eigenvalues are
+    dropped, each by m or less: (N - 1) (N / 2 + 1) m <= N^2 m.
+    """
+    limits = (linalg.limit(linalg.HERMITIAN_ATOL, tol), linalg.limit(linalg.PSD_ATOL, tol))
+    return n ** 4 * max(*limits, KRAUS_RANK_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +341,12 @@ def measure_probs(povm: Povm, rho: DensityMatrix) -> np.ndarray:
 # common channels
 # ---------------------------------------------------------------------------
 
-def cyclic_shift(n: int, s: int) -> ComplexMatrix:
-    """Cyclic-shift unitary of order n raised to the power ``s``.
+def shift_channel(n: int, s: int) -> KrausChannel:
+    """Single-unitary channel applying the order-n cyclic shift ``s`` times.
 
     For n=2 the powers are the identity and the bit flip.
     """
-    out = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        out[(k + s) % n, k] = 1.0
-    return out
-
-
-def shift_channel(n: int, s: int) -> KrausChannel:
-    """Single-unitary channel applying the order-n cyclic shift ``s`` times."""
-    return KrausChannel(cyclic_shift(n, s)[None, :, :])
+    return KrausChannel(np.roll(np.eye(n, dtype=complex), s, axis=0)[None, :, :])
 
 
 def identity_chi(n: int) -> ChiMatrix:

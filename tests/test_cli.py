@@ -12,7 +12,7 @@ from qgame.errors import DimensionMismatch, LengthMismatch, ParseError, Validati
 from qgame.game import build_game, payoff_contract, payoff_tensor_matrix_unit, response_problem
 from qgame.games_builtin import ewl_referee_measurement
 from qgame.linalg import Check, hermitian_part
-from qgame.quantum import identity_chi, validate_chi
+from qgame.quantum import identity_chi, shift_channel, validate_chi
 from qgame.random_ops import random_density, random_hermitian
 
 
@@ -333,11 +333,19 @@ PAYOFF_PAIRS = (("identity.strategy", "identity.strategy"),
 def test_payoff_cross_check_failure(tmp_path, capsys, monkeypatch):
     import qgame.cli as cli_module
 
-    monkeypatch.setattr(cli_module, "state_payoff", lambda *a, **k: 0.0)
-    for pair in PAYOFF_PAIRS:
-        code, _, err = run(capsys, "payoff", "ewl.game", *pair)
-        assert code == 3, pair
-        assert "cross-check" in err
+    faults = (
+        (cli_module, "state_payoff", lambda *a, **k: 0.0, PAYOFF_PAIRS),
+        # a conversion that plays the identity for chi* and xi* drops a trace norm
+        # of order 1, far beyond kraus_form_loss; the limit must not absorb it
+        (files, "chi_to_kraus", lambda chi, tol=None: shift_channel(chi.n, 0), PAYOFF_PAIRS[1:]),
+    )
+    for module, name, fake, pairs in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fake)
+            for pair in pairs:
+                code, _, err = run(capsys, "payoff", "ewl.game", *pair)
+                assert code == 3, (name, pair)
+                assert "cross-check" in err
 
 
 def test_payoff_forms_one_output_state(capsys, product_channel_calls):
@@ -699,7 +707,7 @@ def test_classical_json(capsys):
 # ---------------------------------------------------------------------------
 
 def _loose_commands(tmp_path):
-    """Commands on inputs off by 2e-7 to 5e-7, which fail at the default tolerances.
+    """Commands on inputs off by 1e-7 to 5e-7, which fail at the default tolerances.
 
     At QGAME_TOL=1e-5 the inputs pass, and so must what is derived from them:
     a chi file's Kraus form and the players' output state.
@@ -718,6 +726,9 @@ def _loose_commands(tmp_path):
                      {**game, "rho": files.matrix_to_lists(v @ np.diag(w) @ v.conj().T)})
     chi_star = json.loads(files.resolve_input("chi_star.strategy").read_text())
     chi = files.matrix_from_lists(chi_star["matrix"], "chi") * (1 + 2e-7)  # trace sums off by 2e-7
+    skew = files.matrix_from_lists(chi_star["matrix"], "chi")
+    skew[0, 1] += 1e-7j  # non-Hermitian by 1e-7
+    skew = write("skew.strategy", {**chi_star, "matrix": files.matrix_to_lists(skew)})
     kraus = {"format_version": 1, "kind": "kraus",  # completeness sum off by 2e-7
              "operators": [files.matrix_to_lists(np.sqrt(1 + 2e-7) * np.eye(2))]}
     return [
@@ -728,6 +739,10 @@ def _loose_commands(tmp_path):
          "xi_star.strategy", "--rounds", "10", "--seed", "1"),
         ("payoff", negative, "identity.strategy", "identity.strategy"),
         ("classical", negative),
+        ("payoff", "ewl.game", skew, "xi_star.strategy"),
+        ("verify-nash", "ewl.game", skew, "xi_star.strategy", "--epsilon", "1e-5"),
+        ("simulate", "ewl.game", "ewl.povm", skew, "xi_star.strategy",
+         "--rounds", "10", "--seed", "1"),
     ]
 
 
