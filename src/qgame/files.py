@@ -33,8 +33,8 @@ from .quantum import (
     ChiMatrix,
     KrausChannel,
     Povm,
-    chi_to_kraus,
     completeness_check,
+    kraus_form,
     kraus_to_chi,
     operator_stack,
     shift_channel,
@@ -250,7 +250,7 @@ class LoadedStrategy:
     """A strategy bound to a player dimension, in both forms of it.
 
     ``channel`` is the file's Kraus set and ``chi`` its ``kraus_to_chi``, or
-    for a chi file ``chi`` is the file's and ``channel`` its ``chi_to_kraus``.
+    for a chi file ``chi`` is the file's and ``channel`` its ``kraus_form``.
     """
 
     chi: ChiMatrix
@@ -266,7 +266,7 @@ def load_strategy(path, n: int, tol: float | None = None) -> LoadedStrategy:
 
     if kind == "chi":
         chi = validate_chi(matrix_from_lists(_require(doc, "matrix", what), "chi matrix"), n, tol)
-        return LoadedStrategy(chi, chi_to_kraus(chi, tol))
+        return LoadedStrategy(chi, kraus_form(chi, tol))
 
     if kind == "classical":
         index = _int_field(doc, "index", what)

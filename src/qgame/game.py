@@ -292,11 +292,13 @@ def response_problem(tensor: PayoffTensor, opponent: ChiMatrix, player) -> Respo
     """Contract the opponent's strategy out of the payoff tensor.
 
     The result's matrix G makes ``tr(G chi)`` the responding player's
-    payoff; for player I ``G[b, a] = sum_gd A[a, b, g, d] xi[g, d]``.  The
-    opponent's chi goes into the state factor first, then into the payoff
-    factor: O(n1^2 n2^4 + n1^4 n2^2) time and O(n^4) memory.  G is Hermitian
-    because the tensor satisfies its pairing invariant, and is symmetrized
-    here against floating-point noise.
+    payoff; for player I ``G[b, a] = sum_gd A[a, b, g, d] xi[g, d]``.  With
+    n the responder's dimension and m the opponent's, two matrix products
+    do the work in O(n^4) memory: the opponent's chi goes into the state
+    factor, (n^2, m^2) times (m^2, m^2) in O(n^2 m^4), then the result into
+    the payoff factor, (n^2, m^2) times (m^2, n^2) in O(n^4 m^2).  G is
+    Hermitian because the tensor satisfies its pairing invariant, and is
+    symmetrized here against floating-point noise.
     """
     r, state, n, m = tensor.payoff_op, tensor.state, tensor.n1, tensor.n2
     if normalize_player(player) != PLAYER_I:
@@ -304,11 +306,13 @@ def response_problem(tensor: PayoffTensor, opponent: ChiMatrix, player) -> Respo
         r, state, n, m = r.transpose(1, 0, 3, 2), state.transpose(1, 0, 3, 2), m, n
     if opponent.dim != m * m:
         raise DimensionMismatch(f"opponent strategy dim {opponent.dim} != tensor dim {m * m}")
-    # partial[b, d, i, k] = sum_jl state[b, j, d, l] xi[(i,j), (k,l)]
-    partial = np.tensordot(state, opponent.matrix.reshape(m, m, m, m), axes=((1, 3), (1, 3)))
-    # g[c, a, b, d] = sum_ik r[c, k, a, i] partial[b, d, i, k], rows (c,d) and columns (a,b)
-    g = np.tensordot(r, partial, axes=((3, 1), (2, 3)))
-    return ResponseProblem(linalg.hermitian_part(g.transpose(0, 3, 1, 2).reshape(n * n, n * n)), n)
+    # partial[(b,d), (i,k)] = sum_jl state[b, j, d, l] xi[(i,j), (k,l)]
+    partial = (state.transpose(0, 2, 1, 3).reshape(n * n, m * m)
+               @ opponent.matrix.reshape(m, m, m, m).transpose(1, 3, 0, 2).reshape(m * m, m * m))
+    # g[(c,a), (b,d)] = sum_ik r[c, k, a, i] partial[(b,d), (i,k)], then rows (c,d), columns (a,b)
+    g = r.transpose(0, 2, 3, 1).reshape(n * n, m * m) @ partial.T
+    g = g.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    return ResponseProblem(linalg.hermitian_part(g), n)
 
 
 def response_value(problem: ResponseProblem, chi: ChiMatrix) -> float:
@@ -327,7 +331,7 @@ def payoff_contract(tensor: PayoffTensor, chi: ChiMatrix, xi: ChiMatrix) -> floa
 def state_payoff(game: QuantumGame, state: DensityMatrix, player) -> float:
     """Expected payoff ``tr(R pi)`` of a profile's output state, real by :func:`require_real`."""
     r = game.payoff_op(player)
-    return require_real(complex(np.trace(r @ state.matrix)), r, "payoff")
+    return require_real(complex(np.einsum("ij,ji->", r, state.matrix)), r, "payoff")
 
 
 def payoff_direct(game: QuantumGame, ch_a: KrausChannel, ch_b: KrausChannel, player) -> float:

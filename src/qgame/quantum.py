@@ -237,9 +237,18 @@ def validate_povm(elements, tol: float | None = None) -> Povm:
 # ---------------------------------------------------------------------------
 
 def _apply_first_factor(ops: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """``sum_k (E_k (x) I) rho (E_k (x) I)^dag`` for rho shaped (n, m, n, m), in O(k n^3 m^2)."""
-    left = np.tensordot(ops, state, axes=(2, 0))  # [k, i, b, j, d]
-    return np.tensordot(left, ops.conj(), axes=((0, 3), (0, 2))).transpose(0, 1, 3, 2)
+    """``sum_k (E_k (x) I) rho (E_k (x) I)^dag`` for rho shaped (n, m, n, m).
+
+    Two matrix products, each O(k n^3 m^2): the stacked (k n, n) operators
+    times rho as (n, m n m), then the result regrouped as (n m m, k n) times
+    the stacked adjoints as (k n, n).
+    """
+    (k, n, _), m = ops.shape, state.shape[1]
+    left = (ops.reshape(k * n, n) @ state.reshape(n, m * n * m)).reshape(k, n, m, n, m)
+    # out[i, b, d, j'] = sum_kj left[k, i, b, j, d] conj(E_k[j', j])
+    out = (left.transpose(1, 2, 4, 0, 3).reshape(n * m * m, k * n)
+           @ ops.conj().transpose(0, 2, 1).reshape(k * n, n))
+    return out.reshape(n, m, m, n).transpose(0, 1, 3, 2)
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -257,11 +266,11 @@ def apply_product_channel(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMa
 
     ``E_k`` acts on factor 1, then ``F_l`` on factor 2; ``E_k (x) F_l`` is never formed.
     The output state is re-checked at the tolerance ``tol`` that rho and the
-    channels passed: to first order |tr pi - 1| <= |tr rho - 1| + sum_j
-    |sum_k E_k^dag E_k - I|, with a Kraus file's completeness defect at most
-    n tol and a chi file's Kraus form dropping eigenvalues of (n^2 - 1) tol at
-    most.  So the limit is ``max(OUTPUT_STATE_ATOL, (1 + sum_j n_j (n_j + 1)) tol)``,
-    ``OUTPUT_STATE_ATOL`` at the default tolerances (``tol`` None).
+    channels passed (``TRACE_ATOL`` when None): to first order |tr pi - 1| <=
+    |tr rho - 1| + sum_j |sum_k E_k^dag E_k - I|, with a Kraus file's
+    completeness defect at most n tol and a chi file's Kraus form dropping
+    eigenvalues of (n^2 - 1) tol at most.  So the limit is
+    ``max(OUTPUT_STATE_ATOL, (1 + sum_j n_j (n_j + 1)) tol)``.
     """
     n1, n2 = ch_a.dim, ch_b.dim
     if n1 * n2 != rho.dim:
@@ -269,7 +278,7 @@ def apply_product_channel(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMa
     state = _apply_first_factor(ch_a.operators, rho.matrix.reshape(n1, n2, n1, n2))
     state = _apply_first_factor(ch_b.operators, state.transpose(1, 0, 3, 2))
     scale = 1 + n1 * (n1 + 1) + n2 * (n2 + 1)
-    limit = OUTPUT_STATE_ATOL if tol is None else max(OUTPUT_STATE_ATOL, scale * tol)
+    limit = max(OUTPUT_STATE_ATOL, scale * linalg.limit(linalg.TRACE_ATOL, tol))
     return validate_density(state.transpose(1, 0, 3, 2).reshape(rho.dim, rho.dim), limit)
 
 
@@ -287,17 +296,15 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     """
     n = ch.dim
     flat = ch.operators.reshape(ch.n_operators, n * n)
-    return ChiMatrix(linalg.hermitian_part(np.einsum("ka,kb->ab", flat, flat.conj())), n)
+    return ChiMatrix(linalg.hermitian_part(flat.T @ flat.conj()), n)
 
 
 def chi_to_kraus(chi: ChiMatrix, tol: float | None = None) -> KrausChannel:
     """Extract a minimal Kraus set from a chi matrix.
 
-    Re-validates chi at ``tol`` (None: the defaults) and keeps eigenvalues
-    above ``KRAUS_RANK_TOL``; operator k is ``sqrt(lambda_k)`` times the
-    un-flattened eigenvector, and :func:`kraus_form_loss` bounds what is left
-    out.  Kraus sets are unique only up to unitary mixing, so callers should
-    compare channels by their action, not operator-by-operator.
+    Re-validates chi at ``tol`` (None: the defaults), then takes
+    :func:`kraus_form`.  Kraus sets are unique only up to unitary mixing, so
+    callers should compare channels by their action, not operator-by-operator.
 
     Raises:
         NotInOmega: if the chi matrix fails its invariants.
@@ -306,6 +313,16 @@ def chi_to_kraus(chi: ChiMatrix, tol: float | None = None) -> KrausChannel:
         chi = validate_chi(chi.matrix, chi.n, tol)
     except ValidationError as exc:
         raise NotInOmega(f"not a valid strategy: {exc}") from exc
+    return kraus_form(chi, tol)
+
+
+def kraus_form(chi: ChiMatrix, tol: float | None = None) -> KrausChannel:
+    """The minimal Kraus set of a chi matrix that passed :func:`validate_chi` at ``tol``.
+
+    Keeps eigenvalues above ``KRAUS_RANK_TOL``; operator k is ``sqrt(lambda_k)``
+    times the un-flattened eigenvector, and :func:`kraus_form_loss` bounds
+    what is left out.
+    """
     w, v = linalg.hermitian_eigen(chi.matrix, linalg.limit(linalg.HERMITIAN_ATOL, tol))
     keep = w > KRAUS_RANK_TOL
     if not np.any(keep):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgame import cli, game, quantum
+from qgame import cli, equilibrium, files, game, quantum
 from qgame.games_builtin import ewl_equilibrium_strategies, ewl_prisoners_dilemma
 
 
@@ -25,20 +25,31 @@ def rng():
     return np.random.default_rng(20260811)
 
 
+def _record_calls(monkeypatch, name: str) -> list:
+    """A list that records every call of ``quantum.<name>``, in any qgame module."""
+    original = getattr(quantum, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (quantum, game, cli, files, equilibrium):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def product_channel_calls(monkeypatch):
     """A list that records every product-channel application, in any qgame module."""
-    original = quantum.apply_product_channel
-    calls = []
+    return _record_calls(monkeypatch, "apply_product_channel")
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
 
-    for module in (quantum, game, cli):
-        if getattr(module, "apply_product_channel", None) is original:
-            monkeypatch.setattr(module, "apply_product_channel", counted)
-    return calls
+@pytest.fixture
+def validate_chi_calls(monkeypatch):
+    """A list that records every chi validation, in any qgame module."""
+    return _record_calls(monkeypatch, "validate_chi")
 
 
 def paper_rho() -> np.ndarray:

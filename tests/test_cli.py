@@ -337,7 +337,7 @@ def test_payoff_cross_check_failure(tmp_path, capsys, monkeypatch):
         (cli_module, "state_payoff", lambda *a, **k: 0.0, PAYOFF_PAIRS),
         # a conversion that plays the identity for chi* and xi* drops a trace norm
         # of order 1, far beyond kraus_form_loss; the limit must not absorb it
-        (files, "chi_to_kraus", lambda chi, tol=None: shift_channel(chi.n, 0), PAYOFF_PAIRS[1:]),
+        (files, "kraus_form", lambda chi, tol=None: shift_channel(chi.n, 0), PAYOFF_PAIRS[1:]),
     )
     for module, name, fake, pairs in faults:
         with monkeypatch.context() as patch:
@@ -844,6 +844,28 @@ def test_bundled_game_equals_builtin(ewl, ewl_stars):
     loaded_povm, *loaded_payoffs = files.load_povm_file("ewl.povm", 4)
     np.testing.assert_array_equal(povm.elements, loaded_povm.elements)
     np.testing.assert_array_equal(payoffs, loaded_payoffs)
+
+
+@pytest.mark.parametrize("name", ["chi_star", "xi_star"])
+def test_chi_file_is_validated_once_per_load(name, validate_chi_calls):
+    files.load_strategy(f"{name}.strategy", 2)
+    assert len(validate_chi_calls) == 1
+
+
+def test_invalid_chi_file_raises_what_validate_chi_raises(tmp_path):
+    chi_star = files.matrix_from_lists(
+        json.loads(files.resolve_input("chi_star.strategy").read_text())["matrix"], "chi")
+    skew = chi_star.copy()
+    skew[0, 1] += 1e-3j
+    for bad in (skew, chi_star * 1.5, np.diag([1.0, -0.5, 0.0, 1.5]), np.eye(9)):
+        path = tmp_path / "bad.strategy"
+        path.write_text(json.dumps({"kind": "chi", "matrix": files.matrix_to_lists(bad)}))
+        with pytest.raises(ValidationError) as expected:
+            validate_chi(bad, 2)
+        with pytest.raises(ValidationError) as loaded:
+            files.load_strategy(path, 2)
+        assert type(loaded.value) is type(expected.value)
+        assert str(loaded.value) == str(expected.value)
 
 
 def test_game_payload_round_trip(ewl_game):

@@ -28,12 +28,14 @@ from qgame.game import (
     payoff_tensor_matrix_unit,
     response_problem,
     simulate_play,
+    state_payoff,
     validate_tensor_entries,
 )
 from qgame.games_builtin import ewl_referee_measurement
 from qgame.linalg import hermitian_part
 from qgame.quantum import (
     DensityMatrix,
+    apply_product_channel,
     identity_chi,
     kraus_to_chi,
     measure_probs,
@@ -240,6 +242,20 @@ def test_direct_equals_contraction_on_random_channels(rng):
             via_tensor = payoff_contract(tensor, kraus_to_chi(ch_a), kraus_to_chi(ch_b))
             via_direct = payoff_direct(game, ch_a, ch_b, player)
             assert abs(via_tensor - via_direct) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize("n1, n2", [(2, 2), (2, 5), (5, 2), (4, 5)])
+def test_state_payoff_is_the_trace_of_r_pi(n1, n2, scale, rng):
+    d = n1 * n2
+    game = build_game(random_density(d, rng), random_hermitian(d, rng, scale),
+                      random_hermitian(d, rng, scale), n1, n2)
+    pi = apply_product_channel(random_kraus_channel(n1, rng), random_kraus_channel(n2, rng),
+                               game.rho)
+    for player in ("I", "II"):
+        r = game.payoff_op(player)
+        expected = np.trace(r @ pi.matrix).real
+        assert abs(state_payoff(game, pi, player) - expected) <= 1e-12 * max(1.0, np.max(np.abs(r)))
 
 
 @pytest.mark.parametrize("n1, n2", [(2, 3), (3, 2), (3, 4), (4, 3)])

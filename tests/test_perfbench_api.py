@@ -69,3 +69,14 @@ def test_solve_corpus_passes_every_check(corpus, monkeypatch):
         inp = workload.prepare(0, slot)
         failures[slot] = workload.check(inp, workload.op(inp))
     assert failures == dict.fromkeys(range(workload.slots))
+
+
+def test_payoff_round_passes_every_check(monkeypatch):
+    # all 48 slots of a round cover every dims x Kraus-rank class of the payoff
+    # workload, so an index slip in a kernel fails here and not in a benchmark run
+    _, workload = _workload("payoff", monkeypatch)
+    failures = {}
+    for slot in range(workload.slots):
+        inp = workload.prepare(0, slot)
+        failures[slot] = workload.check(inp, workload.op(inp))
+    assert failures == dict.fromkeys(range(workload.slots))

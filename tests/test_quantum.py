@@ -156,10 +156,11 @@ def test_apply_product_channel_double_flip():
     np.testing.assert_allclose(out.matrix, np.diag([0.0, 0, 0, 1.0]), atol=1e-14)
 
 
-@pytest.mark.parametrize("rank", ["1", "n", "n^2"])
-@pytest.mark.parametrize("n1, n2", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("rank", ["1", "n", "n^2", "1,n2^2", "n1^2,1"])
+@pytest.mark.parametrize("n1, n2", [(2, 3), (3, 2), (2, 5), (5, 2), (4, 5)])
 def test_apply_product_channel_matches_joint_kraus(n1, n2, rank, rng):
-    ranks = {"1": (1, 1), "n": (n1, n2), "n^2": (n1 * n1, n2 * n2)}[rank]
+    ranks = {"1": (1, 1), "n": (n1, n2), "n^2": (n1 * n1, n2 * n2),
+             "1,n2^2": (1, n2 * n2), "n1^2,1": (n1 * n1, 1)}[rank]
     ch_a = random_kraus_channel(n1, rng, ranks[0])
     ch_b = random_kraus_channel(n2, rng, ranks[1])
     rho = random_density(n1 * n2, rng)
@@ -167,6 +168,26 @@ def test_apply_product_channel_matches_joint_kraus(n1, n2, rank, rng):
                    for e in ch_a.operators for f in ch_b.operators)
     out = apply_product_channel(ch_a, ch_b, rho)
     assert np.max(np.abs(out.matrix - expected)) <= 1e-12
+
+
+def test_output_state_limit_covers_inputs_valid_at_default_tolerances():
+    # rho's trace and both completeness sums are off by 0.99e-9, each within its
+    # default limit of 1e-9; the output's trace is off by about 1.1e-8, within
+    # the limit (1 + 2 * 5 * 6) * 1e-9 that the first-order bound gives
+    n, eps = 5, 0.99e-9
+    plus = np.full(n * n, 1 / n)  # |+>|+> with |+> the uniform superposition
+    rho = validate_density((1 + eps) * np.outer(plus, plus))
+    # sqrt(I + eps J), J all ones: J = n |+><+| has eigenvalue n on |+> and 0 elsewhere
+    op = np.eye(n) + (np.sqrt(1 + n * eps) - 1) / n * np.ones((n, n))
+    ch = validate_kraus([op])
+    out = apply_product_channel(ch, ch, rho)
+    assert 1e-8 < abs(np.trace(out.matrix) - 1) <= 61e-9
+
+
+def test_output_state_check_rejects_a_non_trace_preserving_channel(ewl_game):
+    doubling = KrausChannel(2 * np.eye(2)[None])  # built directly, so never validated
+    with pytest.raises(TraceNotOne, match="residual 3.000e"):
+        apply_product_channel(doubling, shift_channel(2, 0), ewl_game.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +202,15 @@ def test_kraus_to_chi_reset_is_chi_star():
 def test_kraus_to_chi_shifted_reset_is_xi_star():
     chi = kraus_to_chi(validate_kraus([UNITS[2], UNITS[3]]))
     np.testing.assert_allclose(chi.matrix, np.diag([0.0, 0.0, 1.0, 1.0]), atol=1e-14)
+
+
+@pytest.mark.parametrize("rank", ["1", "n", "n^2"])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_kraus_to_chi_matches_its_definition(n, rank, rng):
+    # chi = sum_k vec(E_k) vec(E_k)^dag with vec the row-major flattening
+    ch = random_kraus_channel(n, rng, {"1": 1, "n": n, "n^2": n * n}[rank])
+    expected = sum(np.outer(e.reshape(-1), e.reshape(-1).conj()) for e in ch.operators)
+    assert np.max(np.abs(kraus_to_chi(ch).matrix - expected)) <= 1e-13
 
 
 def test_kraus_to_chi_identity():

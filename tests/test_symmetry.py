@@ -5,6 +5,11 @@
 and scales gaps by ``a``; a clear verdict (a gap of 0, or one far above its
 limit) stays the same.
 
+*Local unitaries.*  With W = U (x) V, mapping rho -> W rho W^dag and
+R_j -> W R_j W^dag, and conjugating player I's Kraus operators by U and
+player II's by V, leaves every payoff, best-response value and verdict
+unchanged.
+
 *Player swap.*  Swapping the tensor factors of rho and of both payoff
 operators, and then the two operators, swaps every result; this checks
 ``response_problem``'s player-II transpose against the player-I path.
@@ -27,8 +32,8 @@ from qgame.game import (
     response_problem,
     state_payoff,
 )
-from qgame.quantum import apply_product_channel, kraus_to_chi
-from qgame.random_ops import random_density, random_hermitian, random_kraus_channel
+from qgame.quantum import apply_product_channel, kraus_to_chi, validate_kraus
+from qgame.random_ops import random_complex, random_density, random_hermitian, random_kraus_channel
 
 AFFINE = [(1e-6, 3.0), (1e4, -2.0), (1e9, 5e8)]
 RTOL = 1e-10
@@ -66,6 +71,23 @@ def _swapped(game):
     n1, n2 = game.n1, game.n2
     return build_game(_swap_factors(game.rho, n1, n2), _swap_factors(game.payoff_op_ii, n1, n2),
                       _swap_factors(game.payoff_op_i, n1, n2), n2, n1)
+
+
+def _haar_unitary(n, rng):
+    q, r = np.linalg.qr(random_complex(rng, (n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))  # the phases that make q Haar-distributed
+
+
+def _conjugated(game, s, t, u, v):
+    """The game seen through W = U (x) V, and each player's strategy conjugated by U or V."""
+    w = np.kron(u, v)
+    rotated = build_game(w @ game.rho.matrix @ w.conj().T, w @ game.payoff_op_i @ w.conj().T,
+                         w @ game.payoff_op_ii @ w.conj().T, game.n1, game.n2)
+    strategies = []
+    for loaded, x in ((s, u), (t, v)):
+        channel = validate_kraus(x @ loaded.channel.operators @ x.conj().T)
+        strategies.append(files.LoadedStrategy(kraus_to_chi(channel), channel))
+    return rotated, *strategies
 
 
 def _payoff_scale(game):
@@ -163,6 +185,38 @@ def test_player_swap_swaps_every_result(profiles):
                               (report.gap_ii, swapped_report.gap_i, problems[1]),
                               (report.payoff_i, swapped_report.payoff_ii, problems[0]),
                               (report.payoff_ii, swapped_report.payoff_i, problems[1])):
+            assert abs(w - v) <= RTOL * _norm_scale(problem)
+
+
+def test_local_unitaries_leave_every_result_unchanged(profiles):
+    rng = np.random.default_rng(12)
+    for game, s, t in profiles:
+        if (game.n1, game.n2) not in ((2, 2), (2, 3), (3, 2)):
+            continue
+        rotated, s_rot, t_rot = _conjugated(game, s, t, _haar_unitary(game.n1, rng),
+                                            _haar_unitary(game.n2, rng))
+        tol = RTOL * _payoff_scale(game)
+        pi = apply_product_channel(s_rot.channel, t_rot.channel, rotated.rho)
+        for player in PLAYERS:
+            v = payoff_contract(payoff_tensor_matrix_unit(game, player), s.chi, t.chi)
+            w = payoff_contract(payoff_tensor_matrix_unit(rotated, player), s_rot.chi, t_rot.chi)
+            assert abs(w - v) <= tol
+            assert abs(state_payoff(rotated, pi, player) - v) <= tol
+        problems = _problems(game, s.chi, t.chi)
+        rotated_problems = _problems(rotated, s_rot.chi, t_rot.chi)
+        for problem, rotated_problem in zip(problems, rotated_problems):
+            tol = RTOL * _norm_scale(problem)
+            br, rotated_br = best_response(problem), best_response(rotated_problem)
+            assert abs(rotated_br.value - br.value) <= tol
+            assert abs(rotated_br.dual_bound - br.dual_bound) <= tol
+        report = verify_nash(game, s.chi, t.chi, EPSILON)
+        rotated_report = verify_nash(rotated, s_rot.chi, t_rot.chi, EPSILON)
+        assert rotated_report.is_equilibrium == report.is_equilibrium
+        assert _clear_verdicts(rotated_report, rotated_problems) == _clear_verdicts(report, problems)
+        for v, w, problem in ((report.gap_i, rotated_report.gap_i, problems[0]),
+                              (report.gap_ii, rotated_report.gap_ii, problems[1]),
+                              (report.payoff_i, rotated_report.payoff_i, problems[0]),
+                              (report.payoff_ii, rotated_report.payoff_ii, problems[1])):
             assert abs(w - v) <= RTOL * _norm_scale(problem)
 
 
