@@ -33,7 +33,6 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -72,12 +71,13 @@ CROSS_CHECK_ATOL = 1e-9
 # rendering
 # ---------------------------------------------------------------------------
 
-def _as_fraction(x: float, max_den: int = 64, tol: float = 1e-12) -> Fraction | None:
+def _as_fraction(x: float, max_den: int = 64, tol: float = 1e-12):
+    from fractions import Fraction  # kept out of start-up: only --exact-fractions needs it
     frac = Fraction(x).limit_denominator(max_den)
     return frac if abs(float(frac) - x) <= tol else None
 
 
-def _fraction_str(frac: Fraction, unit: str) -> str:
+def _fraction_str(frac, unit: str) -> str:
     if frac.denominator == 1:
         return f"{frac.numerator}{unit}"
     return f"{frac.numerator}{unit}/{frac.denominator}"

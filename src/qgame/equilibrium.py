@@ -34,7 +34,7 @@ independent lower-bound oracle for cross-checking the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ WEAK_DUALITY_RTOL = 1e-8
 STOP_GAP_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BestResponseResult:
+class BestResponseResult(NamedTuple):
     """A feasible strategy, its value and a certified upper bound on the optimum.
 
     ``iterations`` counts the iterations of the primal-dual method.
@@ -243,8 +242,7 @@ def unitary_oracle(tensor: PayoffTensor, opponent: ChiMatrix, player,
 # Nash verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NashReport:
+class NashReport(NamedTuple):
     is_equilibrium: bool
     gap_i: float
     gap_ii: float

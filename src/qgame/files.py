@@ -21,8 +21,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,8 +245,7 @@ def game_to_payload(game: QuantumGame) -> dict:
 # strategy files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoadedStrategy:
+class LoadedStrategy(NamedTuple):
     """A strategy bound to a player dimension, in both forms of it.
 
     ``channel`` is the file's Kraus set and ``chi`` its ``kraus_to_chi``, or

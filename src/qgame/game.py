@@ -30,12 +30,15 @@ A payoff is a trace against one operator (G, or R for the direct path) and
 carries rounding of order eps * max|operator| in its imaginary part, however
 small the payoff itself; :func:`require_real` therefore judges every payoff
 against ``IMAG_RTOL * max(1, max|operator|)``.
+
+The records here are immutable NamedTuples; the array fields of a game and a
+classical bimatrix are read-only copies of what the constructor was given.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,19 +82,15 @@ def normalize_player(player) -> str:
     raise ValueError(f"unknown player {player!r}; expected 'I' or 'II'")
 
 
-@dataclass(frozen=True)
-class QuantumGame:
+class QuantumGame(NamedTuple("QuantumGame", [("rho", DensityMatrix), ("payoff_op_i", ComplexMatrix),
+                                             ("payoff_op_ii", ComplexMatrix), ("n1", int),
+                                             ("n2", int)])):
     """A static two-player game: initial state plus payoff operators."""
 
-    rho: DensityMatrix
-    payoff_op_i: ComplexMatrix
-    payoff_op_ii: ComplexMatrix
-    n1: int
-    n2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "payoff_op_i", _frozen(self.payoff_op_i))
-        object.__setattr__(self, "payoff_op_ii", _frozen(self.payoff_op_ii))
+    def __new__(cls, rho, payoff_op_i, payoff_op_ii, n1, n2):
+        return super().__new__(cls, rho, _frozen(payoff_op_i), _frozen(payoff_op_ii), n1, n2)
 
     def payoff_op(self, player) -> ComplexMatrix:
         return self.payoff_op_i if normalize_player(player) == PLAYER_I else self.payoff_op_ii
@@ -129,8 +128,7 @@ def build_game(rho, payoff_i, payoff_ii, n1: int, n2: int, tol: float | None = N
                        linalg.hermitian_part(payoff_i), linalg.hermitian_part(payoff_ii), n1, n2)
 
 
-@dataclass(frozen=True)
-class PayoffTensor:
+class PayoffTensor(NamedTuple):
     """Rank-4 payoff tensor for one player, held as the two factors of its closed form.
 
     ``payoff_op`` and ``state`` are the game's R and rho reshaped to
@@ -164,24 +162,22 @@ class PayoffTensor:
         return self.entries.reshape(s1 * s1, s2 * s2)
 
 
-@dataclass(frozen=True)
-class ClassicalBimatrix:
+class ClassicalBimatrix(NamedTuple("ClassicalBimatrix", [("payoff_i", np.ndarray),
+                                                         ("payoff_ii", np.ndarray)])):
     """Classical payoff grid: entry (s, t) holds both players' payoffs."""
 
-    payoff_i: np.ndarray
-    payoff_ii: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        pi = np.array(self.payoff_i, dtype=float)
-        pii = np.array(self.payoff_ii, dtype=float)
+    def __new__(cls, payoff_i, payoff_ii):
+        pi = np.array(payoff_i, dtype=float)
+        pii = np.array(payoff_ii, dtype=float)
         if pi.shape != pii.shape or pi.ndim != 2:
             raise DimensionMismatch("bimatrix halves must share a 2-D shape")
         if not (np.all(np.isfinite(pi)) and np.all(np.isfinite(pii))):
             raise ValidationError("bimatrix has non-finite entries")
         pi.setflags(write=False)
         pii.setflags(write=False)
-        object.__setattr__(self, "payoff_i", pi)
-        object.__setattr__(self, "payoff_ii", pii)
+        return super().__new__(cls, pi, pii)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +262,7 @@ def payoff_tensor_matrix_unit(game: QuantumGame, player) -> PayoffTensor:
 # evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResponseProblem:
+class ResponseProblem(NamedTuple):
     """Linear payoff ``tr(matrix @ chi)`` over the strategies of a player of dimension ``n``."""
 
     matrix: np.ndarray
@@ -367,8 +362,7 @@ def classical_reduction(game: QuantumGame, tol: float | None = None) -> Classica
 # Monte Carlo play
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     mean_i: float
     mean_ii: float
     stderr_i: float

@@ -9,8 +9,7 @@ payoff grids are the central regression fixture.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +24,7 @@ FIXTURE_NAME = "figure1_tensors.txt"
 _N = 2
 
 
-@dataclass(frozen=True)
-class NamedGame:
+class NamedGame(NamedTuple):
     """A bundled game plus its named reference strategies."""
 
     game: QuantumGame
@@ -91,6 +89,7 @@ def _parse_fixture(text: str) -> tuple[np.ndarray, np.ndarray]:
 
     payload_lines = body[1:]
     payload = "\n".join(payload_lines).strip() + "\n"
+    import hashlib  # kept out of the CLI's start-up: only this checksum needs it
     digest = hashlib.sha256(payload.encode()).hexdigest()
     if digest != declared:
         raise FixtureCorrupt(

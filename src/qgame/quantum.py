@@ -12,12 +12,15 @@ matrix obeying the trace-preservation sums
 i.e. the partial trace of chi over the first index factor is the identity.
 The set of all such matrices ("Omega") is exactly the set of completely
 positive trace-preserving maps; it is compact and convex.
+
+The records here are immutable NamedTuples: each array field is a read-only
+complex copy of what the constructor was given.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .errors import (
 from .linalg import Check, ComplexMatrix
 
 KRAUS_RANK_TOL = 1e-10
-OUTPUT_STATE_ATOL = 1e-8  # floor of the output-state re-check, see apply_product_channel
+OUTPUT_STATE_ATOL = 1e-8  # floor of the output-state re-check, see _output_state_limit
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -48,14 +51,13 @@ def partial_trace_first(m: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("ijil->jl", m.reshape(n, n, n, n))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(NamedTuple("DensityMatrix", [("matrix", ComplexMatrix)])):
     """A state from :func:`validate_density` or a channel; the constructor checks nothing."""
 
-    matrix: ComplexMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
+    def __new__(cls, matrix):
+        return super().__new__(cls, _frozen(matrix))
 
     def __array__(self, dtype=None, copy=None):
         """A copy of the matrix, so that numpy reads a state as it reads any array."""
@@ -66,14 +68,13 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class KrausChannel:
-    """A physical operation given by Kraus operators stacked along axis 0."""
+class KrausChannel(NamedTuple("KrausChannel", [("operators", np.ndarray)])):
+    """A physical operation given by Kraus operators stacked along axis 0, shape (k, dim, dim)."""
 
-    operators: np.ndarray  # shape (k, dim, dim)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "operators", _frozen(self.operators))
+    def __new__(cls, operators):
+        return super().__new__(cls, _frozen(operators))
 
     @property
     def dim(self) -> int:
@@ -84,33 +85,30 @@ class KrausChannel:
         return self.operators.shape[0]
 
 
-@dataclass(frozen=True)
-class ChiMatrix:
+class ChiMatrix(NamedTuple("ChiMatrix", [("matrix", ComplexMatrix), ("n", int)])):
     """A strategy in the chi representation over the matrix-unit basis.
 
     ``matrix`` has dimension n^2 with rows/columns labelled by the flattened
     basis index ``(i, j) -> i*n + j``.
     """
 
-    matrix: ComplexMatrix
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
+    def __new__(cls, matrix, n):
+        return super().__new__(cls, _frozen(matrix), n)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Povm:
-    """A measurement: operators ``{M_k}`` with ``sum_k M_k^dag M_k = I``."""
+class Povm(NamedTuple("Povm", [("elements", np.ndarray)])):
+    """A measurement: operators ``{M_k}`` with ``sum_k M_k^dag M_k = I``, shape (L, dim, dim)."""
 
-    elements: np.ndarray  # shape (L, dim, dim)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", _frozen(self.elements))
+    def __new__(cls, elements):
+        return super().__new__(cls, _frozen(elements))
 
     @property
     def dim(self) -> int:
@@ -251,13 +249,29 @@ def _apply_first_factor(ops: np.ndarray, state: np.ndarray) -> np.ndarray:
     return out.reshape(n, m, m, n).transpose(0, 1, 3, 2)
 
 
-def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply ``rho -> sum_k E_k rho E_k^dag``; output is re-validated."""
+def _output_state_limit(tol: float | None, *dims: int) -> float:
+    """The limit of the output-state re-check of channels on factors of ``dims``.
+
+    The state and the channels passed at ``tol`` (``TRACE_ATOL`` when None): to
+    first order |tr pi - 1| <= |tr rho - 1| + sum_j |sum_k E_k^dag E_k - I|, with
+    a Kraus file's completeness defect at most n tol and a chi file's Kraus form
+    dropping eigenvalues of (n^2 - 1) tol at most.
+    """
+    scale = 1 + sum(n * (n + 1) for n in dims)
+    return max(OUTPUT_STATE_ATOL, scale * linalg.limit(linalg.TRACE_ATOL, tol))
+
+
+def apply_channel(ch: KrausChannel, rho: DensityMatrix, tol: float | None = None) -> DensityMatrix:
+    """Apply ``rho -> sum_k E_k rho E_k^dag``.
+
+    The output state is re-checked at the tolerance ``tol`` that rho and the
+    channel passed, ``max(OUTPUT_STATE_ATOL, (1 + n (n + 1)) tol)``.
+    """
     n = ch.dim
     if n != rho.dim:
         raise DimensionMismatch(f"channel dim {n} != state dim {rho.dim}")
     out = _apply_first_factor(ch.operators, rho.matrix.reshape(n, 1, n, 1))
-    return validate_density(out.reshape(n, n), OUTPUT_STATE_ATOL)
+    return validate_density(out.reshape(n, n), _output_state_limit(tol, n))
 
 
 def apply_product_channel(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMatrix,
@@ -266,20 +280,15 @@ def apply_product_channel(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMa
 
     ``E_k`` acts on factor 1, then ``F_l`` on factor 2; ``E_k (x) F_l`` is never formed.
     The output state is re-checked at the tolerance ``tol`` that rho and the
-    channels passed (``TRACE_ATOL`` when None): to first order |tr pi - 1| <=
-    |tr rho - 1| + sum_j |sum_k E_k^dag E_k - I|, with a Kraus file's
-    completeness defect at most n tol and a chi file's Kraus form dropping
-    eigenvalues of (n^2 - 1) tol at most.  So the limit is
-    ``max(OUTPUT_STATE_ATOL, (1 + sum_j n_j (n_j + 1)) tol)``.
+    channels passed, ``max(OUTPUT_STATE_ATOL, (1 + sum_j n_j (n_j + 1)) tol)``.
     """
     n1, n2 = ch_a.dim, ch_b.dim
     if n1 * n2 != rho.dim:
         raise DimensionMismatch(f"joint channel dim {n1}*{n2} != state dim {rho.dim}")
     state = _apply_first_factor(ch_a.operators, rho.matrix.reshape(n1, n2, n1, n2))
     state = _apply_first_factor(ch_b.operators, state.transpose(1, 0, 3, 2))
-    scale = 1 + n1 * (n1 + 1) + n2 * (n2 + 1)
-    limit = max(OUTPUT_STATE_ATOL, scale * linalg.limit(linalg.TRACE_ATOL, tol))
-    return validate_density(state.transpose(1, 0, 3, 2).reshape(rho.dim, rho.dim), limit)
+    return validate_density(state.transpose(1, 0, 3, 2).reshape(rho.dim, rho.dim),
+                            _output_state_limit(tol, n1, n2))
 
 
 # ---------------------------------------------------------------------------

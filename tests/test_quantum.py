@@ -121,6 +121,25 @@ def test_apply_channel_dimension_mismatch(rng):
         apply_channel(shift_channel(2, 0), random_density(3, rng))
 
 
+def test_apply_channel_output_limit_grows_with_dimension():
+    # state and channel each pass with a defect of 0.99e-9, and the output's
+    # trace is off by about 1.09e-8, above the old fixed limit of 1e-8
+    n, eps = 10, 0.99e-9
+    plus = np.full((n, n), 1.0 / n)
+    rho = validate_density((1 + eps) * plus)
+    # I + eps J = I + eps n P, P the projector on |+>: its root is I + (sqrt(1 + eps n) - 1) P
+    channel = validate_kraus([np.eye(n) + (np.sqrt(1 + eps * n) - 1) * plus])
+    out = apply_channel(channel, rho)
+    assert abs(np.trace(out.matrix) - 1) == pytest.approx((1 + eps) * (1 + eps * n) - 1, rel=1e-6)
+    with pytest.raises(TraceNotOne):  # a tol that small leaves only the 1e-8 floor
+        apply_channel(channel, rho, tol=1e-11)
+
+
+def test_apply_channel_rejects_a_channel_that_is_not_trace_preserving():
+    with pytest.raises(TraceNotOne):
+        apply_channel(KrausChannel(2 * np.eye(2)[None]), validate_density(np.diag([1.0, 0.0])))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_apply_channel_output_is_valid_state(seed):
