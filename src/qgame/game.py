@@ -58,6 +58,7 @@ from .quantum import (
     KrausChannel,
     Povm,
     _frozen,
+    _record,
     apply_product_channel,
     density_checks,
     measure_probs,
@@ -82,9 +83,9 @@ def normalize_player(player) -> str:
     raise ValueError(f"unknown player {player!r}; expected 'I' or 'II'")
 
 
-class QuantumGame(NamedTuple("QuantumGame", [("rho", DensityMatrix), ("payoff_op_i", ComplexMatrix),
-                                             ("payoff_op_ii", ComplexMatrix), ("n1", int),
-                                             ("n2", int)])):
+class QuantumGame(_record("QuantumGame", [("rho", DensityMatrix), ("payoff_op_i", ComplexMatrix),
+                                          ("payoff_op_ii", ComplexMatrix), ("n1", int),
+                                          ("n2", int)])):
     """A static two-player game: initial state plus payoff operators."""
 
     __slots__ = ()
@@ -162,8 +163,8 @@ class PayoffTensor(NamedTuple):
         return self.entries.reshape(s1 * s1, s2 * s2)
 
 
-class ClassicalBimatrix(NamedTuple("ClassicalBimatrix", [("payoff_i", np.ndarray),
-                                                         ("payoff_ii", np.ndarray)])):
+class ClassicalBimatrix(_record("ClassicalBimatrix", [("payoff_i", np.ndarray),
+                                                      ("payoff_ii", np.ndarray)])):
     """Classical payoff grid: entry (s, t) holds both players' payoffs."""
 
     __slots__ = ()

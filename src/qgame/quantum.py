@@ -46,12 +46,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _record(name: str, fields: list) -> type:
+    """A NamedTuple base whose ``_make``, and so ``_replace``, go through the subclass's ``__new__``."""
+    base = NamedTuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
 def partial_trace_first(m: np.ndarray, n: int) -> np.ndarray:
     """Partial trace over the first factor of the flattened (i, j) label."""
     return np.einsum("ijil->jl", m.reshape(n, n, n, n))
 
 
-class DensityMatrix(NamedTuple("DensityMatrix", [("matrix", ComplexMatrix)])):
+class DensityMatrix(_record("DensityMatrix", [("matrix", ComplexMatrix)])):
     """A state from :func:`validate_density` or a channel; the constructor checks nothing."""
 
     __slots__ = ()
@@ -68,7 +75,7 @@ class DensityMatrix(NamedTuple("DensityMatrix", [("matrix", ComplexMatrix)])):
         return self.matrix.shape[0]
 
 
-class KrausChannel(NamedTuple("KrausChannel", [("operators", np.ndarray)])):
+class KrausChannel(_record("KrausChannel", [("operators", np.ndarray)])):
     """A physical operation given by Kraus operators stacked along axis 0, shape (k, dim, dim)."""
 
     __slots__ = ()
@@ -85,7 +92,7 @@ class KrausChannel(NamedTuple("KrausChannel", [("operators", np.ndarray)])):
         return self.operators.shape[0]
 
 
-class ChiMatrix(NamedTuple("ChiMatrix", [("matrix", ComplexMatrix), ("n", int)])):
+class ChiMatrix(_record("ChiMatrix", [("matrix", ComplexMatrix), ("n", int)])):
     """A strategy in the chi representation over the matrix-unit basis.
 
     ``matrix`` has dimension n^2 with rows/columns labelled by the flattened
@@ -102,7 +109,7 @@ class ChiMatrix(NamedTuple("ChiMatrix", [("matrix", ComplexMatrix), ("n", int)])
         return self.matrix.shape[0]
 
 
-class Povm(NamedTuple("Povm", [("elements", np.ndarray)])):
+class Povm(_record("Povm", [("elements", np.ndarray)])):
     """A measurement: operators ``{M_k}`` with ``sum_k M_k^dag M_k = I``, shape (L, dim, dim)."""
 
     __slots__ = ()
@@ -261,17 +268,17 @@ def _output_state_limit(tol: float | None, *dims: int) -> float:
     return max(OUTPUT_STATE_ATOL, scale * linalg.limit(linalg.TRACE_ATOL, tol))
 
 
-def apply_channel(ch: KrausChannel, rho: DensityMatrix, tol: float | None = None) -> DensityMatrix:
+def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply ``rho -> sum_k E_k rho E_k^dag``.
 
-    The output state is re-checked at the tolerance ``tol`` that rho and the
-    channel passed, ``max(OUTPUT_STATE_ATOL, (1 + n (n + 1)) tol)``.
+    The output state is re-checked at ``max(OUTPUT_STATE_ATOL, (1 + n (n + 1)) TRACE_ATOL)``,
+    the limit for a state and a channel that passed at the default tolerances.
     """
     n = ch.dim
     if n != rho.dim:
         raise DimensionMismatch(f"channel dim {n} != state dim {rho.dim}")
     out = _apply_first_factor(ch.operators, rho.matrix.reshape(n, 1, n, 1))
-    return validate_density(out.reshape(n, n), _output_state_limit(tol, n))
+    return validate_density(out.reshape(n, n), _output_state_limit(None, n))
 
 
 def apply_product_channel(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMatrix,

@@ -103,3 +103,32 @@ def test_classical_bimatrix_rejects_mismatched_shapes(payoff_i, payoff_ii):
 def test_classical_bimatrix_rejects_non_finite_entries(bad):
     with pytest.raises(ValidationError):
         ClassicalBimatrix(np.array([[1.0, bad], [0.0, 1.0]]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_make_and_replace_freeze_and_copy(name):
+    kwargs = _kwargs(name)
+    record = RECORDS[name](**kwargs)
+    array_fields = _array_fields(kwargs)
+    fresh = _kwargs(name)
+    made = RECORDS[name]._make(fresh.values())
+    replaced = record._replace(**{field: fresh[field] for field in array_fields})
+    for copy in (made, replaced):
+        assert type(copy) is RECORDS[name]
+        for field in array_fields:
+            value = getattr(copy, field)
+            assert value.flags.writeable is False
+            assert not np.shares_memory(value, fresh[field])
+            assert value.dtype == getattr(record, field).dtype
+
+
+def test_make_and_replace_validate_a_bimatrix():
+    good = ClassicalBimatrix(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValidationError):
+        ClassicalBimatrix._make([np.array([[1.0, np.nan]]), np.zeros((1, 2))])
+    with pytest.raises(DimensionMismatch):
+        ClassicalBimatrix._make([np.array([[1.0, 0.0]]), np.zeros((1, 1))])
+    with pytest.raises(DimensionMismatch):
+        good._replace(payoff_i=np.zeros((2, 3)))
+    with pytest.raises(ValidationError):
+        good._replace(payoff_ii=np.full((2, 2), np.inf))
