@@ -65,13 +65,17 @@ EXIT_NO_CONVERGENCE = 4
 
 # the payoff cross-check's limit, relative to max(1, max|R_I|, max|R_II|)
 CROSS_CHECK_ATOL = 1e-9
+# absolute: --check-fixture's entrywise comparison, and how close a value must
+# lie to the fraction --exact-fractions prints for it
+FIXTURE_ATOL = 1e-12
+FRACTION_ATOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
-def _as_fraction(x: float, max_den: int = 64, tol: float = 1e-12):
+def _as_fraction(x: float, max_den: int = 64, tol: float = FRACTION_ATOL):
     from fractions import Fraction  # kept out of start-up: only --exact-fractions needs it
     frac = Fraction(x).limit_denominator(max_den)
     return frac if abs(float(frac) - x) <= tol else None
@@ -142,7 +146,7 @@ def cmd_tensor(args) -> tuple[int, dict]:
         raise ValidationError(
             f"fixture tensor is {reference.shape}, computed tensor is {entries.shape}"
         )
-    bad = map(tuple, np.argwhere(np.abs(entries - reference) > 1e-12))
+    bad = map(tuple, np.argwhere(np.abs(entries - reference) > FIXTURE_ATOL))
     mismatches = [{"label": label, "computed": entries[label], "fixture": reference[label]}
                   for label in bad]
     payload = {"matched": entries.size - len(mismatches), "entries": entries.size,

@@ -55,6 +55,8 @@ from .quantum import ChiMatrix, partial_trace_first, validate_chi
 # relative to max(1, |H|); STOP_GAP_RTOL is about the certified bound's accuracy
 WEAK_DUALITY_RTOL = 1e-8
 STOP_GAP_RTOL = 1e-12
+# absolute: the limit at which the returned strategy is validated as a chi matrix
+CHI_OPT_ATOL = 1e-7
 
 
 class BestResponseResult(NamedTuple):
@@ -179,7 +181,7 @@ def best_response(problem: ResponseProblem, max_iters: int = 5000,
             best_x, best_val = x, val
         bound = min(bound, _certified_bound(y, h, n))
 
-    chi_opt = validate_chi(best_x, n, tol=1e-7)
+    chi_opt = validate_chi(best_x, n, tol=CHI_OPT_ATOL)
     value = response_value(problem, chi_opt)
     bound *= norm
     raw_gap = bound - value

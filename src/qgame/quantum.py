@@ -186,15 +186,36 @@ def completeness_check(stacked: np.ndarray, tol: float | None = None,
                  CompletenessViolation, f"residual {residual:.3e}")
 
 
+def _factorises(a: ComplexMatrix, shift: float) -> bool:
+    """Whether ``a + shift I`` has a Cholesky factor (read, like eigvalsh, from the lower triangle)."""
+    try:
+        np.linalg.cholesky(a + shift * np.eye(a.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def validate_density(m: ComplexMatrix, tol: float | None = None) -> DensityMatrix:
     """Validate a candidate state; checks trace, Hermiticity, positivity.
 
-    A single ``tol`` overrides all three per-check defaults.  The raised
-    diagnostic names the first violated condition and carries the measured
-    residual.
+    A single ``tol`` overrides all three per-check defaults.  A state whose
+    trace and Hermiticity pass is accepted when ``rho + limit I`` has a
+    Cholesky factor, ``limit`` being the positivity limit: in exact arithmetic
+    that holds iff lambda_min(rho) > -limit.  The factorisation is backward
+    stable (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 10),
+    so it may also accept a minimum eigenvalue up to about d eps ||rho|| below
+    -limit for a d x d state, the order of the eigenvalue's own rounding.
+    Every other matrix is judged by :func:`density_checks` on its minimum
+    eigenvalue, so a state whose factorisation fails but whose eigenvalue
+    passes is still accepted; the raised diagnostic names the first violated
+    condition and carries the measured residual.
     """
     a = linalg.as_matrix(m, "density matrix")
-    linalg.require(density_checks(a, tol))
+    checks = density_checks(a, tol)
+    trace_one, hermitian = next(checks), next(checks)
+    if not (trace_one.passed and hermitian.passed
+            and _factorises(a, linalg.limit(linalg.PSD_ATOL, tol))):
+        linalg.require(density_checks(a, tol))
     return DensityMatrix(a)
 
 

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import channel_action_distance, paper_rho
+from qgame import linalg
 from qgame.errors import (
     CompletenessViolation,
     DimensionMismatch,
     NotHermitian,
     NotPositive,
+    QGameError,
     TraceConditionViolation,
     TraceNotOne,
 )
@@ -16,9 +18,11 @@ from qgame.game import matrix_unit_basis
 from qgame.quantum import (
     ChiMatrix,
     KrausChannel,
+    _output_state_limit,
     apply_channel,
     apply_product_channel,
     chi_to_kraus,
+    density_checks,
     identity_chi,
     kraus_to_chi,
     measure_probs,
@@ -28,7 +32,7 @@ from qgame.quantum import (
     validate_kraus,
     validate_povm,
 )
-from qgame.random_ops import random_chi, random_density, random_kraus_channel
+from qgame.random_ops import random_chi, random_complex, random_density, random_kraus_channel
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 UNITS = matrix_unit_basis(2)  # UNITS[i*2 + j] is the matrix unit (i, j)
@@ -65,6 +69,75 @@ def test_validate_density_hermiticity():
     bad[0, 1] = 0.1
     with pytest.raises(NotHermitian):
         validate_density(bad)
+
+
+def _verdict(validate):
+    try:
+        validate()
+    except QGameError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _same_verdict(m, tol=None):
+    """validate_density's verdict, asserted equal to that of the checks it stands for."""
+    expected = _verdict(lambda: linalg.require(density_checks(np.asarray(m, dtype=complex), tol)))
+    assert _verdict(lambda: validate_density(m, tol)) == expected
+    return expected
+
+
+def _state_with_min_eigenvalue(d, lam, rng):
+    rest = rng.uniform(0.5, 1.5, d - 1)
+    w = np.concatenate(([lam], rest * (1 - lam) / rest.sum()))
+    u, _ = np.linalg.qr(random_complex(rng, (d, d)))
+    return (u * w) @ u.conj().T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_validate_density_matches_checks_on_random_states(n, rng):
+    for d in (n, n * n):
+        for _ in range(5):
+            state = random_density(d, rng).matrix
+            for tol in (None, 0.0, _output_state_limit(None, n, n)):
+                _same_verdict(state, tol)
+
+
+@pytest.mark.parametrize("limit", ["default", "explicit", "product re-check"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_validate_density_positivity_at_its_limit(n, limit, rng):
+    tol = {"default": None, "explicit": 1e-6, "product re-check": _output_state_limit(None, n, n)}[limit]
+    psd = linalg.limit(linalg.PSD_ATOL, tol)
+    for d in (n, n * n):
+        assert _same_verdict(_state_with_min_eigenvalue(d, -0.99 * psd, rng), tol) is None
+        verdict = _same_verdict(_state_with_min_eigenvalue(d, -1.01 * psd, rng), tol)
+        assert verdict is not None and verdict[0] is NotPositive
+
+
+def test_validate_density_pure_state_at_zero_tolerance(rng):
+    # rho is singular, so its factorisation fails; lambda_min = 0 passes the eigenvalue check
+    assert _same_verdict(np.diag([1.0, 0, 0, 0]), 0.0) is None
+    psi = random_complex(rng, 4)
+    _same_verdict(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, 0.0)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+def test_validate_density_reports_hermiticity_and_trace_as_checks_do(tol, rng):
+    limit = linalg.limit(linalg.HERMITIAN_ATOL, tol)
+    skewed = random_density(4, rng).matrix.copy()
+    skewed[0, 1] += 2 * limit
+    assert _same_verdict(skewed, tol)[0] is NotHermitian
+    scaled = (1 + 2 * linalg.limit(linalg.TRACE_ATOL, tol)) * random_density(4, rng).matrix
+    assert _same_verdict(scaled, tol)[0] is TraceNotOne
+
+
+def test_validate_density_accepts_without_an_eigenvalue_solve(monkeypatch, rng):
+    def no_eigenvalue(_):
+        raise AssertionError("an accepted state needs no eigenvalue")
+
+    states = [random_density(d, rng).matrix for d in (2, 4, 9, 16, 36)]
+    monkeypatch.setattr(linalg, "min_eigenvalue", no_eigenvalue)
+    for state in states:
+        validate_density(state)
 
 
 # ---------------------------------------------------------------------------
