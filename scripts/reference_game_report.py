@@ -18,11 +18,12 @@ from qgame.games_builtin import (
     ewl_prisoners_dilemma,
     figure1_reference_tensors,
 )
+from qgame.linalg import NASH_EPSILON
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--epsilon", type=float, default=1e-6)
+    parser.add_argument("--epsilon", type=float, default=NASH_EPSILON)
     args = parser.parse_args()
 
     game = ewl_prisoners_dilemma().game

@@ -21,10 +21,8 @@ Every command computes one payload and renders it once: as JSON with
 Exit codes are a stable contract: 0 success, 1 validation failure (including
 a negative verify-nash verdict), 2 parse/usage error, 3 internal cross-check
 failure, 4 non-convergence or an undecided verify-nash verdict.
-``QGAME_TOL`` optionally overrides, with a finite number >= 0, the default
-tolerances of the checks on input files and of ``simulate``'s
-measurement-consistency check; the re-checks of a chi strategy's Kraus form
-and of the players' output state follow it.
+``QGAME_TOL``, a finite number >= 0, overrides the limits that README's
+tolerance table (the ledger in :mod:`qgame.linalg`) marks as overridable.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .errors import (
     QGameError,
     ValidationError,
 )
-from .equilibrium import best_response, verify_nash
+from .equilibrium import MAX_ITERS, best_response, verify_nash
 from .game import (
     classical_reduction,
     normalize_player,
@@ -55,6 +53,7 @@ from .game import (
     state_payoff,
 )
 from .games_builtin import figure1_reference_tensors
+from .linalg import CROSS_CHECK_ATOL, FIXTURE_ATOL, FRACTION_ATOL, NASH_EPSILON, SOLVE_TOL
 from .quantum import apply_product_channel, kraus_form_loss, kraus_to_chi
 
 EXIT_OK = 0
@@ -63,22 +62,15 @@ EXIT_PARSE = 2
 EXIT_CROSSCHECK = 3
 EXIT_NO_CONVERGENCE = 4
 
-# the payoff cross-check's limit, relative to max(1, max|R_I|, max|R_II|)
-CROSS_CHECK_ATOL = 1e-9
-# absolute: --check-fixture's entrywise comparison, and how close a value must
-# lie to the fraction --exact-fractions prints for it
-FIXTURE_ATOL = 1e-12
-FRACTION_ATOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
-def _as_fraction(x: float, max_den: int = 64, tol: float = FRACTION_ATOL):
+def _as_fraction(x: float):
     from fractions import Fraction  # kept out of start-up: only --exact-fractions needs it
-    frac = Fraction(x).limit_denominator(max_den)
-    return frac if abs(float(frac) - x) <= tol else None
+    frac = Fraction(x).limit_denominator(64)
+    return frac if abs(float(frac) - x) <= FRACTION_ATOL else None
 
 
 def _fraction_str(frac, unit: str) -> str:
@@ -355,9 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("opponent", help="the opponent's strategy file")
     p.add_argument("player", choices=["I", "II", "i", "ii", "1", "2"],
                    help="the responding player")
-    p.add_argument("--tol", dest="br_tol", type=_tolerance, default=1e-7,
+    p.add_argument("--tol", dest="br_tol", type=_tolerance, default=SOLVE_TOL,
                    help="gap to certify, relative to max(1, |H|), |H| the response's norm")
-    p.add_argument("--max-iters", type=_positive_int, default=5000,
+    p.add_argument("--max-iters", type=_positive_int, default=MAX_ITERS,
                    help="budget of iterations for the primal-dual solver")
     p.set_defaults(func=cmd_best_response, text=text_best_response)
 
@@ -365,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.add_argument("strategy_i", metavar="strategy-I")
     p.add_argument("strategy_ii", metavar="strategy-II")
-    p.add_argument("--epsilon", type=_tolerance, default=1e-6,
+    p.add_argument("--epsilon", type=_tolerance, default=NASH_EPSILON,
                    help="certified gain a deviation may offer, relative to max(1, |H|) as --tol")
     p.set_defaults(func=cmd_verify_nash, text=text_verify_nash)
 

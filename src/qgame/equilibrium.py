@@ -49,14 +49,11 @@ from .game import (
     response_problem,
     response_value,
 )
-from .linalg import hermitian_part
+from .linalg import CHI_OPT_ATOL, SOLVE_TOL, STOP_GAP_RTOL, WEAK_DUALITY_RTOL, hermitian_part
 from .quantum import ChiMatrix, partial_trace_first, validate_chi
 
-# relative to max(1, |H|); STOP_GAP_RTOL is about the certified bound's accuracy
-WEAK_DUALITY_RTOL = 1e-8
-STOP_GAP_RTOL = 1e-12
-# absolute: the limit at which the returned strategy is validated as a chi matrix
-CHI_OPT_ATOL = 1e-7
+# a budget, not a limit: the solver's default number of iterations
+MAX_ITERS = 5000
 
 
 class BestResponseResult(NamedTuple):
@@ -142,8 +139,8 @@ def _nt_step(x: np.ndarray, y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.nd
     return x, hermitian_part(y + min(1.0, gamma * max_step(ds)) * dy)
 
 
-def best_response(problem: ResponseProblem, max_iters: int = 5000,
-                  tol: float = 1e-7) -> BestResponseResult:
+def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
+                  tol: float = SOLVE_TOL) -> BestResponseResult:
     """Maximize ``tr(G chi)`` over the strategy set with a duality certificate.
 
     Returns the best feasible strategy found, the best certified upper
@@ -255,7 +252,7 @@ class NashReport(NamedTuple):
 
 
 def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float,
-                solver_tol: float = 1e-7, max_iters: int = 5000) -> NashReport:
+                solver_tol: float = SOLVE_TOL, max_iters: int = MAX_ITERS) -> NashReport:
     """Check the epsilon-Nash property of a strategy profile from certificates.
 
     ``gap_j`` is player j's certified best-response bound minus j's payoff.

@@ -51,7 +51,7 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .linalg import Check, ComplexMatrix
+from .linalg import IMAG_RTOL, MEASUREMENT_ATOL, PAIRING_ATOL, Check, ComplexMatrix
 from .quantum import (
     ChiMatrix,
     DensityMatrix,
@@ -67,11 +67,6 @@ from .quantum import (
 
 PLAYER_I = "I"
 PLAYER_II = "II"
-
-PAIRING_ATOL = 1e-10
-MEASUREMENT_ATOL = 1e-9
-# imaginary parts of payoffs are checked relative to max(1, max|operator|)
-IMAG_RTOL = 1e-9
 
 
 def normalize_player(player) -> str:

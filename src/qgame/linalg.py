@@ -19,10 +19,28 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, QGameError, 
 #: Square complex matrix carrier used throughout the package.
 ComplexMatrix: TypeAlias = np.ndarray
 
-# Centralized tolerances; every validation accepts an override.
-HERMITIAN_ATOL = 1e-10
-PSD_ATOL = 1e-9
-TRACE_ATOL = 1e-9
+# The ledger: every numerical limit of the package and the solver's defaults,
+# each defined here once (README prints the same table).  A limit relative to a
+# scale s is multiplied by max(1, s).  A ``tol`` argument, which the CLI fills
+# from QGAME_TOL, replaces the limits marked "tol"; the one marked "floor" is the
+# least value of a limit that is a multiple of ``tol`` (see quantum).
+# name = default             relative to    tol    what it judges
+HERMITIAN_ATOL = 1e-10     # none           tol    |m - m^dag|, entrywise
+PSD_ATOL = 1e-9            # none           tol    -lambda_min, and chi's least 2x2 minor
+TRACE_ATOL = 1e-9          # none           tol    trace one, trace preservation, completeness
+MEASUREMENT_ATOL = 1e-9    # none           tol    measurement and payoffs against R, entrywise
+KRAUS_RANK_TOL = 1e-10     # none           -      least eigenvalue a chi's Kraus form keeps
+OUTPUT_STATE_ATOL = 1e-8   # none           floor  trace, Hermiticity, positivity of an output state
+PAIRING_ATOL = 1e-10       # none           -      an explicit tensor's Hermiticity pairing
+IMAG_RTOL = 1e-9           # max|operator|  -      imaginary part of a payoff
+CROSS_CHECK_ATOL = 1e-9    # max|R|         -      contraction against direct payoff
+WEAK_DUALITY_RTOL = 1e-8   # |H|            -      a value above its certified bound: a solver bug
+STOP_GAP_RTOL = 1e-12      # |H|            -      the gap at which the solver stops
+CHI_OPT_ATOL = 1e-7        # none           -      the solver's strategy, as a chi matrix
+FIXTURE_ATOL = 1e-12       # none           -      --check-fixture, entrywise
+FRACTION_ATOL = 1e-12      # none           -      --exact-fractions: a value against its fraction
+SOLVE_TOL = 1e-7           # |H|            -      gap a best response certifies; --tol sets it
+NASH_EPSILON = 1e-6        # |H|            -      gain a deviation may offer; --epsilon sets it
 
 
 class Check(NamedTuple):

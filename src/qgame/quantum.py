@@ -36,9 +36,6 @@ from .errors import (
 )
 from .linalg import Check, ComplexMatrix
 
-KRAUS_RANK_TOL = 1e-10
-OUTPUT_STATE_ATOL = 1e-8  # floor of the output-state re-check, see _output_state_limit
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
@@ -286,7 +283,7 @@ def _output_state_limit(tol: float | None, *dims: int) -> float:
     dropping eigenvalues of (n^2 - 1) tol at most.
     """
     scale = 1 + sum(n * (n + 1) for n in dims)
-    return max(OUTPUT_STATE_ATOL, scale * linalg.limit(linalg.TRACE_ATOL, tol))
+    return max(linalg.OUTPUT_STATE_ATOL, scale * linalg.limit(linalg.TRACE_ATOL, tol))
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -361,7 +358,7 @@ def kraus_form(chi: ChiMatrix, tol: float | None = None) -> KrausChannel:
     what is left out.
     """
     w, v = linalg.hermitian_eigen(chi.matrix, linalg.limit(linalg.HERMITIAN_ATOL, tol))
-    keep = w > KRAUS_RANK_TOL
+    keep = w > linalg.KRAUS_RANK_TOL
     if not np.any(keep):
         raise NotInOmega("chi matrix has no eigenvalue above the rank tolerance")
     ops = [np.sqrt(w[k]) * v[:, k].reshape(chi.n, chi.n) for k in np.nonzero(keep)[0]]
@@ -376,7 +373,7 @@ def kraus_form_loss(n: int, tol: float | None = None) -> float:
     dropped, each by m or less: (N - 1) (N / 2 + 1) m <= N^2 m.
     """
     limits = (linalg.limit(linalg.HERMITIAN_ATOL, tol), linalg.limit(linalg.PSD_ATOL, tol))
-    return n ** 4 * max(*limits, KRAUS_RANK_TOL)
+    return n ** 4 * max(*limits, linalg.KRAUS_RANK_TOL)
 
 
 # ---------------------------------------------------------------------------

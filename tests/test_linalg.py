@@ -1,9 +1,22 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qgame import linalg
+from qgame.cli import build_parser
+from qgame.equilibrium import MAX_ITERS
 from qgame.errors import NotHermitian, NotPositive, ValidationError
-from qgame.game import matrix_unit_basis
-from qgame.quantum import density_checks
+from qgame.game import _consistency_check, matrix_unit_basis, validate_tensor_entries
+from qgame.quantum import (
+    _output_state_limit,
+    chi_checks,
+    completeness_check,
+    density_checks,
+    identity_chi,
+    validate_povm,
+)
 from qgame.linalg import (
     HERMITIAN_ATOL,
     Check,
@@ -185,3 +198,67 @@ def test_hermitian_tolerance_constant_is_tight():
     m[0, 1] = HERMITIAN_ATOL / 2
     m[1, 0] = -HERMITIAN_ATOL / 2  # anti-Hermitian perturbation below tolerance
     hermitian_eigen(m)
+
+
+# ---------------------------------------------------------------------------
+# the tolerance ledger
+# ---------------------------------------------------------------------------
+
+LEDGER = {
+    "HERMITIAN_ATOL": 1e-10,
+    "PSD_ATOL": 1e-9,
+    "TRACE_ATOL": 1e-9,
+    "MEASUREMENT_ATOL": 1e-9,
+    "KRAUS_RANK_TOL": 1e-10,
+    "OUTPUT_STATE_ATOL": 1e-8,
+    "PAIRING_ATOL": 1e-10,
+    "IMAG_RTOL": 1e-9,
+    "CROSS_CHECK_ATOL": 1e-9,
+    "WEAK_DUALITY_RTOL": 1e-8,
+    "STOP_GAP_RTOL": 1e-12,
+    "CHI_OPT_ATOL": 1e-7,
+    "FIXTURE_ATOL": 1e-12,
+    "FRACTION_ATOL": 1e-12,
+    "SOLVE_TOL": 1e-7,
+    "NASH_EPSILON": 1e-6,
+}
+
+
+def test_ledger_defaults_are_pinned():
+    assert {name: getattr(linalg, name) for name in LEDGER} == LEDGER
+    assert MAX_ITERS == 5000
+
+
+def test_tol_replaces_the_limits_the_ledger_marks():
+    tol = 3.7e-6
+    povm = validate_povm([np.eye(2)])
+    checks = [hermitian_check(np.eye(2), tol), *density_checks(np.eye(2) / 2, tol),
+              *chi_checks(identity_chi(2).matrix, 2, tol), completeness_check(povm.elements, tol),
+              _consistency_check(povm, np.ones(1), np.eye(2), "I", tol)]
+    assert [check.limit for check in checks] == [tol] * 10
+    assert _output_state_limit(tol, 2, 2) == max(linalg.OUTPUT_STATE_ATOL, 13 * tol)
+
+
+def test_tensor_pairing_is_judged_at_its_fixed_limit():
+    entries = np.zeros((2, 2, 2, 2), dtype=complex)
+    entries[0, 1, 0, 1] = 0.9 * linalg.PAIRING_ATOL
+    validate_tensor_entries(entries)
+    entries[0, 1, 0, 1] = 1.1 * linalg.PAIRING_ATOL
+    with pytest.raises(ValidationError, match=f"limit {linalg.PAIRING_ATOL:g}"):
+        validate_tensor_entries(entries)
+
+
+def test_parser_defaults_are_the_ledger_names():
+    parser = build_parser()
+    response = parser.parse_args(["best-response", "ewl.game", "xi_star.strategy", "I"])
+    assert (response.br_tol, response.max_iters) == (linalg.SOLVE_TOL, MAX_ITERS)
+    nash = parser.parse_args(["verify-nash", "ewl.game", "chi_star.strategy", "xi_star.strategy"])
+    assert nash.epsilon == linalg.NASH_EPSILON
+
+
+def test_readme_tolerance_table_is_the_ledger():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    printed = dict(re.findall(r"^\| `([A-Z_]+)` \| ([^ |]+) \|", readme, re.MULTILINE))
+    assert printed.keys() == LEDGER.keys()
+    for name, value in printed.items():
+        assert getattr(linalg, name) == float(value), name
