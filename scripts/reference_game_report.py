@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from qgame.cli import print_matrix
+from qgame.cli import _tolerance, print_matrix
 from qgame.equilibrium import verify_nash
 from qgame.game import classical_reduction, payoff_contract, payoff_tensor_matrix_unit
 from qgame.games_builtin import (
@@ -23,7 +23,7 @@ from qgame.linalg import NASH_EPSILON
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--epsilon", type=float, default=NASH_EPSILON)
+    parser.add_argument("--epsilon", type=_tolerance, default=NASH_EPSILON)
     args = parser.parse_args()
 
     game = ewl_prisoners_dilemma().game

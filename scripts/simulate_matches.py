@@ -16,7 +16,7 @@ from qgame.games_builtin import (
     ewl_prisoners_dilemma,
     ewl_referee_measurement,
 )
-from qgame.quantum import chi_to_kraus, shift_channel
+from qgame.quantum import kraus_form, shift_channel
 
 
 def main():
@@ -31,8 +31,8 @@ def main():
     lineup = [
         ("identity", shift_channel(2, 0)),
         ("bitflip", shift_channel(2, 1)),
-        ("chi_star", chi_to_kraus(chi_star)),
-        ("xi_star", chi_to_kraus(xi_star)),
+        ("chi_star", kraus_form(chi_star)),
+        ("xi_star", kraus_form(xi_star)),
     ]
 
     streams = np.random.SeedSequence(args.seed).spawn(len(lineup) ** 2)

@@ -60,15 +60,12 @@ from .games_builtin import (
     ewl_referee_measurement,
     figure1_reference_tensors,
 )
-from .linalg import hermitian_eigen
 from .quantum import (
     ChiMatrix,
     DensityMatrix,
     KrausChannel,
     Povm,
-    apply_channel,
     apply_product_channel,
-    chi_to_kraus,
     identity_chi,
     kraus_to_chi,
     measure_probs,

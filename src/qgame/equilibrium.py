@@ -262,10 +262,13 @@ def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float
     found beats a payoff by more than its limit.
 
     Raises:
+        ValueError: if ``epsilon`` is negative, NaN or infinite.
         NoConvergence: if a best-response solve fails to converge, or the
             certificates decide neither verdict; the exception's
             ``partial`` attribute carries the report so far.
     """
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     problem_i = response_problem(payoff_tensor_matrix_unit(game, PLAYER_I), xi, PLAYER_I)
     problem_ii = response_problem(payoff_tensor_matrix_unit(game, PLAYER_II), chi, PLAYER_II)
     payoff_i = response_value(problem_i, chi)

@@ -125,6 +125,8 @@ def parse_document(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply") from None
 
 
 def bundled_path(name) -> pathlib.Path:
@@ -265,7 +267,7 @@ def load_strategy(path, n: int, tol: float | None = None) -> LoadedStrategy:
 
     if kind == "chi":
         chi = validate_chi(matrix_from_lists(_require(doc, "matrix", what), "chi matrix"), n, tol)
-        return LoadedStrategy(chi, kraus_form(chi, tol))
+        return LoadedStrategy(chi, kraus_form(chi))
 
     if kind == "classical":
         index = _int_field(doc, "index", what)

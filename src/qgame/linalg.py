@@ -1,10 +1,10 @@
 """Dense complex linear algebra kernel and the validity-check record.
 
 Small, self-contained layer the rest of the package builds on: matrix
-coercion, Hermitian eigendecomposition, the package-wide numerical
-tolerances, and :class:`Check`, the one shape every validity condition
-takes.  Matrices are plain square ``numpy.ndarray`` values of dtype
-complex, stored row-major.
+coercion, the least eigenvalue of a Hermitian matrix, the package-wide
+numerical tolerances, and :class:`Check`, the one shape every validity
+condition takes.  Matrices are plain square ``numpy.ndarray`` values of
+dtype complex, stored row-major.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import NamedTuple, TypeAlias
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, QGameError, ValidationError
+from .errors import DimensionMismatch, NotHermitian, QGameError, ValidationError
 
 #: Square complex matrix carrier used throughout the package.
 ComplexMatrix: TypeAlias = np.ndarray
@@ -86,32 +86,6 @@ def hermitian_check(m: ComplexMatrix, tol: float | None = None, what: str = "mat
     residual = float(np.max(np.abs(m - m.conj().T)))
     return Check(f"{what} hermitian", residual, limit(HERMITIAN_ATOL, tol), NotHermitian,
                  f"residual {residual:.3e}")
-
-
-def hermitian_eigen(m: ComplexMatrix, tol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, ComplexMatrix]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Args:
-        m: Hermitian matrix (checked within ``tol``).
-        tol: Hermiticity tolerance.
-
-    Returns:
-        ``(eigenvalues, eigenvectors)`` with real eigenvalues sorted in
-        descending order and eigenvectors as the matching columns of a
-        unitary matrix.  Within degenerate eigenvalue groups the column
-        order is unspecified.
-
-    Raises:
-        NotHermitian: if the input fails the Hermiticity check.
-        NoConvergence: if the underlying iterative diagonalization fails.
-    """
-    a = as_matrix(m)
-    require([hermitian_check(a, tol)])
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def min_eigenvalue(m: ComplexMatrix) -> float:

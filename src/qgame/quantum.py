@@ -28,11 +28,11 @@ from . import linalg
 from .errors import (
     CompletenessViolation,
     DimensionMismatch,
+    NoConvergence,
     NotInOmega,
     NotPositive,
     TraceConditionViolation,
     TraceNotOne,
-    ValidationError,
 )
 from .linalg import Check, ComplexMatrix
 
@@ -274,29 +274,16 @@ def _apply_first_factor(ops: np.ndarray, state: np.ndarray) -> np.ndarray:
     return out.reshape(n, m, m, n).transpose(0, 1, 3, 2)
 
 
-def _output_state_limit(tol: float | None, *dims: int) -> float:
-    """The limit of the output-state re-check of channels on factors of ``dims``.
+def _output_state_limit(tol: float | None, n1: int, n2: int) -> float:
+    """The limit of the output-state re-check of a product channel on factors n1 and n2.
 
     The state and the channels passed at ``tol`` (``TRACE_ATOL`` when None): to
     first order |tr pi - 1| <= |tr rho - 1| + sum_j |sum_k E_k^dag E_k - I|, with
     a Kraus file's completeness defect at most n tol and a chi file's Kraus form
     dropping eigenvalues of (n^2 - 1) tol at most.
     """
-    scale = 1 + sum(n * (n + 1) for n in dims)
+    scale = 1 + n1 * (n1 + 1) + n2 * (n2 + 1)
     return max(linalg.OUTPUT_STATE_ATOL, scale * linalg.limit(linalg.TRACE_ATOL, tol))
-
-
-def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply ``rho -> sum_k E_k rho E_k^dag``.
-
-    The output state is re-checked at ``max(OUTPUT_STATE_ATOL, (1 + n (n + 1)) TRACE_ATOL)``,
-    the limit for a state and a channel that passed at the default tolerances.
-    """
-    n = ch.dim
-    if n != rho.dim:
-        raise DimensionMismatch(f"channel dim {n} != state dim {rho.dim}")
-    out = _apply_first_factor(ch.operators, rho.matrix.reshape(n, 1, n, 1))
-    return validate_density(out.reshape(n, n), _output_state_limit(None, n))
 
 
 def apply_product_channel(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMatrix,
@@ -333,31 +320,23 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     return ChiMatrix(linalg.hermitian_part(flat.T @ flat.conj()), n)
 
 
-def chi_to_kraus(chi: ChiMatrix, tol: float | None = None) -> KrausChannel:
-    """Extract a minimal Kraus set from a chi matrix.
+def kraus_form(chi: ChiMatrix) -> KrausChannel:
+    """The minimal Kraus set of a chi matrix that passed :func:`validate_chi`.
 
-    Re-validates chi at ``tol`` (None: the defaults), then takes
-    :func:`kraus_form`.  Kraus sets are unique only up to unitary mixing, so
-    callers should compare channels by their action, not operator-by-operator.
+    Keeps eigenvalues above ``KRAUS_RANK_TOL``, largest first; operator k is
+    ``sqrt(lambda_k)`` times the un-flattened eigenvector (read, like eigvalsh,
+    from chi's lower triangle), and :func:`kraus_form_loss` bounds what is left
+    out.  Kraus sets are unique only up to unitary mixing, so compare channels
+    by their action, not operator by operator.
 
     Raises:
-        NotInOmega: if the chi matrix fails its invariants.
+        NoConvergence: if the eigendecomposition fails to converge.
     """
     try:
-        chi = validate_chi(chi.matrix, chi.n, tol)
-    except ValidationError as exc:
-        raise NotInOmega(f"not a valid strategy: {exc}") from exc
-    return kraus_form(chi, tol)
-
-
-def kraus_form(chi: ChiMatrix, tol: float | None = None) -> KrausChannel:
-    """The minimal Kraus set of a chi matrix that passed :func:`validate_chi` at ``tol``.
-
-    Keeps eigenvalues above ``KRAUS_RANK_TOL``; operator k is ``sqrt(lambda_k)``
-    times the un-flattened eigenvector, and :func:`kraus_form_loss` bounds
-    what is left out.
-    """
-    w, v = linalg.hermitian_eigen(chi.matrix, linalg.limit(linalg.HERMITIAN_ATOL, tol))
+        w, v = np.linalg.eigh(chi.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
+    w, v = w[::-1], v[:, ::-1]
     keep = w > linalg.KRAUS_RANK_TOL
     if not np.any(keep):
         raise NotInOmega("chi matrix has no eigenvalue above the rank tolerance")
@@ -366,7 +345,7 @@ def kraus_form(chi: ChiMatrix, tol: float | None = None) -> KrausChannel:
 
 
 def kraus_form_loss(n: int, tol: float | None = None) -> float:
-    """Bound on the trace norm of ``chi - kraus_to_chi(chi_to_kraus(chi, tol))``.
+    """Bound on the trace norm of ``chi - kraus_to_chi(kraus_form(chi))``, chi valid at ``tol``.
 
     With N = n^2 and m the largest Hermiticity, positivity or rank limit, reading chi's
     lower triangle moves N (N - 1) / 2 entries, and N - 1 or fewer eigenvalues are

@@ -85,11 +85,16 @@ def densities_spanning_basis(n: int) -> list[np.ndarray]:
     return states
 
 
-def channel_action_distance(apply_a, apply_b, n: int) -> float:
-    """Largest entrywise deviation of two channel actions over the state basis."""
+def channel_action_distance(ch_a, ch_b, n: int) -> float:
+    """Largest entrywise deviation of two Kraus channels' actions over the state basis.
+
+    Each acts as a product with the trivial channel on a one-dimensional factor.
+    """
+    one = quantum.shift_channel(1, 0)
     worst = 0.0
     for state in densities_spanning_basis(n):
-        out_a = apply_a(state)
-        out_b = apply_b(state)
+        rho = quantum.validate_density(state)
+        out_a = quantum.apply_product_channel(ch_a, one, rho).matrix
+        out_b = quantum.apply_product_channel(ch_b, one, rho).matrix
         worst = max(worst, float(np.max(np.abs(out_a - out_b))))
     return worst

@@ -337,7 +337,7 @@ def test_payoff_cross_check_failure(tmp_path, capsys, monkeypatch):
         (cli_module, "state_payoff", lambda *a, **k: 0.0, PAYOFF_PAIRS),
         # a conversion that plays the identity for chi* and xi* drops a trace norm
         # of order 1, far beyond kraus_form_loss; the limit must not absorb it
-        (files, "kraus_form", lambda chi, tol=None: shift_channel(chi.n, 0), PAYOFF_PAIRS[1:]),
+        (files, "kraus_form", lambda chi: shift_channel(chi.n, 0), PAYOFF_PAIRS[1:]),
     )
     for module, name, fake, pairs in faults:
         with monkeypatch.context() as patch:
@@ -810,6 +810,16 @@ def test_parse_error_names_position(tmp_path):
     with pytest.raises(ParseError) as err:
         files.load_game(path)
     assert "line 2" in str(err.value)
+
+
+def test_deeply_nested_file_is_parse_error(tmp_path, capsys):
+    # 100,000 nested arrays exhaust the JSON decoder's recursion limit
+    path = tmp_path / "deep.game"
+    deep = "[" * 100_000 + "]" * 100_000
+    path.write_text(json.dumps(_with("rho", "deep")).replace('"deep"', deep))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err == "parse error: arrays or objects nested too deeply\n"
 
 
 def test_strategy_file_shape_errors(tmp_path):

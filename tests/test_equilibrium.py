@@ -392,6 +392,12 @@ def test_verify_nash_large_epsilon(ewl_game, ewl_stars):
     assert report.is_equilibrium
 
 
+@pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
+def test_verify_nash_rejects_an_epsilon_out_of_range(ewl_game, ewl_stars, epsilon):
+    with pytest.raises(ValueError, match="finite number >= 0"):
+        verify_nash(ewl_game, *ewl_stars, epsilon=epsilon)
+
+
 def test_verify_nash_gap_self_consistency(ewl_game):
     chi_id = identity_chi(2)
     report = verify_nash(ewl_game, chi_id, chi_id, epsilon=1e-6)
@@ -426,3 +432,10 @@ def test_best_response_scan_script_runs():
 def test_script_runs(script, args):
     proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "nan"])
+def test_reference_report_rejects_an_epsilon_out_of_range(epsilon):
+    proc = run_script("reference_game_report.py", "--epsilon", epsilon)
+    assert proc.returncode == 2
+    assert "must be a finite number >= 0" in proc.stderr and "Traceback" not in proc.stderr

@@ -22,7 +22,6 @@ from qgame.games_builtin import (
     ewl_referee_measurement,
     figure1_reference_tensors,
 )
-from qgame.linalg import hermitian_eigen
 from qgame.quantum import kraus_to_chi, validate_chi, validate_density, validate_kraus
 
 UNITS = matrix_unit_basis(2)  # UNITS[i*2 + j] is the matrix unit (i, j)
@@ -41,8 +40,8 @@ def test_game_matrices(ewl_game):
 
 def test_initial_state_is_pure(ewl_game):
     validate_density(ewl_game.rho.matrix)
-    w, _ = hermitian_eigen(ewl_game.rho.matrix)
-    np.testing.assert_allclose(w, [1, 0, 0, 0], atol=1e-12)
+    w = np.linalg.eigvalsh(ewl_game.rho.matrix)
+    np.testing.assert_allclose(w, [0, 0, 0, 1], atol=1e-12)
 
 
 def test_identity_play_value(ewl_game):

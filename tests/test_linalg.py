@@ -22,13 +22,9 @@ from qgame.linalg import (
     Check,
     as_matrix,
     hermitian_check,
-    hermitian_eigen,
     min_eigenvalue,
     require,
 )
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
 
 def kron_by_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Independent brute-force Kronecker product via explicit block expansion."""
@@ -42,11 +38,6 @@ def kron_by_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def random_hermitian(rng, n):
-    a = random_matrix(rng, n)
-    return 0.5 * (a + a.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -80,42 +71,6 @@ def test_kron_matches_block_expansion(rng):
         a = random_matrix(rng, int(rng.integers(1, 4)))
         b = random_matrix(rng, int(rng.integers(1, 4)))
         np.testing.assert_allclose(np.kron(a, b), kron_by_blocks(a, b), atol=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# hermitian_eigen
-# ---------------------------------------------------------------------------
-
-def test_eigen_identity():
-    w, _ = hermitian_eigen(np.eye(2))
-    np.testing.assert_allclose(w, [1.0, 1.0])
-
-
-def test_eigen_pauli_x():
-    w, v = hermitian_eigen(PAULI_X)
-    np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-14)
-    np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, PAULI_X, atol=1e-14)
-
-
-def test_eigen_reconstructs_random_8x8(rng):
-    m = random_hermitian(rng, 8)
-    w, v = hermitian_eigen(m)
-    assert np.all(np.diff(w) <= 1e-12)  # descending
-    np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, m, atol=1e-9)
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(8), atol=1e-9)
-
-
-def test_eigen_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_eigen_tolerance_override(rng):
-    skewed = random_hermitian(rng, 3)
-    skewed[0, 1] += 1e-8
-    with pytest.raises(NotHermitian):
-        hermitian_eigen(skewed)
-    hermitian_eigen(skewed, tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +125,7 @@ def test_paper_state_is_rank_one_projector():
     np.testing.assert_allclose(rho @ rho, rho, atol=1e-14)  # idempotent
     assert abs(np.trace(rho) - 1) < 1e-14
     assert min_eigenvalue(rho) >= -1e-12
-    w, _ = hermitian_eigen(rho)
-    np.testing.assert_allclose(w, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(np.linalg.eigvalsh(rho), [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_psd_implies_principal_minors(rng):
@@ -197,7 +151,7 @@ def test_hermitian_tolerance_constant_is_tight():
     m = np.eye(2, dtype=complex)
     m[0, 1] = HERMITIAN_ATOL / 2
     m[1, 0] = -HERMITIAN_ATOL / 2  # anti-Hermitian perturbation below tolerance
-    hermitian_eigen(m)
+    assert hermitian_check(m).passed
 
 
 # ---------------------------------------------------------------------------

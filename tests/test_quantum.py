@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import channel_action_distance, paper_rho
-from qgame import linalg
+from qgame import files, linalg
 from qgame.errors import (
     CompletenessViolation,
     DimensionMismatch,
+    NoConvergence,
     NotHermitian,
     NotPositive,
     QGameError,
@@ -16,14 +17,12 @@ from qgame.errors import (
 )
 from qgame.game import matrix_unit_basis
 from qgame.quantum import (
-    ChiMatrix,
     KrausChannel,
     _output_state_limit,
-    apply_channel,
     apply_product_channel,
-    chi_to_kraus,
     density_checks,
     identity_chi,
+    kraus_form,
     kraus_to_chi,
     measure_probs,
     shift_channel,
@@ -37,6 +36,7 @@ from qgame.random_ops import random_chi, random_complex, random_density, random_
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 UNITS = matrix_unit_basis(2)  # UNITS[i*2 + j] is the matrix unit (i, j)
 RESET_OPS = [UNITS[0], UNITS[1]]  # measure-and-reset to state 0
+ONE = shift_channel(1, 0)  # the trivial second factor: a product with it acts on one factor
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_validate_kraus_mixed_dims():
 
 def test_apply_channel_identity(rng):
     rho = random_density(3, rng)
-    out = apply_channel(shift_channel(3, 0), rho)
+    out = apply_product_channel(shift_channel(3, 0), ONE, rho)
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
 
 
@@ -180,18 +180,19 @@ def test_apply_channel_reset_sends_everything_to_ground(rng):
     reset = validate_kraus(RESET_OPS)
     for _ in range(5):
         rho = random_density(2, rng)
-        out = apply_channel(reset, rho)
+        out = apply_product_channel(reset, ONE, rho)
         np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_apply_channel_bit_flip():
-    out = apply_channel(KrausChannel(PAULI_X[None]), validate_density(np.diag([1.0, 0.0])))
+    out = apply_product_channel(KrausChannel(PAULI_X[None]), ONE,
+                                validate_density(np.diag([1.0, 0.0])))
     np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_apply_channel_dimension_mismatch(rng):
     with pytest.raises(DimensionMismatch):
-        apply_channel(shift_channel(2, 0), random_density(3, rng))
+        apply_product_channel(shift_channel(2, 0), ONE, random_density(3, rng))
 
 
 def test_apply_channel_output_limit_grows_with_dimension():
@@ -202,13 +203,14 @@ def test_apply_channel_output_limit_grows_with_dimension():
     rho = validate_density((1 + eps) * plus)
     # I + eps J = I + eps n P, P the projector on |+>: its root is I + (sqrt(1 + eps n) - 1) P
     channel = validate_kraus([np.eye(n) + (np.sqrt(1 + eps * n) - 1) * plus])
-    out = apply_channel(channel, rho)
+    out = apply_product_channel(channel, ONE, rho)
     assert abs(np.trace(out.matrix) - 1) == pytest.approx((1 + eps) * (1 + eps * n) - 1, rel=1e-6)
 
 
 def test_apply_channel_rejects_a_channel_that_is_not_trace_preserving():
     with pytest.raises(TraceNotOne):
-        apply_channel(KrausChannel(2 * np.eye(2)[None]), validate_density(np.diag([1.0, 0.0])))
+        apply_product_channel(KrausChannel(2 * np.eye(2)[None]), ONE,
+                              validate_density(np.diag([1.0, 0.0])))
 
 
 @settings(max_examples=25, deadline=None)
@@ -218,7 +220,7 @@ def test_apply_channel_output_is_valid_state(seed):
     n = int(rng.integers(2, 5))
     ch = random_kraus_channel(n, rng)
     rho = random_density(n, rng)
-    out = apply_channel(ch, rho)
+    out = apply_product_channel(ch, ONE, rho)
     assert abs(np.trace(out.matrix) - 1) <= 1e-9
     assert np.min(np.linalg.eigvalsh(out.matrix)) >= -1e-8
 
@@ -348,12 +350,12 @@ def test_mixture_of_identity_and_bitflip_is_valid():
     chi_id = identity_chi(2)
     chi_flip = kraus_to_chi(shift_channel(2, 1))
     mixed = validate_chi(0.5 * (chi_id.matrix + chi_flip.matrix), 2)
-    out = apply_channel(chi_to_kraus(mixed), validate_density(np.diag([1.0, 0.0])))
+    out = apply_product_channel(kraus_form(mixed), ONE, validate_density(np.diag([1.0, 0.0])))
     np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-14)
 
 
 def test_chi_to_kraus_identity_is_single_operator():
-    ch = chi_to_kraus(identity_chi(2))
+    ch = kraus_form(identity_chi(2))
     assert ch.n_operators == 1
     op = ch.operators[0]
     phase = op[0, 0] / abs(op[0, 0])
@@ -362,27 +364,30 @@ def test_chi_to_kraus_identity_is_single_operator():
 
 def test_chi_to_kraus_reset_round_trip(ewl_stars):
     chi_star, _ = ewl_stars
-    extracted = chi_to_kraus(chi_star)
+    extracted = kraus_form(chi_star)
     assert extracted.n_operators == 2
     reference = validate_kraus(RESET_OPS)
-    dist = channel_action_distance(
-        lambda s: apply_channel(extracted, validate_density(s)).matrix,
-        lambda s: apply_channel(reference, validate_density(s)).matrix,
-        2,
-    )
-    assert dist <= 1e-8
+    assert channel_action_distance(extracted, reference, 2) <= 1e-8
 
 
 def test_chi_to_kraus_rank_counts_eigenvalues(rng):
     chi = random_chi(2, rng, n_operators=1)
-    assert chi_to_kraus(chi).n_operators == 1
+    assert kraus_form(chi).n_operators == 1
 
 
-def test_chi_to_kraus_rejects_invalid_strategy():
-    from qgame.errors import NotInOmega
+def test_kraus_form_operators_come_largest_first(ewl_stars, rng):
+    for chi, rank in ((ewl_stars[0], 2), (random_chi(3, rng, n_operators=3), 3)):
+        norms = np.linalg.norm(kraus_form(chi).operators, axis=(1, 2))
+        assert len(norms) == rank and np.all(np.diff(norms) <= 0)
 
-    with pytest.raises(NotInOmega):
-        chi_to_kraus(ChiMatrix(np.eye(4) * 0.25, 2))  # trace sums are I/2, not I
+
+def test_kraus_form_reports_an_eigensolver_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        files.load_strategy("chi_star.strategy", 2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -391,13 +396,8 @@ def test_chi_round_trip_preserves_action(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 4))
     ch = random_kraus_channel(n, rng)
-    rebuilt = chi_to_kraus(kraus_to_chi(ch))
-    dist = channel_action_distance(
-        lambda s: apply_channel(ch, validate_density(s)).matrix,
-        lambda s: apply_channel(rebuilt, validate_density(s)).matrix,
-        n,
-    )
-    assert dist <= 1e-8
+    rebuilt = kraus_form(kraus_to_chi(ch))
+    assert channel_action_distance(ch, rebuilt, n) <= 1e-8
 
 
 def test_kraus_to_chi_output_always_valid(rng):
