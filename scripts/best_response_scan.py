@@ -8,10 +8,9 @@ points of the strategy set, on the built-in game or, with
 lower bounds and every gap should certify.
 """
 
-import argparse
-
 import numpy as np
 
+from qgame.cli import ArgumentParser, _positive_int, _seed
 from qgame.equilibrium import best_response, unitary_oracle
 from qgame.game import build_game, payoff_tensor_matrix_unit, response_problem
 from qgame.games_builtin import ewl_prisoners_dilemma
@@ -20,12 +19,12 @@ from qgame.random_ops import random_chi, random_density, random_hermitian, rando
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
+    parser = ArgumentParser(description=__doc__)
+    parser.add_argument("--trials", type=_positive_int, default=20)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--random-games", action="store_true",
                         help="scan random games instead of the built-in one")
-    parser.add_argument("--resolution", type=int, default=24)
+    parser.add_argument("--resolution", type=_positive_int, default=24)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)

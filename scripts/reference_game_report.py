@@ -6,11 +6,9 @@ bundled transcription fixture, shows the classical reduction, and verifies
 the equilibrium strategy pair.
 """
 
-import argparse
-
 import numpy as np
 
-from qgame.cli import _tolerance, print_matrix
+from qgame.cli import ArgumentParser, _tolerance, print_matrix
 from qgame.equilibrium import verify_nash
 from qgame.game import classical_reduction, payoff_contract, payoff_tensor_matrix_unit
 from qgame.games_builtin import (
@@ -22,7 +20,7 @@ from qgame.linalg import NASH_EPSILON
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("--epsilon", type=_tolerance, default=NASH_EPSILON)
     args = parser.parse_args()
 

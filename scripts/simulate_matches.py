@@ -6,10 +6,9 @@ strategies through the referee's measurement and compares empirical means
 with the exact expected payoffs.
 """
 
-import argparse
-
 import numpy as np
 
+from qgame.cli import ArgumentParser, _positive_int, _seed
 from qgame.game import simulate_play
 from qgame.games_builtin import (
     ewl_equilibrium_strategies,
@@ -20,9 +19,9 @@ from qgame.quantum import kraus_form, shift_channel
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rounds", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser = ArgumentParser(description=__doc__)
+    parser.add_argument("--rounds", type=_positive_int, default=100_000)
+    parser.add_argument("--seed", type=_seed, default=0)
     args = parser.parse_args()
 
     game = ewl_prisoners_dilemma().game

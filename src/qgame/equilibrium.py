@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .errors import NoConvergence, UnsupportedDimension, WeakDualityViolation
 from .game import (
     PLAYER_I,
@@ -149,9 +150,15 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
     gap closed to within ``tol * max(1, |H|)``, |H| the spectral norm of G's
     Hermitian part.  An unconverged result still carries the best feasible
     strategy found (callers decide whether to treat that as an error).
+
+    Raises:
+        ValueError: if ``tol`` is negative, NaN or infinite.
+        ValidationError: if the response matrix has a non-finite entry.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     n = problem.n
-    h = hermitian_part(problem.matrix)
+    h = hermitian_part(linalg.as_matrix(problem.matrix, "response matrix"))
     eig_h = np.linalg.eigvalsh(h)
     scale = float(max(-eig_h[0], eig_h[-1]))
     # the method runs on H / max(1, |H|), so that its stopping gap is absolute
@@ -182,10 +189,9 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
     value = response_value(problem, chi_opt)
     bound *= norm
     raw_gap = bound - value
-    if raw_gap < -WEAK_DUALITY_RTOL * norm:
-        raise WeakDualityViolation(
-            f"primal value {value!r} exceeds certified bound {bound!r}; solver bug"
-        )
+    linalg.require([linalg.Check("weak duality", value - bound, WEAK_DUALITY_RTOL * norm,
+                                 WeakDualityViolation, f"primal value {value!r} exceeds "
+                                 f"certified bound {bound!r}; solver bug")])
     # bound can dip below value by eigensolver noise, so the gap can be
     # slightly negative; it is reported as is
     return BestResponseResult(value, chi_opt, float(bound), float(raw_gap),

@@ -127,6 +127,8 @@ def parse_document(text: str) -> dict:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise ParseError("arrays or objects nested too deeply") from None
+    except ValueError as exc:  # an integer literal of more digits than Python converts
+        raise ParseError(str(exc)) from None
 
 
 def bundled_path(name) -> pathlib.Path:
@@ -147,7 +149,12 @@ def resolve_input(name) -> pathlib.Path:
 
 def load_document(path) -> dict:
     resolved = resolve_input(path)
-    doc = parse_document(resolved.read_text())
+    try:
+        text = resolved.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{resolved.name}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                         ) from None
+    doc = parse_document(text)
     if not isinstance(doc, dict):
         raise ParseError(f"{resolved.name}: top level must be an object")
     version = doc.get("format_version", FORMAT_VERSION)

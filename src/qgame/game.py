@@ -37,6 +37,7 @@ classical bimatrix are read-only copies of what the constructor was given.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -105,7 +106,9 @@ def game_checks(rho, payoff_i, payoff_ii, n1: int, n2: int,
     ops = (linalg.as_matrix(payoff_i, "payoff operator I"),
            linalg.as_matrix(payoff_ii, "payoff operator II"))
     dims = [state.shape[0], ops[0].shape[0], ops[1].shape[0]]
-    yield Check("dimensions", max(abs(d - n1 * n2) for d in dims), 0, DimensionMismatch,
+    mismatch = max(abs(d - n1 * n2) for d in dims)  # an int, possibly beyond every float
+    yield Check("dimensions", float(mismatch) if mismatch < 2 ** 1023 else math.inf, 0,
+                DimensionMismatch,
                 f"rho {dims[0]}, payoff operators {dims[1]} and {dims[2]}, n1*n2 = {n1 * n2}")
     for label, op in zip((PLAYER_I, PLAYER_II), ops):
         yield linalg.hermitian_check(op, tol, f"payoff operator {label}")
@@ -132,7 +135,9 @@ class PayoffTensor(NamedTuple):
     ``payoff_op[c, k, a, i] * state[b, j, d, l]``.  ``entries[alpha, beta,
     gamma, delta]`` (alpha, beta flattened labels of player I, gamma, delta
     of player II) and ``grid`` (row ``alpha*n1^2 + beta``, column
-    ``gamma*n2^2 + delta``) are formed on each access, at O(n^8) cost.
+    ``gamma*n2^2 + delta``) are formed on each access, at O(n^8) cost, and
+    raise ``UnsupportedDimension`` before allocating more than
+    ``TENSOR_BYTES_MAX`` bytes.
     """
 
     payoff_op: np.ndarray
@@ -149,6 +154,9 @@ class PayoffTensor(NamedTuple):
     @property
     def entries(self) -> np.ndarray:
         s1, s2 = self.n1 ** 2, self.n2 ** 2
+        count = (s1 * s2) ** 2  # complex entries of 16 bytes each
+        linalg.require([Check("payoff tensor size", 16.0 * count, linalg.TENSOR_BYTES_MAX,
+                              UnsupportedDimension, f"{count} entries need {16 * count} bytes")])
         entries = np.einsum("ckai,bjdl->abcdijkl", self.payoff_op, self.state)
         return entries.reshape(s1, s1, s2, s2)
 
@@ -270,12 +278,14 @@ def require_real(value: complex, operator: np.ndarray, what: str) -> float:
 
     Rounding in such a trace is of order eps * max|operator|, so the
     imaginary part must vanish within ``IMAG_RTOL * max(1, max|operator|)``;
-    a larger one signals a corrupted strategy and raises ``NonRealPayoff``.
+    a larger one, or a real part that is not finite, signals a corrupted
+    strategy or game and raises ``NonRealPayoff``.
     """
-    scale = max(1.0, float(np.max(np.abs(operator))))
-    if abs(value.imag) > IMAG_RTOL * scale:
-        raise NonRealPayoff(f"{what} has imaginary part {value.imag:.3e}, "
-                            f"limit {IMAG_RTOL:.1e} x {scale:.3e}")
+    limit = IMAG_RTOL * max(1.0, float(np.max(np.abs(operator))))
+    residual = abs(value.imag) if math.isfinite(value.real) else math.inf
+    if not residual <= limit:  # the Check is built only to raise: this runs on every payoff
+        linalg.require([Check(f"{what} real", residual, limit, NonRealPayoff,
+                              f"imaginary part {value.imag:.3e} of {value.real:.3e}")])
     return float(value.real)
 
 

@@ -39,6 +39,7 @@ STOP_GAP_RTOL = 1e-12      # |H|            -      the gap at which the solver s
 CHI_OPT_ATOL = 1e-7        # none           -      the solver's strategy, as a chi matrix
 FIXTURE_ATOL = 1e-12       # none           -      --check-fixture, entrywise
 FRACTION_ATOL = 1e-12      # none           -      --exact-fractions: a value against its fraction
+TENSOR_BYTES_MAX = 2**28   # none           -      bytes of a tensor's explicit entries (n1 = n2 = 8)
 SOLVE_TOL = 1e-7           # |H|            -      gap a best response certifies; --tol sets it
 NASH_EPSILON = 1e-6        # |H|            -      gain a deviation may offer; --epsilon sets it
 
@@ -94,6 +95,9 @@ def min_eigenvalue(m: ComplexMatrix) -> float:
 
 
 def hermitian_part(m) -> ComplexMatrix:
-    """``(m + m^dag) / 2``, exactly Hermitian in floating point."""
-    a = np.asarray(m, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    """``(m + m^dag) / 2``, exactly Hermitian in floating point.
+
+    Halving each term first is exact and cannot overflow on finite entries.
+    """
+    half = 0.5 * np.asarray(m, dtype=complex)
+    return half + half.conj().T

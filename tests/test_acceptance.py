@@ -55,10 +55,9 @@ def test_criterion_1_figure_reproduction():
     with Stopwatch() as clock:
         game = ewl_prisoners_dilemma().game
         fixtures = figure1_reference_tensors()
-        worst = 0.0
-        for player, fixture in zip(("I", "II"), fixtures):
-            computed = payoff_tensor_matrix_unit(game, player)
-            worst = max(worst, float(np.max(np.abs(computed.entries - fixture))))
+        # np.max, not Python's max, so that a NaN deviation propagates and fails
+        worst = float(np.max([np.abs(payoff_tensor_matrix_unit(game, player).entries - fixture)
+                              for player, fixture in zip(("I", "II"), fixtures)]))
     ok = worst <= 1e-12 and clock.elapsed < 1.0
     report(1, f"reference grids reproduced, worst deviation {worst:.1e}", ok, clock.elapsed)
     assert worst <= 1e-12

@@ -259,6 +259,18 @@ def test_tensor_check_fixture_flags_other_games(tmp_path, capsys):
     assert "mismatch at (alpha=0" in out
 
 
+def test_tensor_check_fixture_counts_a_nan_entry_as_a_mismatch(capsys, monkeypatch):
+    fixtures = [f.copy() for f in cli.figure1_reference_tensors()]
+    fixtures[0][1, 2, 3, 0] = np.nan
+    monkeypatch.setattr(cli, "figure1_reference_tensors", lambda: fixtures)
+    code, out, _ = run(capsys, "tensor", "ewl.game", "I", "--check-fixture")
+    assert code == 1
+    assert out.splitlines()[:2] == [
+        "match: 255/256 entries",
+        "  mismatch at (alpha=1, beta=2, gamma=3, delta=0): computed 1.25, fixture nan",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # payoff
 # ---------------------------------------------------------------------------
@@ -335,6 +347,8 @@ def test_payoff_cross_check_failure(tmp_path, capsys, monkeypatch):
 
     faults = (
         (cli_module, "state_payoff", lambda *a, **k: 0.0, PAYOFF_PAIRS),
+        # a NaN disagrees with every payoff
+        (cli_module, "state_payoff", lambda *a, **k: float("nan"), PAYOFF_PAIRS),
         # a conversion that plays the identity for chi* and xi* drops a trace norm
         # of order 1, far beyond kraus_form_loss; the limit must not absorb it
         (files, "kraus_form", lambda chi: shift_channel(chi.n, 0), PAYOFF_PAIRS[1:]),

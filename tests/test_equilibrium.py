@@ -14,7 +14,7 @@ from qgame.equilibrium import (
     unitary_oracle,
     verify_nash,
 )
-from qgame.errors import DimensionMismatch, UnsupportedDimension
+from qgame.errors import DimensionMismatch, UnsupportedDimension, ValidationError
 from qgame.game import build_game, payoff_contract, payoff_direct, payoff_tensor_matrix_unit
 from qgame.quantum import (
     apply_product_channel,
@@ -244,6 +244,21 @@ def test_best_response_weak_duality_guard_is_relative():
         assert result.iterations == 0
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_best_response_rejects_a_tol_out_of_range(ewl_game, ewl_stars, tol):
+    problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), ewl_stars[1], "I")
+    with pytest.raises(ValueError, match="finite number >= 0"):
+        best_response(problem, tol=tol)
+
+
+def test_best_response_rejects_a_non_finite_response_matrix(ewl_game, ewl_stars):
+    problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), ewl_stars[1], "I")
+    matrix = problem.matrix.copy()
+    matrix[0, 0] = np.inf
+    with pytest.raises(ValidationError, match="response matrix has non-finite entries"):
+        best_response(problem._replace(matrix=matrix))
+
+
 def test_best_response_starved_budget_reports_unconverged(ewl_game, rng):
     opponent = random_chi(2, rng)
     problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), opponent, "I")
@@ -434,8 +449,20 @@ def test_script_runs(script, args):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("epsilon", ["-1", "nan"])
+@pytest.mark.parametrize("epsilon", ["-1", "nan", "-1e-3"])
 def test_reference_report_rejects_an_epsilon_out_of_range(epsilon):
     proc = run_script("reference_game_report.py", "--epsilon", epsilon)
     assert proc.returncode == 2
     assert "must be a finite number >= 0" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("simulate_matches.py", ("--rounds", "0"), "a positive integer"),
+    ("simulate_matches.py", ("--seed", "-1"), "an integer in [0, 2^64 - 1]"),
+    ("best_response_scan.py", ("--resolution", "0"), "a positive integer"),
+    ("best_response_scan.py", ("--trials", "-1"), "a positive integer"),
+])
+def test_scripts_reject_arguments_out_of_range(script, args, message):
+    proc = run_script(script, *args)
+    assert proc.returncode == 2
+    assert f"must be {message}" in proc.stderr and "Traceback" not in proc.stderr

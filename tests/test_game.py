@@ -26,6 +26,7 @@ from qgame.game import (
     payoff_operator,
     payoff_tensor_general,
     payoff_tensor_matrix_unit,
+    require_real,
     response_problem,
     simulate_play,
     state_payoff,
@@ -303,6 +304,13 @@ def test_contract_flags_corrupted_strategy(ewl_game):
     crooked = ChiMatrix(crooked_matrix, 2)
     with pytest.raises(NonRealPayoff):
         payoff_contract(tensor, crooked, identity_chi(2))
+
+
+@pytest.mark.parametrize("value", [complex(np.nan, 0), complex(0, np.nan),
+                                   complex(np.inf, 0), complex(-np.inf, 0)])
+def test_require_real_fails_a_value_that_is_not_finite(value):
+    with pytest.raises(NonRealPayoff, match="payoff real failed: imaginary part"):
+        require_real(value, np.eye(2), "payoff")
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,13 @@ import pytest
 from qgame import linalg
 from qgame.cli import build_parser
 from qgame.equilibrium import MAX_ITERS
-from qgame.errors import NotHermitian, NotPositive, ValidationError
-from qgame.game import _consistency_check, matrix_unit_basis, validate_tensor_entries
+from qgame.errors import NotHermitian, NotPositive, UnsupportedDimension, ValidationError
+from qgame.game import (
+    PayoffTensor,
+    _consistency_check,
+    matrix_unit_basis,
+    validate_tensor_entries,
+)
 from qgame.quantum import (
     _output_state_limit,
     chi_checks,
@@ -22,6 +27,7 @@ from qgame.linalg import (
     Check,
     as_matrix,
     hermitian_check,
+    hermitian_part,
     min_eigenvalue,
     require,
 )
@@ -173,6 +179,7 @@ LEDGER = {
     "CHI_OPT_ATOL": 1e-7,
     "FIXTURE_ATOL": 1e-12,
     "FRACTION_ATOL": 1e-12,
+    "TENSOR_BYTES_MAX": 2 ** 28,
     "SOLVE_TOL": 1e-7,
     "NASH_EPSILON": 1e-6,
 }
@@ -200,6 +207,29 @@ def test_tensor_pairing_is_judged_at_its_fixed_limit():
     entries[0, 1, 0, 1] = 1.1 * linalg.PAIRING_ATOL
     with pytest.raises(ValidationError, match=f"limit {linalg.PAIRING_ATOL:g}"):
         validate_tensor_entries(entries)
+
+
+def test_tensor_size_is_checked_before_the_entries_are_formed(monkeypatch):
+    def einsum(*args, **kwargs):
+        raise AssertionError("entries formed")
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    # n1 = n2 = 8 meets the limit exactly: 8^8 entries of 16 bytes
+    factors = np.zeros((8, 8, 8, 8), dtype=complex)
+    with pytest.raises(AssertionError, match="entries formed"):
+        PayoffTensor(factors, factors).entries
+    factors = np.zeros((10, 10, 10, 10), dtype=complex)
+    with pytest.raises(UnsupportedDimension, match="need 1600000000 bytes"):
+        PayoffTensor(factors, factors).grid
+
+
+def test_hermitian_part_cannot_overflow(rng):
+    big = np.array([[1e308, 1e308j], [-1e308j, -1e308]])
+    assert np.array_equal(hermitian_part(big), big)
+    # halving first is exact: the same bits as (m + m^dag) / 2 wherever that is finite
+    for scale in (1e-300, 1.0, 1e300):
+        m = scale * random_matrix(rng, 4)
+        assert np.array_equal(hermitian_part(m), 0.5 * (m + m.conj().T))
 
 
 def test_parser_defaults_are_the_ledger_names():
