@@ -8,7 +8,7 @@ with the exact expected payoffs.
 
 import numpy as np
 
-from qgame.cli import ArgumentParser, _positive_int, _seed
+from qgame.cli import ArgumentParser, _rounds, _seed
 from qgame.game import simulate_play
 from qgame.games_builtin import (
     ewl_equilibrium_strategies,
@@ -20,7 +20,7 @@ from qgame.quantum import kraus_form, shift_channel
 
 def main():
     parser = ArgumentParser(description=__doc__)
-    parser.add_argument("--rounds", type=_positive_int, default=100_000)
+    parser.add_argument("--rounds", type=_rounds, default=100_000)
     parser.add_argument("--seed", type=_seed, default=0)
     args = parser.parse_args()
 

@@ -309,6 +309,7 @@ def _bounded(kind: type, low, high, description: str):
 
 
 _positive_int = _bounded(int, 1, np.inf, "a positive integer")
+_rounds = _bounded(int, 1, 2 ** 63 - 1, "a positive integer below 2^63")
 _seed = _bounded(int, 0, 2 ** 64 - 1, "an integer in [0, 2^64 - 1]")
 _tolerance = _bounded(float, 0.0, sys.float_info.max, "a finite number >= 0")
 
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("povm")
     p.add_argument("strategy_i", metavar="strategy-I")
     p.add_argument("strategy_ii", metavar="strategy-II")
-    p.add_argument("--rounds", type=_positive_int, default=100000)
+    p.add_argument("--rounds", type=_rounds, default=100000)
     p.add_argument("--seed", type=_seed, default=None,
                    help="64-bit seed for the single deterministic generator; "
                         "chosen and printed when unspecified")

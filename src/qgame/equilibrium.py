@@ -171,7 +171,8 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
     best_x, best_val = x, float(np.trace(h).real) / n
     bound = min(_certified_bound(eig_h[-1] / norm * eye, h, n),
                 _certified_bound(partial_trace_first(h, n) / n, h, n))
-    y = (eig_h[-1] + scale) / norm * eye
+    # halving is exact, so the sum cannot overflow where lambda_max and |H| do not
+    y = (0.5 * eig_h[-1] + 0.5 * scale) / (0.5 * norm) * eye
     iterations = 0
     while bound - best_val > STOP_GAP_RTOL and iterations < max_iters:
         try:

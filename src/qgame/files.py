@@ -63,30 +63,35 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _floats(data, what: str) -> np.ndarray:
+    """JSON numbers as floats; an integer literal beyond the float range is a ``ParseError``."""
+    try:
+        return np.asarray(data, dtype=float)
+    except OverflowError:
+        raise ParseError(f"{what}: an integer is too large for a float") from None
+
+
 def matrix_from_lists(data, what: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ParseError(f"{what}: expected a non-empty array of rows")
-    rows = []
     width = None
     for r, row in enumerate(data):
         if not isinstance(row, list) or (width is not None and len(row) != width):
             raise ParseError(f"{what}: row {r} is not an array of length {width}")
         width = len(row)
-        entries = []
         for c, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2 or not all(map(_is_number, cell)):
                 raise ParseError(f"{what}: entry ({r}, {c}) is not a [re, im] pair")
-            entries.append(complex(cell[0], cell[1]))
-        rows.append(entries)
-    if len(rows) != width:
-        raise ParseError(f"{what}: must be square, got {len(rows)}x{width}")
-    return np.array(rows, dtype=complex)
+    if len(data) != width:
+        raise ParseError(f"{what}: must be square, got {len(data)}x{width}")
+    # the [re, im] pairs, read as one complex number each
+    return _floats(data, what).view(complex)[..., 0]
 
 
 def real_vector_from_list(data, what: str) -> np.ndarray:
     if not isinstance(data, list) or not all(map(_is_number, data)):
         raise ParseError(f"{what}: expected an array of real numbers")
-    return np.asarray(data, dtype=float)
+    return _floats(data, what)
 
 
 def _require(doc: dict, key: str, what: str):

@@ -107,9 +107,13 @@ def game_checks(rho, payoff_i, payoff_ii, n1: int, n2: int,
            linalg.as_matrix(payoff_ii, "payoff operator II"))
     dims = [state.shape[0], ops[0].shape[0], ops[1].shape[0]]
     mismatch = max(abs(d - n1 * n2) for d in dims)  # an int, possibly beyond every float
+    try:
+        product = str(n1 * n2)
+    except ValueError:  # more digits than Python prints
+        product = f"about 10^{math.log10(abs(n1 * n2)):.0f}"
     yield Check("dimensions", float(mismatch) if mismatch < 2 ** 1023 else math.inf, 0,
                 DimensionMismatch,
-                f"rho {dims[0]}, payoff operators {dims[1]} and {dims[2]}, n1*n2 = {n1 * n2}")
+                f"rho {dims[0]}, payoff operators {dims[1]} and {dims[2]}, n1*n2 = {product}")
     for label, op in zip((PLAYER_I, PLAYER_II), ops):
         yield linalg.hermitian_check(op, tol, f"payoff operator {label}")
 
@@ -398,11 +402,14 @@ def simulate_play(game: QuantumGame, povm: Povm, payoffs_i, payoffs_ii,
     operators entrywise within ``tol`` (default ``MEASUREMENT_ATOL``), or
     ``InconsistentMeasurement`` is raised; ``apply_product_channel`` takes it too.
 
+    Only the outcome counts of the rounds enter the result, so they are
+    drawn in one multinomial call: ``rng`` fixes the counts, and time and
+    memory do not grow with ``rounds``, which must lie in [1, 2^63 - 1].
     Standard errors are sample standard deviations over sqrt(rounds); the
     exact payoffs are those of the measured output state.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be a positive integer")
+    if not 1 <= rounds <= 2 ** 63 - 1:
+        raise ValueError(f"rounds must be an integer in [1, 2^63 - 1], got {rounds}")
     a_i = np.asarray(payoffs_i, dtype=float)
     a_ii = np.asarray(payoffs_ii, dtype=float)
     linalg.require(
@@ -411,22 +418,14 @@ def simulate_play(game: QuantumGame, povm: Povm, payoffs_i, payoffs_ii,
     )
     pi = apply_product_channel(ch_a, ch_b, game.rho, tol)
     probs = np.clip(measure_probs(povm, pi), 0.0, None)
-    probs = probs / probs.sum()
-    outcomes = rng.choice(povm.outcome_count, size=rounds, p=probs)
-    samples_i = a_i[outcomes]
-    samples_ii = a_ii[outcomes]
+    counts = rng.multinomial(rounds, probs / probs.sum())
 
-    def stderr(x: np.ndarray) -> float:
-        if rounds < 2:
-            return 0.0
-        return float(np.std(x, ddof=1) / np.sqrt(rounds))
+    def estimate(a: np.ndarray) -> tuple[float, float]:
+        mean = float((counts / rounds) @ a)
+        if rounds == 1:
+            return mean, 0.0
+        return mean, float(np.sqrt((counts / (rounds - 1)) @ (a - mean) ** 2 / rounds))
 
-    return SimulationResult(
-        mean_i=float(samples_i.mean()),
-        mean_ii=float(samples_ii.mean()),
-        stderr_i=stderr(samples_i),
-        stderr_ii=stderr(samples_ii),
-        rounds=rounds,
-        exact_i=state_payoff(game, pi, PLAYER_I),
-        exact_ii=state_payoff(game, pi, PLAYER_II),
-    )
+    (mean_i, stderr_i), (mean_ii, stderr_ii) = estimate(a_i), estimate(a_ii)
+    return SimulationResult(mean_i, mean_ii, stderr_i, stderr_ii, rounds,
+                            state_payoff(game, pi, PLAYER_I), state_payoff(game, pi, PLAYER_II))

@@ -658,8 +658,9 @@ SIMULATE_IDENTITY = ("simulate", "ewl.game", "ewl.povm", "identity.strategy",
     ("verify-nash", "ewl.game", "chi_star.strategy", "xi_star.strategy", "--epsilon=-1e-3"),
     ("best-response", "ewl.game", "xi_star.strategy", "I", "--tol", "nan"),
     ("best-response", "ewl.game", "xi_star.strategy", "I", "--tol=-1"),
+    (*SIMULATE_IDENTITY[:-1], str(2 ** 63)),
 ], ids=["seed-negative", "seed-2^64", "seed-fraction", "epsilon-nan", "epsilon-inf",
-        "epsilon-negative", "tol-nan", "tol-negative"])
+        "epsilon-negative", "tol-nan", "tol-negative", "rounds-2^63"])
 def test_numeric_option_out_of_range_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
@@ -851,6 +852,62 @@ def test_non_square_matrix_is_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert "square" in err
+
+
+def _without(doc, key):
+    del doc[key]
+    return doc
+
+
+# (id, file suffix, document or raw text, stderr of the command on it)
+INPUT_ERRORS = [
+    ("rho-empty", "game", _with("rho", []), "rho: expected a non-empty array of rows"),
+    ("rho-ragged", "game", _with("rho", [row[:3] if r == 1 else row
+                                         for r, row in enumerate(_bundled("ewl.game")["rho"])]),
+     "rho: row 1 is not an array of length 4"),
+    ("top-level-array", "game", "[1, 2]", "input.game: top level must be an object"),
+    ("povm-elements-empty", "game", _povm_game(elements=[]),
+     "povm: elements must be a non-empty array of matrices"),
+    ("n1-is-1", "game", _with("n1", 1), "game file: per-player dimensions must be at least 2"),
+    ("payoff-ops-array", "game", _with("payoff_ops", [1]),
+     "game file: payoff_ops must be an object with fields 'I' and 'II'"),
+    ("povm-array", "game", {**_povm_game(), "povm": []}, "game file: povm must be an object"),
+    ("no-payoffs", "game", _without(_bundled("ewl.game"), "payoff_ops"),
+     "game file: needs either payoff_ops or povm"),
+    ("operators-empty", "strategy", {"kind": "kraus", "operators": []},
+     "strategy file: operators must be a non-empty array of matrices"),
+]
+
+
+@pytest.mark.parametrize("name, suffix, doc, message", INPUT_ERRORS,
+                         ids=[row[0] for row in INPUT_ERRORS])
+def test_input_errors_name_their_cause(name, suffix, doc, message, tmp_path, capsys):
+    path = tmp_path / f"input.{suffix}"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    argv = ("validate", str(path)) if suffix == "game" else ("payoff", "ewl.game", str(path),
+                                                              "identity.strategy")
+    assert run(capsys, *argv) == (2, "", f"parse error: {message}\n")
+
+
+def test_integer_literal_of_too_many_digits_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "digits.game"
+    path.write_text(json.dumps(_with("n1", "n1")).replace('"n1": "n1"', '"n1": 1' + "0" * 4300))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith("parse error: Exceeds the limit (4300 digits) for integer string "
+                          "conversion")
+
+
+def test_chi_without_a_kraus_operator(tmp_path, capsys, monkeypatch):
+    # every eigenvalue of the zero matrix is at the rank tolerance, so no Kraus operator is kept;
+    # only a tolerance of 1e300 lets that chi through its trace-preservation check
+    path = tmp_path / "zero.strategy"
+    path.write_text(json.dumps({"kind": "chi", "matrix": [[[0, 0]] * 4] * 4}))
+    monkeypatch.setenv("QGAME_TOL", "1e300")
+    for argv in (("payoff", "ewl.game", str(path), "xi_star.strategy"),
+                 ("best-response", "ewl.game", str(path), "II")):
+        assert run(capsys, *argv) == (1, "", "validation error: chi matrix has no eigenvalue "
+                                             "above the rank tolerance\n")
 
 
 def test_bundled_game_equals_builtin(ewl, ewl_stars):

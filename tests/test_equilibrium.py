@@ -461,6 +461,7 @@ def test_reference_report_rejects_an_epsilon_out_of_range(epsilon):
     ("simulate_matches.py", ("--seed", "-1"), "an integer in [0, 2^64 - 1]"),
     ("best_response_scan.py", ("--resolution", "0"), "a positive integer"),
     ("best_response_scan.py", ("--trials", "-1"), "a positive integer"),
+    ("simulate_matches.py", ("--rounds", str(2 ** 63)), "a positive integer below 2^63"),
 ])
 def test_scripts_reject_arguments_out_of_range(script, args, message):
     proc = run_script(script, *args)

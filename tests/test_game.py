@@ -421,6 +421,50 @@ def test_simulate_rejects_zero_rounds(ewl_game):
                       0, np.random.default_rng(0))
 
 
+def _outcome_probs(game, povm, ch_a, ch_b):
+    probs = np.clip(measure_probs(povm, apply_product_channel(ch_a, ch_b, game.rho)), 0.0, None)
+    return probs / probs.sum()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_simulate_draws_the_outcome_counts_in_one_multinomial_call(ewl_game, seed):
+    povm, a_i, a_ii = ewl_referee_measurement()
+    channels = np.random.default_rng(100 + seed)
+    ch_a, ch_b = random_kraus_channel(2, channels), random_kraus_channel(2, channels)
+    rounds = 5000
+    result = simulate_play(ewl_game, povm, a_i, a_ii, ch_a, ch_b, rounds,
+                           np.random.default_rng(seed))
+    counts = np.random.default_rng(seed).multinomial(rounds,
+                                                     _outcome_probs(ewl_game, povm, ch_a, ch_b))
+    assert result.mean_i == float((counts / rounds) @ a_i)
+    assert result.mean_ii == float((counts / rounds) @ a_ii)
+    # the sample standard deviation (ddof = 1) of the rounds the counts stand for
+    for stderr, a in ((result.stderr_i, a_i), (result.stderr_ii, a_ii)):
+        assert stderr == pytest.approx(np.std(np.repeat(a, counts), ddof=1) / np.sqrt(rounds),
+                                       rel=1e-12)
+
+
+def test_simulate_time_and_memory_do_not_grow_with_rounds(ewl_game):
+    povm, a_i, a_ii = ewl_referee_measurement()
+    result = simulate_play(ewl_game, povm, a_i, a_ii, RESET_0, RESET_1, 10 ** 12,
+                           np.random.default_rng(5))
+    assert result.rounds == 10 ** 12
+    assert 0.0 < result.stderr_i == pytest.approx(2.5 / 1e6, rel=1e-3)
+    assert abs(result.mean_i - result.exact_i) <= 6 * result.stderr_i
+    assert abs(result.mean_ii - result.exact_ii) <= 6 * result.stderr_ii
+
+
+@pytest.mark.parametrize("rounds", [-1, 2 ** 63])
+def test_simulate_rejects_rounds_out_of_range(ewl_game, rounds):
+    povm, a_i, a_ii = ewl_referee_measurement()
+    with pytest.raises(ValueError, match=r"\[1, 2\^63 - 1\]"):
+        simulate_play(ewl_game, povm, a_i, a_ii, RESET_0, RESET_1, rounds,
+                      np.random.default_rng(0))
+    result = simulate_play(ewl_game, povm, a_i, a_ii, RESET_0, RESET_1, 2 ** 63 - 1,
+                           np.random.default_rng(0))
+    assert result.rounds == 2 ** 63 - 1
+
+
 def test_referee_measurement_reproduces_payoff_operators(ewl_game):
     povm, a_i, a_ii = ewl_referee_measurement()
     np.testing.assert_allclose(payoff_operator(povm, a_i), ewl_game.payoff_op_i, atol=1e-12)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -151,3 +152,24 @@ def test_fixture_checksum_guard():
 def test_fixture_header_guard():
     with pytest.raises(FixtureCorrupt):
         _parse_fixture("tensor I\n0 0 1 0\n")
+
+
+def _fixture(header: str, *lines: str) -> str:
+    """A fixture text whose header declares its payload's true checksum."""
+    payload = "\n".join(lines) + "\n"
+    return f"{header} sha256 {hashlib.sha256(payload.encode()).hexdigest()}\n{payload}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dims 16 x sha256 0\ntensor I\n", "malformed fixture header: 'dims 16 x sha256 0'"),
+    (_fixture("dims 16 16", "0 0 1 0", "tensor I"),
+     "entry line before any tensor section: '0 0 1 0'"),
+    (_fixture("dims 16 16", "tensor I", "0 0 one 0"), "malformed fixture entry: '0 0 one 0'"),
+    (_fixture("dims 16 16", "tensor I", "16 0 1 0"), "fixture entry out of range: '16 0 1 0'"),
+    (_fixture("dims 16 16", "tensor I", "0 0 1 0"),
+     "fixture must hold tensors I and II, found ['I']"),
+], ids=["header", "entry-before-tensor", "entry", "entry-out-of-range", "no-tensor-II"])
+def test_fixture_structure_guards(text, message):
+    with pytest.raises(FixtureCorrupt) as err:
+        _parse_fixture(text)
+    assert str(err.value) == message
