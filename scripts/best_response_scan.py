@@ -10,7 +10,7 @@ lower bounds and every gap should certify.
 
 import numpy as np
 
-from qgame.cli import ArgumentParser, _positive_int, _seed
+from qgame.cli import ArgumentParser, _positive_int, _seed, survive_closed_pipe
 from qgame.equilibrium import best_response, unitary_oracle
 from qgame.game import build_game, payoff_tensor_matrix_unit, response_problem
 from qgame.games_builtin import ewl_prisoners_dilemma
@@ -63,4 +63,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    survive_closed_pipe(main)

@@ -8,7 +8,7 @@ the equilibrium strategy pair.
 
 import numpy as np
 
-from qgame.cli import ArgumentParser, _tolerance, print_matrix
+from qgame.cli import ArgumentParser, _tolerance, print_matrix, survive_closed_pipe
 from qgame.equilibrium import verify_nash
 from qgame.game import classical_reduction, payoff_contract, payoff_tensor_matrix_unit
 from qgame.games_builtin import (
@@ -51,4 +51,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    survive_closed_pipe(main)

@@ -8,7 +8,7 @@ with the exact expected payoffs.
 
 import numpy as np
 
-from qgame.cli import ArgumentParser, _rounds, _seed
+from qgame.cli import ArgumentParser, _rounds, _seed, survive_closed_pipe
 from qgame.game import simulate_play
 from qgame.games_builtin import (
     ewl_equilibrium_strategies,
@@ -50,4 +50,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    survive_closed_pipe(main)

@@ -53,7 +53,7 @@ from .game import (
     state_payoff,
 )
 from .games_builtin import figure1_reference_tensors
-from .linalg import CROSS_CHECK_ATOL, FIXTURE_ATOL, FRACTION_ATOL, NASH_EPSILON, SOLVE_TOL
+from .linalg import CROSS_CHECK_ATOL, FRACTION_ATOL, NASH_EPSILON, SOLVE_TOL
 from .quantum import apply_product_channel, kraus_form_loss, kraus_to_chi
 
 EXIT_OK = 0
@@ -138,8 +138,8 @@ def cmd_tensor(args) -> tuple[int, dict]:
         raise ValidationError(
             f"fixture tensor is {reference.shape}, computed tensor is {entries.shape}"
         )
-    # an entry matches only within the limit, so a NaN never does
-    bad = map(tuple, np.argwhere(~(np.abs(entries - reference) <= FIXTURE_ATOL)))
+    # an entry matches only when it equals the fixture's, so a NaN never does
+    bad = map(tuple, np.argwhere(entries != reference))
     mismatches = [{"label": label, "computed": entries[label], "fixture": reference[label]}
                   for label in bad]
     payload = {"matched": entries.size - len(mismatches), "entries": entries.size,
@@ -435,18 +435,25 @@ def _run(args) -> int:
     return code
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    code = EXIT_OK
+def survive_closed_pipe(func, *args):
+    """``func(*args)``, then flush stdout; return what ``func`` returned, or None.
+
+    A reader that closes the pipe early (e.g. ``| head``) ends the output
+    quietly: the rest of it goes to /dev/null, so the flush at exit cannot
+    fail too.  The scripts in ``scripts/`` run their ``main`` through this.
+    """
+    result = None
     try:
-        code = _run(args)
+        result = func(*args)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed the pipe early (e.g. `| head`): send the rest of
-        # the output to /dev/null, so that the flush at exit cannot fail too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return code
+    return result
+
+
+def main(argv=None) -> int:
+    code = survive_closed_pipe(_run, build_parser().parse_args(argv))
+    return EXIT_OK if code is None else code
 
 
 def console_main() -> None:

@@ -80,4 +80,4 @@ class ParseError(QGameError):
 
 
 class FixtureCorrupt(QGameError):
-    """Bundled fixture file failed its checksum or structure check."""
+    """Bundled fixture document failed its checksum or holds grids that are not 16x16."""

@@ -213,11 +213,7 @@ def payoff_operator(povm: Povm, payoffs) -> ComplexMatrix:
 
 def matrix_unit_basis(n: int) -> np.ndarray:
     """All n^2 matrix units stacked in flattened-label order (i*n + j)."""
-    basis = np.zeros((n * n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            basis[i * n + j, i, j] = 1.0
-    return basis
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
 
 
 def validate_tensor_entries(entries) -> np.ndarray:
@@ -286,10 +282,12 @@ def require_real(value: complex, operator: np.ndarray, what: str) -> float:
     strategy or game and raises ``NonRealPayoff``.
     """
     limit = IMAG_RTOL * max(1.0, float(np.max(np.abs(operator))))
-    residual = abs(value.imag) if math.isfinite(value.real) else math.inf
+    finite = math.isfinite(value.real)
+    residual = abs(value.imag) if finite else math.inf
     if not residual <= limit:  # the Check is built only to raise: this runs on every payoff
-        linalg.require([Check(f"{what} real", residual, limit, NonRealPayoff,
-                              f"imaginary part {value.imag:.3e} of {value.real:.3e}")])
+        detail = (f"imaginary part {value.imag:.3e} of {value.real:.3e}" if finite
+                  else f"real part {value.real:.3e} is not finite")
+        linalg.require([Check(f"{what} real", residual, limit, NonRealPayoff, detail)])
     return float(value.real)
 
 

@@ -13,12 +13,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import files
 from .errors import FixtureCorrupt
 from .files import bundled_path, load_game, load_povm_file, load_strategy
 from .game import QuantumGame, validate_tensor_entries
 from .quantum import ChiMatrix, Povm
 
-FIXTURE_NAME = "figure1_tensors.txt"
+FIXTURE_NAME = "figure1_tensors.json"
 
 # per-player dimension of the bundled game; the loaders check the files against it
 _N = 2
@@ -71,66 +72,28 @@ def ewl_prisoners_dilemma() -> NamedGame:
     )
 
 
-def _fixture_text() -> str:
-    return bundled_path(FIXTURE_NAME).read_text()
-
-
-def _parse_fixture(text: str) -> tuple[np.ndarray, np.ndarray]:
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    body = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
-    if not body or not body[0].startswith("dims "):
-        raise FixtureCorrupt("fixture is missing its header line")
-    header = body[0].split()
-    try:
-        rows, cols = int(header[1]), int(header[2])
-        declared = header[header.index("sha256") + 1]
-    except (ValueError, IndexError) as exc:
-        raise FixtureCorrupt(f"malformed fixture header: {body[0]!r}") from exc
-
-    payload_lines = body[1:]
-    payload = "\n".join(payload_lines).strip() + "\n"
-    import hashlib  # kept out of the CLI's start-up: only this checksum needs it
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    if digest != declared:
-        raise FixtureCorrupt(
-            f"fixture checksum mismatch: file hashes to {digest}, header declares {declared}"
-        )
-
-    grids: dict[str, np.ndarray] = {}
-    current: np.ndarray | None = None
-    for ln in payload_lines:
-        parts = ln.split()
-        if parts[0] == "tensor":
-            current = np.zeros((rows, cols), dtype=complex)
-            grids[parts[1]] = current
-        else:
-            if current is None:
-                raise FixtureCorrupt(f"entry line before any tensor section: {ln!r}")
-            try:
-                r, c = int(parts[0]), int(parts[1])
-                re_part, im_part = float(parts[2]), float(parts[3])
-            except (ValueError, IndexError) as exc:
-                raise FixtureCorrupt(f"malformed fixture entry: {ln!r}") from exc
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise FixtureCorrupt(f"fixture entry out of range: {ln!r}")
-            current[r, c] = complex(re_part, im_part)
-    if set(grids) != {"I", "II"}:
-        raise FixtureCorrupt(f"fixture must hold tensors I and II, found {sorted(grids)}")
-
-    s1 = int(round(rows ** 0.5))
-    s2 = int(round(cols ** 0.5))
-    return tuple(validate_tensor_entries(grids[p].reshape(s1, s1, s2, s2)) for p in ("I", "II"))
-
-
 def figure1_reference_tensors() -> tuple[np.ndarray, np.ndarray]:
     """Load the explicit entries of the two reference payoff tensors, players I and II.
 
     The data is transcribed by hand, never computed, so transcription errors
     and construction errors fail loudly against each other in the regression
-    test that compares them entrywise.
+    test that compares them entrywise.  The document's ``sha256`` is the hash
+    of both 16x16 grids as little-endian complex128 bytes, grid I first.
 
     Raises:
-        FixtureCorrupt: if the file fails its checksum or structure checks.
+        ParseError: if the document is not a qgame document holding two grids.
+        FixtureCorrupt: if a grid is not 16x16 or the grids fail their checksum.
     """
-    return _parse_fixture(_fixture_text())
-
+    doc = files.load_document(bundled_path(FIXTURE_NAME))
+    grids = [files.matrix_from_lists(files._require(doc, p, FIXTURE_NAME), f"fixture grid {p}")
+             for p in ("I", "II")]
+    if any(g.shape != (16, 16) for g in grids):
+        raise FixtureCorrupt(f"fixture grids must be 16x16, got {[g.shape for g in grids]}")
+    import hashlib  # kept out of the CLI's start-up: only this checksum needs it
+    digest = hashlib.sha256(np.stack(grids).astype("<c16").tobytes()).hexdigest()
+    declared = files._require(doc, "sha256", FIXTURE_NAME)
+    if digest != declared:
+        raise FixtureCorrupt(
+            f"fixture checksum mismatch: grids hash to {digest}, document declares {declared}"
+        )
+    return tuple(validate_tensor_entries(g.reshape(4, 4, 4, 4)) for g in grids)

@@ -37,7 +37,6 @@ CROSS_CHECK_ATOL = 1e-9    # max|R|         -      contraction against direct pa
 WEAK_DUALITY_RTOL = 1e-8   # |H|            -      a value above its certified bound: a solver bug
 STOP_GAP_RTOL = 1e-12      # |H|            -      the gap at which the solver stops
 CHI_OPT_ATOL = 1e-7        # none           -      the solver's strategy, as a chi matrix
-FIXTURE_ATOL = 1e-12       # none           -      --check-fixture, entrywise
 FRACTION_ATOL = 1e-12      # none           -      --exact-fractions: a value against its fraction
 TENSOR_BYTES_MAX = 2**28   # none           -      bytes of a tensor's explicit entries (n1 = n2 = 8)
 SOLVE_TOL = 1e-7           # |H|            -      gap a best response certifies; --tol sets it

@@ -58,9 +58,10 @@ def test_criterion_1_figure_reproduction():
         # np.max, not Python's max, so that a NaN deviation propagates and fails
         worst = float(np.max([np.abs(payoff_tensor_matrix_unit(game, player).entries - fixture)
                               for player, fixture in zip(("I", "II"), fixtures)]))
-    ok = worst <= 1e-12 and clock.elapsed < 1.0
+    # exact: every entry is a dyadic rational that the construction forms without rounding
+    ok = worst == 0.0 and clock.elapsed < 1.0
     report(1, f"reference grids reproduced, worst deviation {worst:.1e}", ok, clock.elapsed)
-    assert worst <= 1e-12
+    assert worst == 0.0
     assert clock.elapsed < 1.0
 
 

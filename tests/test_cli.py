@@ -259,6 +259,16 @@ def test_tensor_check_fixture_flags_other_games(tmp_path, capsys):
     assert "mismatch at (alpha=0" in out
 
 
+def test_tensor_check_fixture_rejects_a_game_of_other_dimensions(tmp_path, capsys):
+    rng = np.random.default_rng(23)
+    game = build_game(random_density(6, rng), random_hermitian(6, rng), random_hermitian(6, rng),
+                      2, 3)
+    path = tmp_path / "2x3.game"
+    path.write_text(files.emit_document(files.game_to_payload(game)))
+    assert run(capsys, "tensor", str(path), "I", "--check-fixture") == (
+        1, "", "validation error: fixture tensor is (4, 4, 4, 4), computed tensor is (4, 4, 9, 9)\n")
+
+
 def test_tensor_check_fixture_counts_a_nan_entry_as_a_mismatch(capsys, monkeypatch):
     fixtures = [f.copy() for f in cli.figure1_reference_tensors()]
     fixtures[0][1, 2, 3, 0] = np.nan
@@ -947,6 +957,11 @@ def test_invalid_chi_file_raises_what_validate_chi_raises(tmp_path):
             files.load_strategy(path, 2)
         assert type(loaded.value) is type(expected.value)
         assert str(loaded.value) == str(expected.value)
+
+
+def test_emit_document_rejects_a_value_json_cannot_hold():
+    with pytest.raises(TypeError, match="^set is not JSON serializable$"):
+        files.emit_document({"x": {1}})
 
 
 def test_game_payload_round_trip(ewl_game):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qgame import equilibrium
 from qgame.equilibrium import (
     best_response,
     partial_trace_first,
@@ -268,6 +269,27 @@ def test_best_response_starved_budget_reports_unconverged(ewl_game, rng):
     validate_chi(result.chi_opt.matrix, 2, tol=1e-7)  # best iterate still feasible
 
 
+def test_best_response_keeps_its_best_iterate_when_a_step_fails(ewl_game, rng, monkeypatch):
+    # a step that fails (rounding takes X or S to the boundary) ends the solve
+    # where one iteration does, with no exception
+    problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), random_chi(2, rng), "I")
+    one_step = best_response(problem, max_iters=1)
+    steps = []
+
+    def failing_second_step(*args):
+        steps.append(args)
+        if len(steps) == 2:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return nt_step(*args)
+
+    nt_step = equilibrium._nt_step
+    monkeypatch.setattr(equilibrium, "_nt_step", failing_second_step)
+    result = best_response(problem)
+    assert len(steps) == 2 and result.iterations == 1 and not result.converged
+    assert (result.value, result.dual_bound) == (one_step.value, one_step.dual_bound)
+    np.testing.assert_array_equal(result.chi_opt.matrix, one_step.chi_opt.matrix)
+
+
 def test_verify_nash_propagates_no_convergence(ewl_game, ewl_stars):
     from qgame.errors import NoConvergence
 
@@ -362,6 +384,12 @@ def test_oracle_grid_size_and_unitarity(ewl_game):
     np.testing.assert_allclose(unitary @ unitary.conj().T, np.eye(2), atol=1e-12)
 
 
+def test_oracle_rejects_a_resolution_below_one(ewl_game):
+    tensor = payoff_tensor_matrix_unit(ewl_game, "I")
+    with pytest.raises(ValueError, match="^resolution must be positive$"):
+        unitary_oracle(tensor, identity_chi(2), "I", resolution=0)
+
+
 def test_oracle_rejects_large_dimension(rng):
     game = random_game(3, 3, rng)
     tensor = payoff_tensor_matrix_unit(game, "I")
@@ -428,11 +456,15 @@ def test_verify_nash_gap_self_consistency(ewl_game):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def _script_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_script(name, *args):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_script_env(), capture_output=True, text=True, timeout=120)
 
 
 def test_best_response_scan_script_runs():
@@ -447,6 +479,25 @@ def test_best_response_scan_script_runs():
 def test_script_runs(script, args):
     proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script, args", [
+    ("reference_game_report.py", ()),
+    ("simulate_matches.py", ("--rounds", "1000", "--seed", "0")),
+    ("best_response_scan.py", ("--trials", "3")),
+], ids=["reference_game_report", "simulate_matches", "best_response_scan"])
+def test_script_exits_quietly_when_its_reader_closes(script, args):
+    # unbuffered, each line is written as it is printed, so the lines after
+    # the first meet a closed pipe
+    env = {**_script_env(), "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.Popen([sys.executable, str(ROOT / "scripts" / script), *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 @pytest.mark.parametrize("epsilon", ["-1", "nan", "-1e-3"])

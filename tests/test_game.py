@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import paper_rho
 from qgame.errors import (
+    DimensionMismatch,
     InconsistentMeasurement,
     LengthMismatch,
     NonRealPayoff,
@@ -21,6 +22,7 @@ from qgame.game import (
     classical_reduction,
     game_checks,
     matrix_unit_basis,
+    normalize_player,
     payoff_contract,
     payoff_direct,
     payoff_operator,
@@ -28,6 +30,7 @@ from qgame.game import (
     payoff_tensor_matrix_unit,
     require_real,
     response_problem,
+    response_value,
     simulate_play,
     state_payoff,
     validate_tensor_entries,
@@ -193,6 +196,33 @@ def test_tensor_rejects_pairing_violation():
         validate_tensor_entries(bad)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_matrix_unit_basis_is_the_matrix_units_in_label_order(n):
+    reference = np.zeros((n * n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            reference[i * n + j, i, j] = 1.0
+    basis = matrix_unit_basis(n)
+    assert basis.shape == reference.shape and basis.dtype == reference.dtype
+    assert basis.tobytes() == reference.tobytes()
+
+
+def test_tensor_rejects_an_inconsistent_shape():
+    with pytest.raises(DimensionMismatch, match=r"^tensor has inconsistent shape \(4, 4, 4, 3\)$"):
+        validate_tensor_entries(np.zeros((4, 4, 4, 3), dtype=complex))
+
+
+def test_unknown_player_is_rejected():
+    with pytest.raises(ValueError, match="^unknown player 'III'; expected 'I' or 'II'$"):
+        normalize_player("III")
+
+
+def test_response_value_rejects_a_strategy_of_another_dimension(ewl_game):
+    problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), identity_chi(2), "I")
+    with pytest.raises(DimensionMismatch, match="^strategy dim 9 != problem dim 4$"):
+        response_value(problem, identity_chi(3))
+
+
 # ---------------------------------------------------------------------------
 # contraction and direct evaluation
 # ---------------------------------------------------------------------------
@@ -306,11 +336,19 @@ def test_contract_flags_corrupted_strategy(ewl_game):
         payoff_contract(tensor, crooked, identity_chi(2))
 
 
-@pytest.mark.parametrize("value", [complex(np.nan, 0), complex(0, np.nan),
-                                   complex(np.inf, 0), complex(-np.inf, 0)])
-def test_require_real_fails_a_value_that_is_not_finite(value):
-    with pytest.raises(NonRealPayoff, match="payoff real failed: imaginary part"):
+NOT_FINITE = [
+    (complex(np.nan, 0), "real part nan is not finite"),
+    (complex(0, np.nan), "imaginary part nan of 0.000e+00"),
+    (complex(np.inf, 0), "real part inf is not finite"),
+    (complex(-np.inf, 0), "real part -inf is not finite"),
+]
+
+
+@pytest.mark.parametrize("value, detail", NOT_FINITE, ids=[str(v) for v, _ in NOT_FINITE])
+def test_require_real_fails_a_value_that_is_not_finite(value, detail):
+    with pytest.raises(NonRealPayoff) as err:
         require_real(value, np.eye(2), "payoff")
+    assert str(err.value) == f"payoff real failed: {detail} (limit 1e-09)"
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import paper_rho
-from qgame import files
-from qgame.errors import FixtureCorrupt
+from qgame import cli, files, games_builtin
+from qgame.errors import FixtureCorrupt, ParseError
 from qgame.game import (
     classical_reduction,
     matrix_unit_basis,
@@ -16,8 +16,6 @@ from qgame.game import (
     payoff_tensor_matrix_unit,
 )
 from qgame.games_builtin import (
-    _parse_fixture,
-    _fixture_text,
     ewl_equilibrium_strategies,
     ewl_prisoners_dilemma,
     ewl_referee_measurement,
@@ -131,8 +129,8 @@ def test_computed_tensors_match_fixture(ewl_game):
     for player, fixture in zip(("I", "II"), fixtures):
         for computed in (payoff_tensor_matrix_unit(ewl_game, player).entries,
                          payoff_tensor_general(ewl_game, player)):
-            # an entry matches only within the limit, so a NaN never does
-            bad = np.argwhere(~(np.abs(computed - fixture) <= 1e-12))
+            # exact: every entry is a dyadic rational, and a NaN never matches
+            bad = np.argwhere(computed != fixture)
             message = "; ".join(
                 f"player {player} (alpha={a}, beta={b}, gamma={g}, delta={d}): "
                 f"computed {computed[a, b, g, d]}, fixture {fixture[a, b, g, d]}"
@@ -141,35 +139,50 @@ def test_computed_tensors_match_fixture(ewl_game):
             assert bad.size == 0, f"tensor/fixture mismatch: {message}"
 
 
-def test_fixture_checksum_guard():
-    text = _fixture_text()
-    # flip one payload digit; the declared checksum must now reject the file
-    corrupted = text.replace("0 0 1 0", "0 0 2 0", 1)
-    with pytest.raises(FixtureCorrupt):
-        _parse_fixture(corrupted)
+def _grid_hash(doc: dict) -> str:
+    grids = np.stack([files.matrix_from_lists(doc[p], p) for p in ("I", "II")])
+    return hashlib.sha256(grids.astype("<c16").tobytes()).hexdigest()
 
 
-def test_fixture_header_guard():
-    with pytest.raises(FixtureCorrupt):
-        _parse_fixture("tensor I\n0 0 1 0\n")
+def _changed_entry(doc: dict) -> str:
+    doc["I"][0][0] = [2, 0]  # the declared checksum must now reject the grids
+    return json.dumps(doc)
 
 
-def _fixture(header: str, *lines: str) -> str:
-    """A fixture text whose header declares its payload's true checksum."""
-    payload = "\n".join(lines) + "\n"
-    return f"{header} sha256 {hashlib.sha256(payload.encode()).hexdigest()}\n{payload}"
+def _small_grids(doc: dict) -> str:
+    for p in ("I", "II"):
+        doc[p] = [row[:15] for row in doc[p][:15]]
+    doc["sha256"] = _grid_hash(doc)
+    return json.dumps(doc)
 
 
-@pytest.mark.parametrize("text, message", [
-    ("dims 16 x sha256 0\ntensor I\n", "malformed fixture header: 'dims 16 x sha256 0'"),
-    (_fixture("dims 16 16", "0 0 1 0", "tensor I"),
-     "entry line before any tensor section: '0 0 1 0'"),
-    (_fixture("dims 16 16", "tensor I", "0 0 one 0"), "malformed fixture entry: '0 0 one 0'"),
-    (_fixture("dims 16 16", "tensor I", "16 0 1 0"), "fixture entry out of range: '16 0 1 0'"),
-    (_fixture("dims 16 16", "tensor I", "0 0 1 0"),
-     "fixture must hold tensors I and II, found ['I']"),
-], ids=["header", "entry-before-tensor", "entry", "entry-out-of-range", "no-tensor-II"])
-def test_fixture_structure_guards(text, message):
-    with pytest.raises(FixtureCorrupt) as err:
-        _parse_fixture(text)
-    assert str(err.value) == message
+def _no_grid_ii(doc: dict) -> str:
+    del doc["II"]
+    return json.dumps(doc)
+
+
+def _bad_cell(doc: dict) -> str:
+    doc["II"][3][7] = ["one", 0]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("damage, error, message", [
+    (_changed_entry, FixtureCorrupt, "fixture checksum mismatch: grids hash to "),
+    (_small_grids, FixtureCorrupt, "fixture grids must be 16x16, got [(15, 15), (15, 15)]"),
+    (_no_grid_ii, ParseError, "figure1_tensors.json: missing required field 'II'"),
+    (_bad_cell, ParseError, "fixture grid II: entry (3, 7) is not a [re, im] pair"),
+    (lambda doc: "dims 16 16\n", ParseError, "line 1, column 1: Expecting value"),
+], ids=["checksum", "shape", "no-tensor-II", "entry", "not-json"])
+def test_fixture_structure_guards(damage, error, message, tmp_path, monkeypatch, capsys):
+    """A damaged fixture document fails: its structure as a ParseError (exit 2),
+    its data as FixtureCorrupt (exit 1)."""
+    doc = json.loads(files.bundled_path(games_builtin.FIXTURE_NAME).read_text())
+    assert _grid_hash(doc) == doc["sha256"]
+    (tmp_path / games_builtin.FIXTURE_NAME).write_text(damage(doc))
+    monkeypatch.setattr(games_builtin, "bundled_path", lambda name: tmp_path / name)
+    with pytest.raises(error) as err:
+        figure1_reference_tensors()
+    assert str(err.value).startswith(message)
+    assert cli.main(["tensor", "ewl.game", "I", "--check-fixture"]) == (
+        2 if error is ParseError else 1)
+    assert message in capsys.readouterr().err

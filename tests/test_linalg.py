@@ -7,7 +7,7 @@ import pytest
 from qgame import linalg
 from qgame.cli import build_parser
 from qgame.equilibrium import MAX_ITERS
-from qgame.errors import NotHermitian, NotPositive, UnsupportedDimension, ValidationError
+from qgame.errors import DimensionMismatch, NotHermitian, NotPositive, UnsupportedDimension, ValidationError
 from qgame.game import (
     PayoffTensor,
     _consistency_check,
@@ -153,6 +153,15 @@ def test_as_matrix_rejects_non_finite():
         as_matrix(np.array([[np.inf, 0], [0, 1]], dtype=complex))
 
 
+@pytest.mark.parametrize("shape, message", [
+    ((2, 3), r"matrix must be square, got shape \(2, 3\)"),
+    ((0, 0), "matrix must be at least 1x1"),
+], ids=["2x3", "0x0"])
+def test_as_matrix_rejects_a_shape_that_is_not_a_square_matrix(shape, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        as_matrix(np.zeros(shape))
+
+
 def test_hermitian_tolerance_constant_is_tight():
     m = np.eye(2, dtype=complex)
     m[0, 1] = HERMITIAN_ATOL / 2
@@ -177,7 +186,6 @@ LEDGER = {
     "WEAK_DUALITY_RTOL": 1e-8,
     "STOP_GAP_RTOL": 1e-12,
     "CHI_OPT_ATOL": 1e-7,
-    "FIXTURE_ATOL": 1e-12,
     "FRACTION_ATOL": 1e-12,
     "TENSOR_BYTES_MAX": 2 ** 28,
     "SOLVE_TOL": 1e-7,

@@ -423,6 +423,12 @@ def test_measure_probs_maximally_mixed():
     np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-14)
 
 
+def test_measure_probs_rejects_a_state_of_another_dimension():
+    povm = validate_povm([UNITS[0], UNITS[3]])
+    with pytest.raises(DimensionMismatch, match="^POVM dim 2 != state dim 4$"):
+        measure_probs(povm, validate_density(np.eye(4) / 4))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_measure_probs_is_a_distribution(seed):
