@@ -64,7 +64,6 @@ from .quantum import (
     ChiMatrix,
     DensityMatrix,
     KrausChannel,
-    Povm,
     apply_product_channel,
     identity_chi,
     kraus_to_chi,
@@ -73,7 +72,6 @@ from .quantum import (
     validate_chi,
     validate_density,
     validate_kraus,
-    validate_povm,
 )
 
 __version__ = "0.1.0"

@@ -32,7 +32,6 @@ from .linalg import Check, require
 from .quantum import (
     ChiMatrix,
     KrausChannel,
-    Povm,
     completeness_check,
     kraus_form,
     kraus_to_chi,
@@ -40,7 +39,6 @@ from .quantum import (
     shift_channel,
     validate_chi,
     validate_kraus,
-    validate_povm,
 )
 
 FORMAT_VERSION = 1
@@ -176,14 +174,17 @@ def _dimension_check(what: str, dim: int, need: int) -> Check:
                  f"acts on dim {dim}, game needs {need}")
 
 
-def _measurement_fields(doc: dict, what: str) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """The ``elements``, ``payoffs_I`` and ``payoffs_II`` of a measurement, parsed."""
+def _measurement_fields(doc: dict, what: str,
+                        tol: float | None) -> tuple[KrausChannel, np.ndarray, np.ndarray, Check]:
+    """A measurement's ``elements`` as a Kraus set, its two payoff vectors and its completeness."""
     elements = _require(doc, "elements", what)
     if not isinstance(elements, list) or not elements:
         raise ParseError(f"{what}: elements must be a non-empty array of matrices")
-    return ([matrix_from_lists(m, f"povm element {k}") for k, m in enumerate(elements)],
-            real_vector_from_list(_require(doc, "payoffs_I", what), "payoffs_I"),
-            real_vector_from_list(_require(doc, "payoffs_II", what), "payoffs_II"))
+    mats = [matrix_from_lists(m, f"povm element {k}") for k, m in enumerate(elements)]
+    payoffs = [real_vector_from_list(_require(doc, f"payoffs_{p}", what), f"payoffs_{p}")
+               for p in ("I", "II")]
+    stacked = operator_stack(mats, "POVM element")
+    return KrausChannel(stacked), *payoffs, completeness_check(stacked, tol, "measurement")
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +205,8 @@ def _parse_game(path, tol: float | None) -> tuple[list[Check], tuple | None]:
         raise ParseError(f"{what}: per-player dimensions must be at least 2")
     rho = matrix_from_lists(_require(doc, "rho", what), "rho")
     checks: list[Check] = []
+    if "payoff_ops" in doc and "povm" in doc:
+        raise ParseError(f"{what}: needs either payoff_ops or povm, not both")
     if "payoff_ops" in doc:
         fields = doc["payoff_ops"]
         if not isinstance(fields, dict):
@@ -213,11 +216,10 @@ def _parse_game(path, tol: float | None) -> tuple[list[Check], tuple | None]:
     elif "povm" in doc:
         if not isinstance(doc["povm"], dict):
             raise ParseError(f"{what}: povm must be an object")
-        elements, *vectors = _measurement_fields(doc["povm"], "povm")
-        povm = Povm(operator_stack(elements, "POVM element"))
-        lengths = [payoff_length_check(povm.outcome_count, vec, f"payoffs {label}")
+        povm, *vectors, complete = _measurement_fields(doc["povm"], "povm", tol)
+        lengths = [payoff_length_check(povm.n_operators, vec, f"payoffs {label}")
                    for label, vec in zip(("I", "II"), vectors)]
-        checks = [completeness_check(povm.elements, tol, "measurement"), *lengths]
+        checks = [complete, *lengths]
         if not all(check.passed for check in lengths):
             return checks, None
         ops = [payoff_operator(povm, vec) for vec in vectors]
@@ -304,8 +306,8 @@ def load_strategy(path, n: int, tol: float | None = None) -> LoadedStrategy:
 # measurement files
 # ---------------------------------------------------------------------------
 
-def load_povm_file(path, dim: int, tol: float | None = None) -> tuple[Povm, np.ndarray, np.ndarray]:
-    mats, payoffs_i, payoffs_ii = _measurement_fields(load_document(path), "povm file")
-    povm = validate_povm(mats, tol)
-    require([_dimension_check("measurement", povm.dim, dim)])
-    return povm, payoffs_i, payoffs_ii
+def load_povm_file(path, dim: int,
+                   tol: float | None = None) -> tuple[KrausChannel, np.ndarray, np.ndarray]:
+    povm, *payoffs, complete = _measurement_fields(load_document(path), "povm file", tol)
+    require([complete, _dimension_check("measurement", povm.dim, dim)])
+    return povm, *payoffs

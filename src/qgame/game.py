@@ -57,7 +57,6 @@ from .quantum import (
     ChiMatrix,
     DensityMatrix,
     KrausChannel,
-    Povm,
     _frozen,
     _record,
     apply_product_channel,
@@ -131,6 +130,12 @@ def build_game(rho, payoff_i, payoff_ii, n1: int, n2: int, tol: float | None = N
                        linalg.hermitian_part(payoff_i), linalg.hermitian_part(payoff_ii), n1, n2)
 
 
+def _tensor_size_check(count: int) -> Check:
+    """An array of ``count`` complex entries, 16 bytes each, fits in ``TENSOR_BYTES_MAX``."""
+    return Check("payoff tensor size", 16.0 * count, linalg.TENSOR_BYTES_MAX,
+                 UnsupportedDimension, f"{count} entries need {16 * count} bytes")
+
+
 class PayoffTensor(NamedTuple):
     """Rank-4 payoff tensor for one player, held as the two factors of its closed form.
 
@@ -158,9 +163,7 @@ class PayoffTensor(NamedTuple):
     @property
     def entries(self) -> np.ndarray:
         s1, s2 = self.n1 ** 2, self.n2 ** 2
-        count = (s1 * s2) ** 2  # complex entries of 16 bytes each
-        linalg.require([Check("payoff tensor size", 16.0 * count, linalg.TENSOR_BYTES_MAX,
-                              UnsupportedDimension, f"{count} entries need {16 * count} bytes")])
+        linalg.require([_tensor_size_check((s1 * s2) ** 2)])
         entries = np.einsum("ckai,bjdl->abcdijkl", self.payoff_op, self.state)
         return entries.reshape(s1, s1, s2, s2)
 
@@ -201,13 +204,13 @@ def payoff_length_check(outcomes: int, payoffs, what: str = "payoffs") -> Check:
                  f"{count} payoffs for {outcomes} outcomes")
 
 
-def payoff_operator(povm: Povm, payoffs) -> ComplexMatrix:
+def payoff_operator(povm: KrausChannel, payoffs) -> ComplexMatrix:
     """Fold a measurement and its payoff assignment into one observable.
 
     Returns ``sum_k a_k M_k^dag M_k``; by construction
     ``tr(R rho) = sum_k a_k p_k`` for every state.
     """
-    linalg.require([payoff_length_check(povm.outcome_count, payoffs)])
+    linalg.require([payoff_length_check(povm.n_operators, payoffs)])
     return np.einsum("k,kij->ij", np.asarray(payoffs, dtype=float), povm.effects)
 
 
@@ -238,13 +241,16 @@ def payoff_tensor_general(game: QuantumGame, player, basis1: np.ndarray | None =
     The cross-check of the closed form.  Works for an arbitrary operator
     basis per player (defaults to matrix units).  Batched as a Gram matrix:
     with ``B[ag] = basis1_a (x) basis2_g`` the tensor entry is the Frobenius
-    inner product of ``B[bd]`` with ``R B[ag] rho``.
+    inner product of ``B[bd]`` with ``R B[ag] rho``.  Like ``PayoffTensor.entries``,
+    it raises ``UnsupportedDimension`` before it allocates an array of more than
+    ``TENSOR_BYTES_MAX`` bytes.
     """
     r = game.payoff_op(player)
     b1 = matrix_unit_basis(game.n1) if basis1 is None else np.asarray(basis1, dtype=complex)
     b2 = matrix_unit_basis(game.n2) if basis2 is None else np.asarray(basis2, dtype=complex)
     s1, s2 = b1.shape[0], b2.shape[0]
     dim = game.rho.dim
+    linalg.require([_tensor_size_check(s1 * s2 * max(s1 * s2, dim * dim))])
     joint = np.stack([np.kron(e, f) for e in b1 for f in b2])  # (s1*s2, dim, dim)
     lhs = np.einsum("pq,kqr,rs->kps", r, joint, game.rho.matrix)
     flat_lhs = lhs.reshape(s1 * s2, dim * dim)
@@ -380,8 +386,8 @@ class SimulationResult(NamedTuple):
     exact_ii: float
 
 
-def _consistency_check(povm: Povm, payoffs: np.ndarray, payoff_op: ComplexMatrix, label: str,
-                       tol: float | None) -> Check:
+def _consistency_check(povm: KrausChannel, payoffs: np.ndarray, payoff_op: ComplexMatrix,
+                       label: str, tol: float | None) -> Check:
     """Measurement plus payoffs reproduce a payoff operator, entrywise."""
     residual = float(np.max(np.abs(payoff_operator(povm, payoffs) - payoff_op)))
     return Check(f"measurement and payoffs {label}", residual, linalg.limit(MEASUREMENT_ATOL, tol),
@@ -389,7 +395,7 @@ def _consistency_check(povm: Povm, payoffs: np.ndarray, payoff_op: ComplexMatrix
                  f"deviate from the game's payoff operator by {residual:.3e}")
 
 
-def simulate_play(game: QuantumGame, povm: Povm, payoffs_i, payoffs_ii,
+def simulate_play(game: QuantumGame, povm: KrausChannel, payoffs_i, payoffs_ii,
                   ch_a: KrausChannel, ch_b: KrausChannel, rounds: int,
                   rng: np.random.Generator, tol: float | None = None) -> SimulationResult:
     """Monte Carlo realization of the refereed game.
@@ -399,6 +405,8 @@ def simulate_play(game: QuantumGame, povm: Povm, payoffs_i, payoffs_ii,
     supplied measurement and payoff vectors must reproduce the game's payoff
     operators entrywise within ``tol`` (default ``MEASUREMENT_ATOL``), or
     ``InconsistentMeasurement`` is raised; ``apply_product_channel`` takes it too.
+    A measurement on another dimension than the game's state raises
+    ``DimensionMismatch`` before it is folded.
 
     Only the outcome counts of the rounds enter the result, so they are
     drawn in one multinomial call: ``rng`` fixes the counts, and time and
@@ -408,6 +416,8 @@ def simulate_play(game: QuantumGame, povm: Povm, payoffs_i, payoffs_ii,
     """
     if not 1 <= rounds <= 2 ** 63 - 1:
         raise ValueError(f"rounds must be an integer in [1, 2^63 - 1], got {rounds}")
+    if povm.dim != game.rho.dim:
+        raise DimensionMismatch(f"POVM dim {povm.dim} != state dim {game.rho.dim}")
     a_i = np.asarray(payoffs_i, dtype=float)
     a_ii = np.asarray(payoffs_ii, dtype=float)
     linalg.require(

@@ -17,7 +17,7 @@ from . import files
 from .errors import FixtureCorrupt
 from .files import bundled_path, load_game, load_povm_file, load_strategy
 from .game import QuantumGame, validate_tensor_entries
-from .quantum import ChiMatrix, Povm
+from .quantum import ChiMatrix, KrausChannel
 
 FIXTURE_NAME = "figure1_tensors.json"
 
@@ -46,7 +46,7 @@ def ewl_equilibrium_strategies() -> tuple[ChiMatrix, ChiMatrix]:
     return _bundled_chi("chi_star"), _bundled_chi("xi_star")
 
 
-def ewl_referee_measurement() -> tuple[Povm, np.ndarray, np.ndarray]:
+def ewl_referee_measurement() -> tuple[KrausChannel, np.ndarray, np.ndarray]:
     """The referee's 4-outcome projective measurement and payoff vectors, ``ewl.povm``.
 
     The two payoff operators commute, so they share an eigenbasis; measuring

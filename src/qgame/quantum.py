@@ -73,7 +73,7 @@ class DensityMatrix(_record("DensityMatrix", [("matrix", ComplexMatrix)])):
 
 
 class KrausChannel(_record("KrausChannel", [("operators", np.ndarray)])):
-    """A physical operation given by Kraus operators stacked along axis 0, shape (k, dim, dim)."""
+    """Kraus operators of an operation, or of a measurement (one per outcome), shape (k, dim, dim)."""
 
     __slots__ = ()
 
@@ -87,6 +87,11 @@ class KrausChannel(_record("KrausChannel", [("operators", np.ndarray)])):
     @property
     def n_operators(self) -> int:
         return self.operators.shape[0]
+
+    @property
+    def effects(self) -> np.ndarray:
+        """The effects ``M_k^dag M_k``, stacked along axis 0."""
+        return np.einsum("kai,kaj->kij", self.operators.conj(), self.operators)
 
 
 class ChiMatrix(_record("ChiMatrix", [("matrix", ComplexMatrix), ("n", int)])):
@@ -104,28 +109,6 @@ class ChiMatrix(_record("ChiMatrix", [("matrix", ComplexMatrix), ("n", int)])):
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-class Povm(_record("Povm", [("elements", np.ndarray)])):
-    """A measurement: operators ``{M_k}`` with ``sum_k M_k^dag M_k = I``, shape (L, dim, dim)."""
-
-    __slots__ = ()
-
-    def __new__(cls, elements):
-        return super().__new__(cls, _frozen(elements))
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[1]
-
-    @property
-    def outcome_count(self) -> int:
-        return self.elements.shape[0]
-
-    @property
-    def effects(self) -> np.ndarray:
-        """The effects ``M_k^dag M_k``, stacked along axis 0."""
-        return np.einsum("kai,kaj->kij", self.elements.conj(), self.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +231,6 @@ def validate_chi(m: ComplexMatrix, n: int, tol: float | None = None) -> ChiMatri
     return ChiMatrix(a, n)
 
 
-def validate_povm(elements, tol: float | None = None) -> Povm:
-    """Validate a measurement; only the completeness sum is required."""
-    stacked = operator_stack(elements, "POVM element")
-    linalg.require([completeness_check(stacked, tol, "measurement")])
-    return Povm(stacked)
-
-
 # ---------------------------------------------------------------------------
 # channel action
 # ---------------------------------------------------------------------------
@@ -359,7 +335,7 @@ def kraus_form_loss(n: int, tol: float | None = None) -> float:
 # measurement
 # ---------------------------------------------------------------------------
 
-def measure_probs(povm: Povm, rho: DensityMatrix) -> np.ndarray:
+def measure_probs(povm: KrausChannel, rho: DensityMatrix) -> np.ndarray:
     """Outcome distribution ``p_m = tr(M_m^dag M_m rho)`` as a real vector."""
     if povm.dim != rho.dim:
         raise DimensionMismatch(f"POVM dim {povm.dim} != state dim {rho.dim}")

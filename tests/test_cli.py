@@ -884,6 +884,9 @@ INPUT_ERRORS = [
     ("povm-array", "game", {**_povm_game(), "povm": []}, "game file: povm must be an object"),
     ("no-payoffs", "game", _without(_bundled("ewl.game"), "payoff_ops"),
      "game file: needs either payoff_ops or povm"),
+    ("both-payoffs", "game", {**_bundled("ewl.game"),
+                              "povm": _povm_game(payoffs_II=[9] * 4)["povm"]},
+     "game file: needs either payoff_ops or povm, not both"),
     ("operators-empty", "strategy", {"kind": "kraus", "operators": []},
      "strategy file: operators must be a non-empty array of matrices"),
 ]
@@ -933,7 +936,7 @@ def test_bundled_game_equals_builtin(ewl, ewl_stars):
             chi.matrix, files.load_strategy(f"{name}.strategy", 2).chi.matrix)
     povm, *payoffs = ewl_referee_measurement()
     loaded_povm, *loaded_payoffs = files.load_povm_file("ewl.povm", 4)
-    np.testing.assert_array_equal(povm.elements, loaded_povm.elements)
+    np.testing.assert_array_equal(povm.operators, loaded_povm.operators)
     np.testing.assert_array_equal(payoffs, loaded_payoffs)
 
 

@@ -45,7 +45,6 @@ from qgame.quantum import (
     measure_probs,
     shift_channel,
     validate_kraus,
-    validate_povm,
 )
 from qgame.random_ops import (
     random_chi,
@@ -82,17 +81,17 @@ def flat(entries, alpha, beta, gamma, delta):
 # ---------------------------------------------------------------------------
 
 def test_payoff_operator_trivial_measurement():
-    povm = validate_povm([np.eye(3)])
+    povm = validate_kraus([np.eye(3)])
     np.testing.assert_allclose(payoff_operator(povm, [2.5]), 2.5 * np.eye(3), atol=1e-14)
 
 
 def test_payoff_operator_projective():
-    povm = validate_povm([UNITS[0], UNITS[3]])
+    povm = validate_kraus([UNITS[0], UNITS[3]])
     np.testing.assert_allclose(payoff_operator(povm, [5.0, 1.0]), np.diag([5.0, 1.0]), atol=1e-14)
 
 
 def test_payoff_operator_length_mismatch():
-    povm = validate_povm([np.eye(2)])
+    povm = validate_kraus([np.eye(2)])
     with pytest.raises(LengthMismatch):
         payoff_operator(povm, [1.0, 2.0])
 
@@ -100,8 +99,8 @@ def test_payoff_operator_length_mismatch():
 def test_payoff_operator_reproduces_probability_weighted_sum(rng):
     for _ in range(10):
         n = int(rng.integers(2, 4))
-        povm = validate_povm(random_kraus_channel(n, rng).operators)
-        payoffs = rng.standard_normal(povm.outcome_count)
+        povm = validate_kraus(random_kraus_channel(n, rng).operators)
+        payoffs = rng.standard_normal(povm.n_operators)
         r = payoff_operator(povm, payoffs)
         rho = random_density(n, rng)
         via_trace = float(np.real(np.trace(r @ rho.matrix)))
@@ -450,6 +449,13 @@ def test_simulate_guards_measurement_consistency(ewl_game):
     with pytest.raises(InconsistentMeasurement):
         simulate_play(ewl_game, povm, a_ii, a_i, shift_channel(2, 0), shift_channel(2, 0),
                       10, np.random.default_rng(0))
+
+
+def test_simulate_rejects_a_measurement_of_another_dimension(ewl_game):
+    # caught before the measurement is folded and compared with the game's 4x4 payoff operators
+    with pytest.raises(DimensionMismatch, match="^POVM dim 2 != state dim 4$"):
+        simulate_play(ewl_game, validate_kraus([np.eye(2)]), [1.0], [1.0], shift_channel(2, 0),
+                      shift_channel(2, 0), 10, np.random.default_rng(0))
 
 
 def test_simulate_rejects_zero_rounds(ewl_game):

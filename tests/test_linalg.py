@@ -10,17 +10,20 @@ from qgame.equilibrium import MAX_ITERS
 from qgame.errors import DimensionMismatch, NotHermitian, NotPositive, UnsupportedDimension, ValidationError
 from qgame.game import (
     PayoffTensor,
+    QuantumGame,
     _consistency_check,
     matrix_unit_basis,
+    payoff_tensor_general,
     validate_tensor_entries,
 )
 from qgame.quantum import (
+    DensityMatrix,
     _output_state_limit,
     chi_checks,
     completeness_check,
     density_checks,
     identity_chi,
-    validate_povm,
+    validate_kraus,
 )
 from qgame.linalg import (
     HERMITIAN_ATOL,
@@ -200,9 +203,9 @@ def test_ledger_defaults_are_pinned():
 
 def test_tol_replaces_the_limits_the_ledger_marks():
     tol = 3.7e-6
-    povm = validate_povm([np.eye(2)])
+    povm = validate_kraus([np.eye(2)])
     checks = [hermitian_check(np.eye(2), tol), *density_checks(np.eye(2) / 2, tol),
-              *chi_checks(identity_chi(2).matrix, 2, tol), completeness_check(povm.elements, tol),
+              *chi_checks(identity_chi(2).matrix, 2, tol), completeness_check(povm.operators, tol),
               _consistency_check(povm, np.ones(1), np.eye(2), "I", tol)]
     assert [check.limit for check in checks] == [tol] * 10
     assert _output_state_limit(tol, 2, 2) == max(linalg.OUTPUT_STATE_ATOL, 13 * tol)
@@ -229,6 +232,21 @@ def test_tensor_size_is_checked_before_the_entries_are_formed(monkeypatch):
     factors = np.zeros((10, 10, 10, 10), dtype=complex)
     with pytest.raises(UnsupportedDimension, match="need 1600000000 bytes"):
         PayoffTensor(factors, factors).grid
+
+
+def test_trace_formula_size_is_checked_before_anything_is_formed(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("basis products formed")
+
+    monkeypatch.setattr(np, "stack", fail)
+    monkeypatch.setattr(np, "kron", fail)
+    # the stacked basis products and the Gram matrix of n1 = n2 = 8 meet the limit exactly
+    for n, raised, message in ((8, AssertionError, "basis products formed"),
+                               (10, UnsupportedDimension, "need 1600000000 bytes")):
+        ops = np.zeros((n * n, n * n))
+        game = QuantumGame(DensityMatrix(np.eye(n * n) / (n * n)), ops, ops, n, n)
+        with pytest.raises(raised, match=message):
+            payoff_tensor_general(game, "I")
 
 
 def test_hermitian_part_cannot_overflow(rng):

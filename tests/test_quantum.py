@@ -29,7 +29,6 @@ from qgame.quantum import (
     validate_chi,
     validate_density,
     validate_kraus,
-    validate_povm,
 )
 from qgame.random_ops import random_chi, random_complex, random_density, random_kraus_channel
 
@@ -412,19 +411,19 @@ def test_kraus_to_chi_output_always_valid(rng):
 # ---------------------------------------------------------------------------
 
 def test_measure_probs_projective_on_pure_state():
-    povm = validate_povm([UNITS[0], UNITS[3]])
+    povm = validate_kraus([UNITS[0], UNITS[3]])
     probs = measure_probs(povm, validate_density(np.diag([1.0, 0.0])))
     np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-14)
 
 
 def test_measure_probs_maximally_mixed():
-    povm = validate_povm([UNITS[0], UNITS[3]])
+    povm = validate_kraus([UNITS[0], UNITS[3]])
     probs = measure_probs(povm, validate_density(np.eye(2) / 2))
     np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-14)
 
 
 def test_measure_probs_rejects_a_state_of_another_dimension():
-    povm = validate_povm([UNITS[0], UNITS[3]])
+    povm = validate_kraus([UNITS[0], UNITS[3]])
     with pytest.raises(DimensionMismatch, match="^POVM dim 2 != state dim 4$"):
         measure_probs(povm, validate_density(np.eye(4) / 4))
 
@@ -435,7 +434,7 @@ def test_measure_probs_is_a_distribution(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
     # any Kraus decomposition is also a valid measurement
-    povm = validate_povm(random_kraus_channel(n, rng).operators)
+    povm = validate_kraus(random_kraus_channel(n, rng).operators)
     probs = measure_probs(povm, random_density(n, rng))
     assert np.all(probs >= -1e-9)
     assert np.all(probs <= 1 + 1e-9)

@@ -6,7 +6,7 @@ import pytest
 
 from qgame.errors import DimensionMismatch, ValidationError
 from qgame.game import ClassicalBimatrix, QuantumGame
-from qgame.quantum import ChiMatrix, DensityMatrix, KrausChannel, Povm, identity_chi
+from qgame.quantum import ChiMatrix, DensityMatrix, KrausChannel, identity_chi
 
 
 def _kwargs(name: str) -> dict:
@@ -16,7 +16,6 @@ def _kwargs(name: str) -> dict:
         "DensityMatrix": {"matrix": np.diag([1.0, 0.0]).astype(complex)},
         "KrausChannel": {"operators": np.stack([np.eye(2), flip]) / np.sqrt(2)},
         "ChiMatrix": {"matrix": identity_chi(2).matrix.copy(), "n": 2},
-        "Povm": {"elements": np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])},
         "QuantumGame": {"rho": DensityMatrix(np.eye(4) / 4), "payoff_op_i": np.diag([3.0, 0, 5, 1]),
                         "payoff_op_ii": np.diag([3.0, 5, 0, 1]), "n1": 2, "n2": 2},
         "ClassicalBimatrix": {"payoff_i": np.array([[3.0, 0], [5, 1]]),
@@ -24,8 +23,8 @@ def _kwargs(name: str) -> dict:
     }[name]
 
 
-RECORDS = {cls.__name__: cls for cls in (DensityMatrix, KrausChannel, ChiMatrix, Povm,
-                                         QuantumGame, ClassicalBimatrix)}
+RECORDS = {cls.__name__: cls for cls in (DensityMatrix, KrausChannel, ChiMatrix, QuantumGame,
+                                         ClassicalBimatrix)}
 
 
 def _array_fields(kwargs: dict) -> list[str]:
