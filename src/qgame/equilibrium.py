@@ -18,9 +18,12 @@ max(1, |H|):
   Y = (lambda_max(H) + |H|) I.  Each iteration is a Mehrotra
   predictor-corrector step along the Nesterov-Todd direction, whose Schur
   system has n^2 unknowns; I (x) D acts on the n diagonal blocks of a
-  matrix, never as a Kronecker product.  The dual stays exactly feasible,
-  and X -> (I (x) M^-1/2) X (I (x) M^-1/2), M = tr_1(X), makes every primal
-  iterate exactly feasible, as tr_1 commutes with I (x) A;
+  matrix, never as a Kronecker product.  S is formed once per dual point,
+  for its bound and the next step; the predictor's right-hand side is -I,
+  the Schur matrix one matmul, and step lengths come in (dX, dS) pairs from
+  one stacked eigvalsh.  The dual stays exactly feasible, and X ->
+  (I (x) M^-1/2) X (I (x) M^-1/2), M = tr_1(X), makes every primal iterate
+  exactly feasible, as tr_1 commutes with I (x) A;
 * certificate: weak duality.  For any Hermitian Y with (I (x) Y) - H >= 0,
   tr(Y) bounds the optimum from above, and for an arbitrary Hermitian Y the
   shifted matrix Y + max(0, -lambda_min) I is feasible, so every iterate
@@ -39,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import NoConvergence, UnsupportedDimension, WeakDualityViolation
+from .errors import DimensionMismatch, NoConvergence, UnsupportedDimension, WeakDualityViolation
 from .game import (
     PLAYER_I,
     PLAYER_II,
@@ -75,11 +78,10 @@ class BestResponseResult(NamedTuple):
 # primal-dual solver
 # ---------------------------------------------------------------------------
 
-def _plus_block(y: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """``(I (x) Y) + M``: Y added to the n diagonal blocks of M."""
-    s = m.reshape(n, n, n, n).copy()
-    s[np.arange(n), :, np.arange(n), :] += y
-    return s.reshape(n * n, n * n)
+def _dual_point(y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """The slack S = np.kron(I, Y) - H, bit for bit, and Y's bound tr(Y) + n max(0, -lambda_min(S))."""
+    s = (np.eye(n).reshape(n, 1, n, 1) * y[None, :, None, :]).reshape(n * n, n * n) - h
+    return s, float(np.trace(y).real + n * max(0.0, -np.linalg.eigvalsh(s)[0]))
 
 
 def _times_block(y: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
@@ -87,57 +89,56 @@ def _times_block(y: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
     return np.matmul(y, m.reshape(n, n, n * n)).reshape(n * n, n * n)
 
 
-def _certified_bound(y: np.ndarray, h: np.ndarray, n: int) -> float:
-    """Upper bound ``tr`` of the feasible dual point ``Y + max(0, -lambda_min(I (x) Y - H)) I``."""
-    lam_min = float(np.linalg.eigvalsh(hermitian_part(_plus_block(y, -h, n)))[0])
-    return float(np.trace(y).real + n * max(0.0, -lam_min))
-
-
-def _nt_step(x: np.ndarray, y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _nt_step(x: np.ndarray, y: np.ndarray, s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """One Mehrotra predictor-corrector step along the Nesterov-Todd direction.
 
     With the NT scaling ``G^-1 X G^-H = G^H S G = diag(lam)``, ``W = G G^H``,
     the linearized ``X S = mu I`` reads ``lam dV + dV lam = 2 R`` for
     ``dV = G^-1 dX G^-H + G^H dS G``; dY solves the Schur system
     ``tr_1(W (I (x) dY) W) = tr_1(G dV G^H) - (I - tr_1(X))``, fed the primal
-    residual.  Raises LinAlgError once X, S or the Schur matrix is singular.
+    residual.  S is shared with Y's bound; the predictor's ``dV = -diag(lam)``
+    gives ``G dV G^H = -X``, so its right-hand side is exactly ``-I``.  The
+    Schur matrix is one matmul, and each (dX, dS) pair of step lengths one
+    stacked ``eigvalsh``.  Raises LinAlgError once X, S or the Schur matrix is singular.
     """
     lx = np.linalg.cholesky(x)
-    ls = np.linalg.cholesky(_plus_block(y, -h, n))
+    ls = np.linalg.cholesky(s)
     _, lam, vh = np.linalg.svd(ls.conj().T @ lx)
     g = lx @ (vh.conj().T / np.sqrt(lam))
     gh = g.conj().T
     w4 = (g @ gh).reshape(n, n, n, n)
-    schur = np.einsum("aibj,bmap->ipjm", w4, w4).reshape(n * n, n * n)
+    # sum_ab W[(a,i),(b,j)] W[(b,m),(a,p)] = (A A^H)[(i,j),(p,m)], A[(i,j),(a,b)] = W[(a,i),(b,j)]
+    rows = w4.transpose(1, 3, 0, 2).reshape(n * n, n * n)
+    schur = (rows @ rows.conj().T).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     lyapunov = 2.0 / np.add.outer(lam, lam)
     unscale = np.outer(lam ** -0.5, lam ** -0.5)
+    pair = np.empty((2, n * n, n * n), dtype=complex)
 
-    def direction(r):
-        dv = r * lyapunov
-        rhs = partial_trace_first(g @ dv @ gh + x, n) - np.eye(n)
+    def direction(dv, rhs):
         dy = hermitian_part(np.linalg.solve(schur, rhs.reshape(-1)).reshape(n, n))
         ds = gh @ _times_block(dy, g, n)
         return dy, dv - ds, ds
 
-    def max_step(d):  # the largest a with diag(lam) + a D >= 0
-        low = np.linalg.eigvalsh(d * unscale)[0]
-        return -1.0 / low if low < 0.0 else np.inf
+    def max_steps(dx, ds):  # the largest a with diag(lam) + a D >= 0, for D = dX and dS
+        np.multiply(dx, unscale, out=pair[0])
+        np.multiply(ds, unscale, out=pair[1])
+        return [-1.0 / low if low < 0.0 else np.inf for low in np.linalg.eigvalsh(pair)[:, 0]]
 
     # the affine predictor sets the centering and the corrector's second-order term
     mu = float(lam @ lam) / lam.size
-    _, dx, ds = direction(-np.diag(lam * lam))
-    ap, ad = min(1.0, max_step(dx)), min(1.0, max_step(ds))
+    _, dx, ds = direction(-np.diag(lam), -np.eye(n))
+    ap, ad = (min(1.0, a) for a in max_steps(dx, ds))
     mu_aff = np.vdot(np.diag(lam) + ad * ds, np.diag(lam) + ap * dx).real / lam.size
-    cross = dx @ ds
-    rc = np.diag(min(1.0, (mu_aff / mu) ** 3) * mu - lam * lam) - 0.5 * (cross + cross.conj().T)
-    dy, dx, ds = direction(rc)
+    dv = (np.diag(min(1.0, (mu_aff / mu) ** 3) * mu - lam * lam) - hermitian_part(dx @ ds)) * lyapunov
+    dy, dx, ds = direction(dv, partial_trace_first(g @ dv @ gh + x, n) - np.eye(n))
     gamma = 0.9 + 0.09 * min(ap, ad)
-    x = hermitian_part(x + min(1.0, gamma * max_step(dx)) * (g @ dx @ gh))
+    step_x, step_s = (min(1.0, gamma * a) for a in max_steps(dx, ds))
+    x = hermitian_part(x + step_x * (g @ dx @ gh))
     # the congruence by I (x) M^-1/2, M = tr_1(X), makes tr_1(X) = I exactly
     mw, mv = np.linalg.eigh(partial_trace_first(x, n))
     root = (mv / np.sqrt(mw)) @ mv.conj().T
     x = hermitian_part(_times_block(root, _times_block(root, x, n).conj().T, n))
-    return x, hermitian_part(y + min(1.0, gamma * max_step(ds)) * dy)
+    return x, hermitian_part(y + step_s * dy)
 
 
 def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
@@ -153,30 +154,33 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
 
     Raises:
         ValueError: if ``tol`` is negative, NaN or infinite.
-        ValidationError: if the response matrix has a non-finite entry.
+        ValidationError: if the response matrix is not n^2 x n^2 or has a non-finite entry.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     n = problem.n
     h = hermitian_part(linalg.as_matrix(problem.matrix, "response matrix"))
+    if h.shape[0] != n * n:
+        raise DimensionMismatch(f"response matrix dim {h.shape[0]} != strategy dim {n * n}")
     eig_h = np.linalg.eigvalsh(h)
     scale = float(max(-eig_h[0], eig_h[-1]))
     # the method runs on H / max(1, |H|), so that its stopping gap is absolute
     norm = max(1.0, scale)
     h = h / norm
     eye = np.eye(n, dtype=complex)
-    # trivial certificate: chi = I/n against the better of lambda_max(H) I
-    # and tr_1(H)/n; the latter is exact for constant games, H = I (x) Z
-    x = np.eye(n * n, dtype=complex) / n
-    best_x, best_val = x, float(np.trace(h).real) / n
-    bound = min(_certified_bound(eig_h[-1] / norm * eye, h, n),
-                _certified_bound(partial_trace_first(h, n) / n, h, n))
     # halving is exact, so the sum cannot overflow where lambda_max and |H| do not
     y = (0.5 * eig_h[-1] + 0.5 * scale) / (0.5 * norm) * eye
+    s, bound = _dual_point(y, h, n)
+    # trivial certificate: chi = I/n against the best of the start, lambda_max(H) I
+    # and tr_1(H)/n; the last is exact for constant games, H = I (x) Z
+    x = np.eye(n * n, dtype=complex) / n
+    best_x, best_val = x, float(np.trace(h).real) / n
+    bound = min(bound, _dual_point(eig_h[-1] / norm * eye, h, n)[1],
+                _dual_point(partial_trace_first(h, n) / n, h, n)[1])
     iterations = 0
     while bound - best_val > STOP_GAP_RTOL and iterations < max_iters:
         try:
-            x, y = _nt_step(x, y, h, n)
+            x, y = _nt_step(x, y, s, n)
         except np.linalg.LinAlgError:
             # rounding has taken X or S to the boundary: keep the best pair
             break
@@ -184,7 +188,8 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
         val = float(np.vdot(h, x).real)
         if val > best_val:
             best_x, best_val = x, val
-        bound = min(bound, _certified_bound(y, h, n))
+        s, y_bound = _dual_point(y, h, n)
+        bound = min(bound, y_bound)
 
     chi_opt = validate_chi(best_x, n, tol=CHI_OPT_ATOL)
     value = response_value(problem, chi_opt)

@@ -16,7 +16,13 @@ from qgame.equilibrium import (
     verify_nash,
 )
 from qgame.errors import DimensionMismatch, UnsupportedDimension, ValidationError
-from qgame.game import build_game, payoff_contract, payoff_direct, payoff_tensor_matrix_unit
+from qgame.game import (
+    ResponseProblem,
+    build_game,
+    payoff_contract,
+    payoff_direct,
+    payoff_tensor_matrix_unit,
+)
 from qgame.quantum import (
     apply_product_channel,
     identity_chi,
@@ -260,6 +266,12 @@ def test_best_response_rejects_a_non_finite_response_matrix(ewl_game, ewl_stars)
         best_response(problem._replace(matrix=matrix))
 
 
+def test_best_response_rejects_a_response_matrix_of_the_wrong_size(rng):
+    problem = ResponseProblem(random_hermitian(9, rng), 2)
+    with pytest.raises(DimensionMismatch, match="response matrix dim 9 != strategy dim 4"):
+        best_response(problem)
+
+
 def test_best_response_starved_budget_reports_unconverged(ewl_game, rng):
     opponent = random_chi(2, rng)
     problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), opponent, "I")
@@ -330,12 +342,9 @@ def test_best_response_iteration_budget(ewl_game, ewl_stars):
     assert np.mean(iterations) <= 25
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e4, 1e9], ids=["1", "1e4", "1e9"])
-def test_best_response_certified_gap_is_tight(scale):
-    # the endgame closes the certified gap far below the default tolerance,
-    # relative to the scale of the payoffs
-    for seed in range(6):
-        for n1, n2 in ((2, 2), (2, 3), (3, 3)):
+def assert_certified_gaps_are_tight(scale, seeds, dims):
+    for seed in seeds:
+        for n1, n2 in dims:
             rng = np.random.default_rng([seed, n1, n2])
             d = n1 * n2
             game = build_game(random_density(d, rng), random_hermitian(d, rng, scale),
@@ -347,6 +356,20 @@ def test_best_response_certified_gap_is_tight(scale):
                 assert result.converged
                 norm = max(1.0, float(np.abs(np.linalg.eigvalsh(problem.matrix)).max()))
                 assert result.dual_bound - result.value <= 1e-10 * norm
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e9], ids=["1", "1e4", "1e9"])
+def test_best_response_certified_gap_is_tight(scale):
+    # the endgame closes the certified gap far below the default tolerance,
+    # relative to the scale of the payoffs
+    assert_certified_gaps_are_tight(scale, range(6), ((2, 2), (2, 3), (3, 3)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e9], ids=["1", "1e4", "1e9"])
+def test_best_response_certified_gap_is_tight_at_n4_and_n5(scale):
+    # responders at n = 4 and 5, where the Schur matrix and each stacked pair
+    # of step-length matrices are at least 16 x 16
+    assert_certified_gaps_are_tight(scale, range(2), ((4, 2), (2, 4), (5, 2), (4, 3)))
 
 
 # ---------------------------------------------------------------------------
