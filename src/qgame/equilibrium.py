@@ -81,7 +81,7 @@ class BestResponseResult(NamedTuple):
 def _dual_point(y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """The slack S = np.kron(I, Y) - H, bit for bit, and Y's bound tr(Y) + n max(0, -lambda_min(S))."""
     s = (np.eye(n).reshape(n, 1, n, 1) * y[None, :, None, :]).reshape(n * n, n * n) - h
-    return s, float(np.trace(y).real + n * max(0.0, -np.linalg.eigvalsh(s)[0]))
+    return s, float(y.trace().real + n * max(0.0, -np.linalg.eigvalsh(s)[0]))
 
 
 def _times_block(y: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
@@ -113,6 +113,7 @@ def _nt_step(x: np.ndarray, y: np.ndarray, s: np.ndarray, n: int) -> tuple[np.nd
     lyapunov = 2.0 / np.add.outer(lam, lam)
     unscale = np.outer(lam ** -0.5, lam ** -0.5)
     pair = np.empty((2, n * n, n * n), dtype=complex)
+    eye, lam_d = np.eye(n), np.diag(lam)
 
     def direction(dv, rhs):
         dy = hermitian_part(np.linalg.solve(schur, rhs.reshape(-1)).reshape(n, n))
@@ -126,11 +127,11 @@ def _nt_step(x: np.ndarray, y: np.ndarray, s: np.ndarray, n: int) -> tuple[np.nd
 
     # the affine predictor sets the centering and the corrector's second-order term
     mu = float(lam @ lam) / lam.size
-    _, dx, ds = direction(-np.diag(lam), -np.eye(n))
+    _, dx, ds = direction(-lam_d, -eye)
     ap, ad = (min(1.0, a) for a in max_steps(dx, ds))
-    mu_aff = np.vdot(np.diag(lam) + ad * ds, np.diag(lam) + ap * dx).real / lam.size
+    mu_aff = np.vdot(lam_d + ad * ds, lam_d + ap * dx).real / lam.size
     dv = (np.diag(min(1.0, (mu_aff / mu) ** 3) * mu - lam * lam) - hermitian_part(dx @ ds)) * lyapunov
-    dy, dx, ds = direction(dv, partial_trace_first(g @ dv @ gh + x, n) - np.eye(n))
+    dy, dx, ds = direction(dv, partial_trace_first(g @ dv @ gh + x, n) - eye)
     gamma = 0.9 + 0.09 * min(ap, ad)
     step_x, step_s = (min(1.0, gamma * a) for a in max_steps(dx, ds))
     x = hermitian_part(x + step_x * (g @ dx @ gh))
@@ -171,8 +172,7 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
     # halving is exact, so the sum cannot overflow where lambda_max and |H| do not
     y = (0.5 * eig_h[-1] + 0.5 * scale) / (0.5 * norm) * eye
     s, bound = _dual_point(y, h, n)
-    # trivial certificate: chi = I/n against the best of the start, lambda_max(H) I
-    # and tr_1(H)/n; the last is exact for constant games, H = I (x) Z
+    # chi = I/n against the start, lambda_max(H) I and tr_1(H)/n, exact for H = I (x) Z
     x = np.eye(n * n, dtype=complex) / n
     best_x, best_val = x, float(np.trace(h).real) / n
     bound = min(bound, _dual_point(eig_h[-1] / norm * eye, h, n)[1],
