@@ -79,7 +79,7 @@ class BestResponseResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _dual_point(y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """The slack S = np.kron(I, Y) - H, bit for bit, and Y's bound tr(Y) + n max(0, -lambda_min(S))."""
+    """Slack S = np.kron(I, Y) - H, bit for bit, and Y's bound tr(Y) + n max(0, -lambda_min(S))."""
     s = (np.eye(n).reshape(n, 1, n, 1) * y[None, :, None, :]).reshape(n * n, n * n) - h
     return s, float(y.trace().real + n * max(0.0, -np.linalg.eigvalsh(s)[0]))
 
