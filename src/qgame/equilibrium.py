@@ -18,18 +18,20 @@ max(1, |H|):
   Y = (lambda_max(H) + |H|) I.  Each iteration is a Mehrotra
   predictor-corrector step along the Nesterov-Todd direction, whose Schur
   system has n^2 unknowns; I (x) D acts on the n diagonal blocks of a
-  matrix, never as a Kronecker product.  S is formed once per dual point,
-  for its bound and the next step; the predictor's right-hand side is -I,
-  the Schur matrix one matmul, and step lengths come in (dX, dS) pairs from
-  one stacked eigvalsh.  The dual stays exactly feasible, and X ->
-  (I (x) M^-1/2) X (I (x) M^-1/2), M = tr_1(X), makes every primal iterate
-  exactly feasible, as tr_1 commutes with I (x) A;
-* certificate: weak duality.  For any Hermitian Y with (I (x) Y) - H >= 0,
-  tr(Y) bounds the optimum from above, and for an arbitrary Hermitian Y the
-  shifted matrix Y + max(0, -lambda_min) I is feasible, so every iterate
-  yields the certified bound tr(Y) + n * max(0, -lambda_min(I (x) Y - H)).
-  The gap is the best such bound minus the best primal value, whatever path
-  the iterates took.
+  matrix, never as a Kronecker product.  S is factored once per dual point,
+  and its Cholesky factor serves both its bound and the next step; the
+  predictor's right-hand side is -I, the Schur matrix one matmul, and step
+  lengths come in (dX, dS) pairs from one stacked eigvalsh.  The dual stays
+  exactly feasible.  The corrector feeds the primal residual back, so
+  M = tr_1(X) = I + E with E of order 1e-9, and X -> (I (x) R) X (I (x) R),
+  R = (3I - M)/2, leaves tr_1(X) = I + O(E^2): every primal iterate is
+  feasible to rounding, as tr_1 commutes with I (x) A;
+* certificate: weak duality.  For any Hermitian Y with S = (I (x) Y) - H >= 0,
+  tr(Y) bounds the optimum from above, so a Y whose S has a Cholesky factor
+  yields the bound tr(Y).  For any other Hermitian Y the shifted matrix
+  Y + max(0, -lambda_min(S)) I is feasible, and Y yields the certified bound
+  tr(Y) + n * max(0, -lambda_min(S)).  The gap is the best such bound minus
+  the best primal value, whatever path the iterates took.
 
 A brute-force grid over single-qubit unitary strategies serves as an
 independent lower-bound oracle for cross-checking the solver.
@@ -78,10 +80,19 @@ class BestResponseResult(NamedTuple):
 # primal-dual solver
 # ---------------------------------------------------------------------------
 
-def _dual_point(y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """Slack S = np.kron(I, Y) - H, bit for bit, and Y's bound tr(Y) + n max(0, -lambda_min(S))."""
+def _dual_point(y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray | None, float]:
+    """The Cholesky factor of S = np.kron(I, Y) - H and Y's bound.
+
+    S is formed bit for bit as ``np.kron(I, Y) - H``.  With a factor, S is
+    positive definite and the bound is tr(Y); only an S without one costs an
+    eigvalsh, for ``(None, tr(Y) + n max(0, -lambda_min(S)))``.
+    """
     s = (np.eye(n).reshape(n, 1, n, 1) * y[None, :, None, :]).reshape(n * n, n * n) - h
-    return s, float(y.trace().real + n * max(0.0, -np.linalg.eigvalsh(s)[0]))
+    trace = float(y.trace().real)
+    try:
+        return np.linalg.cholesky(s), trace
+    except np.linalg.LinAlgError:
+        return None, trace + n * max(0.0, -np.linalg.eigvalsh(s)[0])
 
 
 def _times_block(y: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
@@ -89,20 +100,21 @@ def _times_block(y: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
     return np.matmul(y, m.reshape(n, n, n * n)).reshape(n * n, n * n)
 
 
-def _nt_step(x: np.ndarray, y: np.ndarray, s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """One Mehrotra predictor-corrector step along the Nesterov-Todd direction.
 
     With the NT scaling ``G^-1 X G^-H = G^H S G = diag(lam)``, ``W = G G^H``,
     the linearized ``X S = mu I`` reads ``lam dV + dV lam = 2 R`` for
     ``dV = G^-1 dX G^-H + G^H dS G``; dY solves the Schur system
     ``tr_1(W (I (x) dY) W) = tr_1(G dV G^H) - (I - tr_1(X))``, fed the primal
-    residual.  S is shared with Y's bound; the predictor's ``dV = -diag(lam)``
-    gives ``G dV G^H = -X``, so its right-hand side is exactly ``-I``.  The
-    Schur matrix is one matmul, and each (dX, dS) pair of step lengths one
-    stacked ``eigvalsh``.  Raises LinAlgError once X, S or the Schur matrix is singular.
+    residual.  S's Cholesky factor ``ls`` comes from Y's bound; the
+    predictor's ``dV = -diag(lam)`` gives ``G dV G^H = -X``, so its right-hand
+    side is exactly ``-I``.  The Schur matrix is one matmul, and each (dX, dS)
+    pair of step lengths one stacked ``eigvalsh``, which reads only the lower
+    triangle; the new X and Y are made exactly Hermitian, the directions are
+    not.  Raises LinAlgError once X or the Schur matrix is singular.
     """
     lx = np.linalg.cholesky(x)
-    ls = np.linalg.cholesky(s)
     _, lam, vh = np.linalg.svd(ls.conj().T @ lx)
     g = lx @ (vh.conj().T / np.sqrt(lam))
     gh = g.conj().T
@@ -116,7 +128,7 @@ def _nt_step(x: np.ndarray, y: np.ndarray, s: np.ndarray, n: int) -> tuple[np.nd
     eye, lam_d = np.eye(n), np.diag(lam)
 
     def direction(dv, rhs):
-        dy = hermitian_part(np.linalg.solve(schur, rhs.reshape(-1)).reshape(n, n))
+        dy = np.linalg.solve(schur, rhs.reshape(-1)).reshape(n, n)
         ds = gh @ _times_block(dy, g, n)
         return dy, dv - ds, ds
 
@@ -134,10 +146,12 @@ def _nt_step(x: np.ndarray, y: np.ndarray, s: np.ndarray, n: int) -> tuple[np.nd
     dy, dx, ds = direction(dv, partial_trace_first(g @ dv @ gh + x, n) - eye)
     gamma = 0.9 + 0.09 * min(ap, ad)
     step_x, step_s = (min(1.0, gamma * a) for a in max_steps(dx, ds))
-    x = hermitian_part(x + step_x * (g @ dx @ gh))
-    # the congruence by I (x) M^-1/2, M = tr_1(X), makes tr_1(X) = I exactly
-    mw, mv = np.linalg.eigh(partial_trace_first(x, n))
-    root = (mv / np.sqrt(mw)) @ mv.conj().T
+    x = x + step_x * (g @ dx @ gh)
+    # the corrector feeds the primal residual back, so M = tr_1(X) = I + E with
+    # |E| below about 1e-9; the congruence by I (x) R, R = (3I - M)/2, the first
+    # Newton-Schulz step for M^-1/2, leaves tr_1(X) = I + O(E^2), and E^2 is
+    # below rounding
+    root = 1.5 * eye - 0.5 * partial_trace_first(x, n)
     x = hermitian_part(_times_block(root, _times_block(root, x, n).conj().T, n))
     return x, hermitian_part(y + step_s * dy)
 
@@ -155,11 +169,14 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
 
     Raises:
         ValueError: if ``tol`` is negative, NaN or infinite.
-        ValidationError: if the response matrix is not n^2 x n^2 or has a non-finite entry.
+        DimensionMismatch: if n is not an integer >= 1 or the response matrix is not n^2 x n^2.
+        ValidationError: if the response matrix has a non-finite entry.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     n = problem.n
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DimensionMismatch(f"strategy dimension must be an integer >= 1, got {n!r}")
     h = hermitian_part(linalg.as_matrix(problem.matrix, "response matrix"))
     if h.shape[0] != n * n:
         raise DimensionMismatch(f"response matrix dim {h.shape[0]} != strategy dim {n * n}")
@@ -171,24 +188,25 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
     eye = np.eye(n, dtype=complex)
     # halving is exact, so the sum cannot overflow where lambda_max and |H| do not
     y = (0.5 * eig_h[-1] + 0.5 * scale) / (0.5 * norm) * eye
-    s, bound = _dual_point(y, h, n)
+    ls, bound = _dual_point(y, h, n)
     # chi = I/n against the start, lambda_max(H) I and tr_1(H)/n, exact for H = I (x) Z
     x = np.eye(n * n, dtype=complex) / n
     best_x, best_val = x, float(np.trace(h).real) / n
     bound = min(bound, _dual_point(eig_h[-1] / norm * eye, h, n)[1],
                 _dual_point(partial_trace_first(h, n) / n, h, n)[1])
     iterations = 0
-    while bound - best_val > STOP_GAP_RTOL and iterations < max_iters:
+    # rounding that takes S to the boundary leaves it without a factor, and
+    # rounding that takes X there makes the step raise: either way the best pair stays
+    while ls is not None and bound - best_val > STOP_GAP_RTOL and iterations < max_iters:
         try:
-            x, y = _nt_step(x, y, s, n)
+            x, y = _nt_step(x, y, ls, n)
         except np.linalg.LinAlgError:
-            # rounding has taken X or S to the boundary: keep the best pair
             break
         iterations += 1
         val = float(np.vdot(h, x).real)
         if val > best_val:
             best_x, best_val = x, val
-        s, y_bound = _dual_point(y, h, n)
+        ls, y_bound = _dual_point(y, h, n)
         bound = min(bound, y_bound)
 
     chi_opt = validate_chi(best_x, n, tol=CHI_OPT_ATOL)
@@ -198,7 +216,7 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
     linalg.require([linalg.Check("weak duality", value - bound, WEAK_DUALITY_RTOL * norm,
                                  WeakDualityViolation, f"primal value {value!r} exceeds "
                                  f"certified bound {bound!r}; solver bug")])
-    # bound can dip below value by eigensolver noise, so the gap can be
+    # bound can dip below value by rounding, so the gap can be
     # slightly negative; it is reported as is
     return BestResponseResult(value, chi_opt, float(bound), float(raw_gap),
                               iterations, bool(raw_gap <= tol * norm))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -272,6 +273,14 @@ def test_best_response_rejects_a_response_matrix_of_the_wrong_size(rng):
         best_response(problem)
 
 
+@pytest.mark.parametrize("dim, n", [(4, -2), (4, 2.0), (1, True), (1, 0), (4, "2")],
+                         ids=["negative", "float", "bool", "zero", "str"])
+def test_best_response_rejects_a_strategy_dimension_that_is_not_a_positive_integer(dim, n):
+    # judged before the n^2 size check, which (-2)^2 = 4 and True^2 = 1 would pass
+    with pytest.raises(DimensionMismatch, match=f"integer >= 1, got {re.escape(repr(n))}$"):
+        best_response(ResponseProblem(np.eye(dim), n))
+
+
 def test_best_response_starved_budget_reports_unconverged(ewl_game, rng):
     opponent = random_chi(2, rng)
     problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), opponent, "I")
@@ -300,6 +309,52 @@ def test_best_response_keeps_its_best_iterate_when_a_step_fails(ewl_game, rng, m
     assert len(steps) == 2 and result.iterations == 1 and not result.converged
     assert (result.value, result.dual_bound) == (one_step.value, one_step.dual_bound)
     np.testing.assert_array_equal(result.chi_opt.matrix, one_step.chi_opt.matrix)
+
+
+def test_best_response_iterates_stay_feasible_and_hermitian(ewl_game, ewl_stars, monkeypatch):
+    # tr_1(X) = I is kept by a congruence, not by a constraint of the step
+    iterates = []
+
+    def recording_step(x, y, ls, n):
+        iterates.append((*nt_step(x, y, ls, n), n))
+        return iterates[-1][:2]
+
+    nt_step = equilibrium._nt_step
+    monkeypatch.setattr(equilibrium, "_nt_step", recording_step)
+    chi_star, xi_star = ewl_stars
+    problems = [response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), xi_star, "I"),
+                response_problem(payoff_tensor_matrix_unit(ewl_game, "II"), chi_star, "II")]
+    for n in (2, 3, 4):
+        rng = np.random.default_rng([7, n])
+        for n1, n2, player in ((n, 2, "I"), (2, n, "II")):
+            tensor = payoff_tensor_matrix_unit(random_game(n1, n2, rng), player)
+            problems.append(response_problem(tensor, random_chi(2, rng), player))
+    for problem in problems:
+        count = len(iterates)
+        assert best_response(problem).iterations == len(iterates) - count > 0
+    for x, y, n in iterates:
+        np.testing.assert_array_equal(x, x.conj().T)
+        np.testing.assert_array_equal(y, y.conj().T)
+        assert np.abs(partial_trace_first(x, n) - np.eye(n)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dual_point_factors_a_feasible_slack_and_shifts_an_infeasible_one(rng, n):
+    h = random_hermitian(n * n, rng)
+    eig_h = np.linalg.eigvalsh(h)
+    eye = np.eye(n, dtype=complex)
+    # the solver's start point: S is positive definite, and tr(Y) is the bound
+    y = (eig_h[-1] + np.abs(eig_h).max()) * eye
+    factor, bound = equilibrium._dual_point(y, h, n)
+    np.testing.assert_allclose(factor @ factor.conj().T, np.kron(eye, y) - h, rtol=0, atol=1e-13)
+    assert bound == y.trace().real
+    # lambda_min(S) = -0.5: no factor, and the bound shifts Y by 0.5 I
+    y = (eig_h[-1] - 0.5) * eye
+    s = np.kron(eye, y) - h
+    factor, bound = equilibrium._dual_point(y, h, n)
+    assert factor is None
+    assert bound == y.trace().real + n * -np.linalg.eigvalsh(s)[0]
+    assert bound == pytest.approx(n * eig_h[-1], abs=1e-12)
 
 
 def test_verify_nash_propagates_no_convergence(ewl_game, ewl_stars):
