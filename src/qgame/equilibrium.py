@@ -81,11 +81,10 @@ class BestResponseResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _dual_point(y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray | None, float]:
-    """The Cholesky factor of S = np.kron(I, Y) - H and Y's bound.
+    """The Cholesky factor of S = np.kron(I, Y) - H, formed bit for bit, and Y's bound.
 
-    S is formed bit for bit as ``np.kron(I, Y) - H``.  With a factor, S is
-    positive definite and the bound is tr(Y); only an S without one costs an
-    eigvalsh, for ``(None, tr(Y) + n max(0, -lambda_min(S)))``.
+    An S with a factor is positive definite, so the bound is tr(Y); only an S
+    without one costs an eigvalsh, for ``(None, tr(Y) + n max(0, -lambda_min(S)))``.
     """
     s = (np.eye(n).reshape(n, 1, n, 1) * y[None, :, None, :]).reshape(n * n, n * n) - h
     trace = float(y.trace().real)
@@ -148,7 +147,7 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
     step_x, step_s = (min(1.0, gamma * a) for a in max_steps(dx, ds))
     x = x + step_x * (g @ dx @ gh)
     # the corrector feeds the primal residual back, so M = tr_1(X) = I + E with
-    # |E| below about 1e-9; the congruence by I (x) R, R = (3I - M)/2, the first
+    # E of order 1e-9; the congruence by I (x) R, R = (3I - M)/2, the first
     # Newton-Schulz step for M^-1/2, leaves tr_1(X) = I + O(E^2), and E^2 is
     # below rounding
     root = 1.5 * eye - 0.5 * partial_trace_first(x, n)
