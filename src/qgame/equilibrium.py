@@ -18,11 +18,14 @@ max(1, |H|):
   Y = (lambda_max(H) + |H|) I.  Each iteration is a Mehrotra
   predictor-corrector step along the Nesterov-Todd direction, whose Schur
   system has n^2 unknowns; I (x) D acts on the n diagonal blocks of a
-  matrix, never as a Kronecker product.  S is factored once per dual point,
-  and its Cholesky factor serves both its bound and the next step; the
-  predictor's right-hand side is -I, the Schur matrix one matmul, and step
-  lengths come in (dX, dS) pairs from one stacked eigvalsh.  The dual stays
-  exactly feasible.  The corrector feeds the primal residual back, so
+  matrix, never as a Kronecker product.  S = L L^H is factored once per dual
+  point, and its Cholesky factor L serves both its bound and the next step,
+  whose NT scaling comes from one eigh of L^H X L, which also tests X > 0.
+  The predictor's right-hand side is -I and its two step lengths come from
+  one eigvalsh; the Schur matrix is one matmul, and the corrector's (dX, dS)
+  step lengths come from one stacked eigvalsh.  An iteration makes six
+  LAPACK calls: one Cholesky, one eigh, one eigvalsh, one stacked eigvalsh
+  pair and two solves.  The dual stays exactly feasible.  The corrector feeds the primal residual back, so
   M = tr_1(X) = I + E with E of order 1e-9, and X -> (I (x) R) X (I (x) R),
   R = (3I - M)/2, leaves tr_1(X) = I + O(E^2): every primal iterate is
   feasible to rounding, as tr_1 commutes with I (x) A;
@@ -80,13 +83,19 @@ class BestResponseResult(NamedTuple):
 # primal-dual solver
 # ---------------------------------------------------------------------------
 
+def _slack(y: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """``np.kron(I, Y) - H``, bit for bit, for one Y or a stack of them."""
+    blocks = np.eye(n).reshape(n, 1, n, 1) * y[..., None, :, None, :]
+    return blocks.reshape(*y.shape[:-2], n * n, n * n) - h
+
+
 def _dual_point(y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray | None, float]:
     """The Cholesky factor of S = np.kron(I, Y) - H, formed bit for bit, and Y's bound.
 
     An S with a factor is positive definite, so the bound is tr(Y); only an S
     without one costs an eigvalsh, for ``(None, tr(Y) + n max(0, -lambda_min(S)))``.
     """
-    s = (np.eye(n).reshape(n, 1, n, 1) * y[None, :, None, :]).reshape(n * n, n * n) - h
+    s = _slack(y, h, n)
     trace = float(y.trace().real)
     try:
         return np.linalg.cholesky(s), trace
@@ -94,64 +103,93 @@ def _dual_point(y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray | None
         return None, trace + n * max(0.0, -np.linalg.eigvalsh(s)[0])
 
 
-def _times_block(y: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """``(I (x) Y) M``: Y applied to each block row of M."""
-    return np.matmul(y, m.reshape(n, n, n * n)).reshape(n * n, n * n)
+def _nt_scaling(x: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Nesterov-Todd scaling G, lam of X and S = ls ls^H, from one eigh.
+
+    With ``ls^H X ls = U diag(lam)^2 U^H`` and ``G = X ls U diag(lam)^-3/2``,
+    ``G^H S G = lam^-3/2 U^H (ls^H X ls)^2 U lam^-3/2 = diag(lam)`` and
+    ``G diag(lam) G^H = X ls (ls^H X ls)^-1 ls^H X = X``, so ``W = G G^H``
+    solves ``W S W = X``.  X is positive definite iff ``ls^H X ls`` is, so
+    every eigenvalue must be positive; a NaN fails that test too.
+
+    Raises:
+        LinAlgError: if X is not positive definite.
+    """
+    xl = x @ ls
+    lam2, u = np.linalg.eigh(ls.conj().T @ xl)
+    if not (lam2 > 0.0).all():
+        raise np.linalg.LinAlgError("X is not positive definite")
+    return xl @ (u * lam2 ** -0.75), np.sqrt(lam2)
 
 
 def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """One Mehrotra predictor-corrector step along the Nesterov-Todd direction.
 
-    With the NT scaling ``G^-1 X G^-H = G^H S G = diag(lam)``, ``W = G G^H``,
-    the linearized ``X S = mu I`` reads ``lam dV + dV lam = 2 R`` for
-    ``dV = G^-1 dX G^-H + G^H dS G``; dY solves the Schur system
-    ``tr_1(W (I (x) dY) W) = tr_1(G dV G^H) - (I - tr_1(X))``, fed the primal
-    residual.  S's Cholesky factor ``ls`` comes from Y's bound; the
-    predictor's ``dV = -diag(lam)`` gives ``G dV G^H = -X``, so its right-hand
-    side is exactly ``-I``.  The Schur matrix is one matmul, and each (dX, dS)
-    pair of step lengths one stacked ``eigvalsh``, which reads only the lower
-    triangle; the new X and Y are made exactly Hermitian, the directions are
-    not.  Raises LinAlgError once X or the Schur matrix is singular.
+    With the NT scaling ``G^-1 X G^-H = G^H S G = diag(lam)`` of
+    :func:`_nt_scaling`, ``W = G G^H``, the linearized ``X S = mu I`` reads
+    ``lam dV + dV lam = 2 R`` for ``dV = G^-1 dX G^-H + G^H dS G``; dY solves
+    the Schur system ``tr_1(W (I (x) dY) W) = tr_1(G dV G^H) - (I - tr_1(X))``,
+    fed the primal residual.  S's Cholesky factor ``ls`` comes from Y's bound.
+    The predictor's ``dV = -diag(lam)`` gives ``G dV G^H = -X``, so its
+    right-hand side is exactly ``-I``, and its scaled dX is ``-I - P`` for the
+    scaled dS ``P = lam^-1/2 dS lam^-1/2``: one eigvalsh of P gives both step
+    lengths.  The corrector's (dX, dS) pair comes from one stacked eigvalsh,
+    which reads only the lower triangle.  With S's Cholesky factor, an
+    iteration makes six LAPACK calls: that factor, the scaling's eigh, the two
+    eigvalsh and two solves.  The Schur matrix is one matmul; the new X and Y
+    are made exactly Hermitian, the directions are not.  Raises LinAlgError
+    once X or the Schur matrix is singular.
     """
-    lx = np.linalg.cholesky(x)
-    _, lam, vh = np.linalg.svd(ls.conj().T @ lx)
-    g = lx @ (vh.conj().T / np.sqrt(lam))
+    g, lam = _nt_scaling(x, ls)
+    size = n * n
     gh = g.conj().T
+    g_blocks = g.reshape(n, n, size)  # (I (x) D) G is D applied to each block row of G
     w4 = (g @ gh).reshape(n, n, n, n)
     # sum_ab W[(a,i),(b,j)] W[(b,m),(a,p)] = (A A^H)[(i,j),(p,m)], A[(i,j),(a,b)] = W[(a,i),(b,j)]
-    rows = w4.transpose(1, 3, 0, 2).reshape(n * n, n * n)
-    schur = (rows @ rows.conj().T).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    lyapunov = 2.0 / np.add.outer(lam, lam)
-    unscale = np.outer(lam ** -0.5, lam ** -0.5)
-    pair = np.empty((2, n * n, n * n), dtype=complex)
-    eye, lam_d = np.eye(n), np.diag(lam)
+    rows = w4.transpose(1, 3, 0, 2).reshape(size, size)
+    schur = (rows @ rows.conj().T).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(size, size)
+    r = lam ** -0.5
+    unscale = r[:, None] * r
+    eye = np.eye(n)
+    diagonal = slice(None, None, size + 1)
 
-    def direction(dv, rhs):
-        dy = np.linalg.solve(schur, rhs.reshape(-1)).reshape(n, n)
-        ds = gh @ _times_block(dy, g, n)
-        return dy, dv - ds, ds
-
-    def max_steps(dx, ds):  # the largest a with diag(lam) + a D >= 0, for D = dX and dS
-        np.multiply(dx, unscale, out=pair[0])
-        np.multiply(ds, unscale, out=pair[1])
-        return [-1.0 / low if low < 0.0 else np.inf for low in np.linalg.eigvalsh(pair)[:, 0]]
+    def reach(low):  # the largest a with I + a D >= 0, for lambda_min(D) = low
+        return -1.0 / low if low < 0.0 else np.inf
 
     # the affine predictor sets the centering and the corrector's second-order term
-    mu = float(lam @ lam) / lam.size
-    _, dx, ds = direction(-lam_d, -eye)
-    ap, ad = (min(1.0, a) for a in max_steps(dx, ds))
-    mu_aff = np.vdot(lam_d + ad * ds, lam_d + ap * dx).real / lam.size
-    dv = (np.diag(min(1.0, (mu_aff / mu) ** 3) * mu - lam * lam) - hermitian_part(dx @ ds)) * lyapunov
-    dy, dx, ds = direction(dv, partial_trace_first(g @ dv @ gh + x, n) - eye)
+    dy = np.linalg.solve(schur, -eye.reshape(-1)).reshape(n, n)
+    ds = gh @ np.matmul(dy, g_blocks).reshape(size, size)
+    p_low, p_high = np.linalg.eigvalsh(ds * unscale)[[0, -1]]
+    ap, ad = min(1.0, reach(-1.0 - p_high)), min(1.0, reach(p_low))
+    dx = -ds
+    dx.flat[diagonal] -= lam
+    dxds = dx @ ds
+    # tr((lam + ad dS)^H (lam + ap dX)) with dX = -lam - dS
+    lam_lam, lam_ds = float(lam @ lam), float(lam @ ds.diagonal().real)
+    mu = lam_lam / size
+    mu_aff = (lam_lam - ap * (lam_lam + lam_ds) + ad * lam_ds
+              + ap * ad * dxds.trace().real) / size
+    dv = dxds + dxds.conj().T
+    dv *= -0.5
+    dv.flat[diagonal] += min(1.0, (mu_aff / mu) ** 3) * mu - lam * lam
+    dv *= 2.0 / (lam[:, None] + lam)
+    rhs = partial_trace_first(g @ dv @ gh + x, n) - eye
+    dy = np.linalg.solve(schur, rhs.reshape(-1)).reshape(n, n)
+    ds = gh @ np.matmul(dy, g_blocks).reshape(size, size)
+    dx = dv - ds
     gamma = 0.9 + 0.09 * min(ap, ad)
-    step_x, step_s = (min(1.0, gamma * a) for a in max_steps(dx, ds))
+    pair = np.empty((2, size, size), dtype=complex)
+    np.multiply(dx, unscale, out=pair[0])
+    np.multiply(ds, unscale, out=pair[1])
+    step_x, step_s = (min(1.0, gamma * reach(low)) for low in np.linalg.eigvalsh(pair)[:, 0])
     x = x + step_x * (g @ dx @ gh)
     # the corrector feeds the primal residual back, so M = tr_1(X) = I + E with
     # E of order 1e-9; the congruence by I (x) R, R = (3I - M)/2, the first
     # Newton-Schulz step for M^-1/2, leaves tr_1(X) = I + O(E^2), and E^2 is
     # below rounding
     root = 1.5 * eye - 0.5 * partial_trace_first(x, n)
-    x = hermitian_part(_times_block(root, _times_block(root, x, n).conj().T, n))
+    half = np.matmul(root, x.reshape(n, n, size)).reshape(size, size)
+    x = hermitian_part(np.matmul(root, half.conj().T.reshape(n, n, size)).reshape(size, size))
     return x, hermitian_part(y + step_s * dy)
 
 
@@ -191,8 +229,11 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
     # chi = I/n against the start, lambda_max(H) I and tr_1(H)/n, exact for H = I (x) Z
     x = np.eye(n * n, dtype=complex) / n
     best_x, best_val = x, float(np.trace(h).real) / n
-    bound = min(bound, _dual_point(eig_h[-1] / norm * eye, h, n)[1],
-                _dual_point(partial_trace_first(h, n) / n, h, n)[1])
+    # both trivial slacks are singular or nearly so, so Cholesky-first would
+    # mostly fail: one stacked eigvalsh certifies the pair
+    trivial = np.stack([eig_h[-1] / norm * eye, partial_trace_first(h, n) / n])
+    shifts = np.maximum(0.0, -np.linalg.eigvalsh(_slack(trivial, h, n))[:, 0])
+    bound = min(bound, *(trivial.trace(axis1=1, axis2=2).real + n * shifts))
     iterations = 0
     # rounding that takes S to the boundary leaves it without a factor, and
     # rounding that takes X there makes the step raise: either way the best pair stays
