@@ -25,10 +25,11 @@ max(1, |H|):
   one eigvalsh; the Schur matrix is one matmul, and the corrector's (dX, dS)
   step lengths come from one stacked eigvalsh.  An iteration makes six
   LAPACK calls: one Cholesky, one eigh, one eigvalsh, one stacked eigvalsh
-  pair and two solves.  The dual stays exactly feasible.  The corrector feeds the primal residual back, so
-  M = tr_1(X) = I + E with E of order 1e-9, and X -> (I (x) R) X (I (x) R),
-  R = (3I - M)/2, leaves tr_1(X) = I + O(E^2): every primal iterate is
-  feasible to rounding, as tr_1 commutes with I (x) A;
+  pair and two solves.  The dual stays exactly feasible.  The corrector
+  feeds the primal residual back, so M = tr_1(X) = I + E with E of order
+  1e-9, and X -> (I (x) R) X (I (x) R), R = (3I - M)/2, leaves
+  tr_1(X) = I + O(E^2): every primal iterate is feasible to rounding, as
+  tr_1 commutes with I (x) A;
 * certificate: weak duality.  For any Hermitian Y with S = (I (x) Y) - H >= 0,
   tr(Y) bounds the optimum from above, so a Y whose S has a Cholesky factor
   yields the bound tr(Y).  For any other Hermitian Y the shifted matrix
@@ -150,16 +151,16 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
     schur = (rows @ rows.conj().T).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(size, size)
     r = lam ** -0.5
     unscale = r[:, None] * r
-    eye = np.eye(n)
     diagonal = slice(None, None, size + 1)
 
     def reach(low):  # the largest a with I + a D >= 0, for lambda_min(D) = low
         return -1.0 / low if low < 0.0 else np.inf
 
     # the affine predictor sets the centering and the corrector's second-order term
-    dy = np.linalg.solve(schur, -eye.reshape(-1)).reshape(n, n)
+    dy = np.linalg.solve(schur, -np.eye(n).reshape(-1)).reshape(n, n)
     ds = gh @ np.matmul(dy, g_blocks).reshape(size, size)
-    p_low, p_high = np.linalg.eigvalsh(ds * unscale)[[0, -1]]
+    p_eig = np.linalg.eigvalsh(ds * unscale)
+    p_low, p_high = p_eig[0], p_eig[-1]
     ap, ad = min(1.0, reach(-1.0 - p_high)), min(1.0, reach(p_low))
     dx = -ds
     dx.flat[diagonal] -= lam
@@ -173,7 +174,8 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
     dv *= -0.5
     dv.flat[diagonal] += min(1.0, (mu_aff / mu) ** 3) * mu - lam * lam
     dv *= 2.0 / (lam[:, None] + lam)
-    rhs = partial_trace_first(g @ dv @ gh + x, n) - eye
+    rhs = partial_trace_first(g @ dv @ gh + x, n)
+    rhs.flat[::n + 1] -= 1.0
     dy = np.linalg.solve(schur, rhs.reshape(-1)).reshape(n, n)
     ds = gh @ np.matmul(dy, g_blocks).reshape(size, size)
     dx = dv - ds
@@ -187,9 +189,9 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
     # E of order 1e-9; the congruence by I (x) R, R = (3I - M)/2, the first
     # Newton-Schulz step for M^-1/2, leaves tr_1(X) = I + O(E^2), and E^2 is
     # below rounding
-    root = 1.5 * eye - 0.5 * partial_trace_first(x, n)
-    half = np.matmul(root, x.reshape(n, n, size)).reshape(size, size)
-    x = hermitian_part(np.matmul(root, half.conj().T.reshape(n, n, size)).reshape(size, size))
+    root = 1.5 * np.eye(n) - 0.5 * partial_trace_first(x, n)
+    half = np.matmul(root, x.reshape(n, n, size))  # (I (x) R) X, then times I (x) R
+    x = hermitian_part(np.matmul(half.reshape(size, n, n), root).reshape(size, size))
     return x, hermitian_part(y + step_s * dy)
 
 

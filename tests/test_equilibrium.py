@@ -311,6 +311,66 @@ def test_best_response_keeps_its_best_iterate_when_a_step_fails(ewl_game, rng, m
     np.testing.assert_array_equal(result.chi_opt.matrix, one_step.chi_opt.matrix)
 
 
+@pytest.mark.parametrize("kind", ["singular", "indefinite", "nan"])
+def test_a_step_from_an_x_that_is_not_positive_definite_raises_and_the_best_pair_stays(
+        ewl_game, rng, monkeypatch, kind):
+    # the step tests X > 0 through its eigh of L^H X L: the real step must
+    # raise, and best_response must keep the pair of its first step
+    problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), random_chi(2, rng), "I")
+    one_step = best_response(problem, max_iters=1)
+    x_bad = np.diag({"singular": [0.5, 0.5, 0.5, 0.0], "indefinite": [0.5, 0.5, 0.5, -0.5],
+                     "nan": [0.5, 0.5, 0.5, 0.5]}[kind]).astype(complex)
+    if kind == "nan":
+        x_bad[3, 2] = np.nan
+    steps = []
+
+    def second_step_from_x_bad(x, y, ls, n):
+        steps.append(n)
+        return nt_step(x_bad if len(steps) == 2 else x, y, ls, n)
+
+    nt_step = equilibrium._nt_step
+    monkeypatch.setattr(equilibrium, "_nt_step", second_step_from_x_bad)
+    result = best_response(problem)
+    assert len(steps) == 2 and result.iterations == 1 and not result.converged
+    assert (result.value, result.dual_bound) == (one_step.value, one_step.dual_bound)
+    np.testing.assert_array_equal(result.chi_opt.matrix, one_step.chi_opt.matrix)
+
+
+def _hermitian_with_spectrum(basis: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """A Hermitian matrix with the given spectrum, in the unitary factor of ``basis``."""
+    q = np.linalg.qr(basis)[0]
+    m = (q * spectrum) @ q.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nt_scaling_scales_x_and_s_to_one_diagonal(n):
+    rng = np.random.default_rng([23, n])
+    size = n * n
+
+    def gaussian():
+        return rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+
+    for _ in range(50):
+        x, s = (_hermitian_with_spectrum(gaussian(), rng.uniform(0.5, 2.0, size))
+                for _ in range(2))
+        g, lam = equilibrium._nt_scaling(x, np.linalg.cholesky(s))
+        assert np.linalg.norm(g * lam @ g.conj().T - x, 2) <= 1e-13 * np.linalg.norm(x, 2)
+        assert np.linalg.norm(g.conj().T @ s @ g - np.diag(lam), 2) <= 1e-13 * lam.max()
+        # near the boundary, as in the last iterations: X and S almost commute
+        # and every eigenvalue of X S is within a factor of 10 of 1e-12
+        basis = gaussian()
+        spectrum = np.geomspace(1e-6, 1.0, size)
+        rng.shuffle(spectrum)
+        x = _hermitian_with_spectrum(basis, spectrum)
+        s = _hermitian_with_spectrum(np.linalg.qr(basis)[0] + 1e-3 * gaussian() / size,
+                                     1e-12 / spectrum)
+        eig_xs = np.linalg.eigvals(x @ s).real
+        assert np.all((1e-13 < eig_xs) & (eig_xs < 1e-11))
+        g, lam = equilibrium._nt_scaling(x, np.linalg.cholesky(s))
+        assert np.linalg.norm(g * lam @ g.conj().T - x, 2) <= 1e-12 * np.linalg.norm(x, 2)
+
+
 def test_best_response_iterates_stay_feasible_and_hermitian(ewl_game, ewl_stars, monkeypatch):
     # tr_1(X) = I is kept by a congruence, not by a constraint of the step
     iterates = []
@@ -497,6 +557,10 @@ def test_verify_nash_equilibrium(ewl_game, ewl_stars):
     assert report.gap_i <= 1e-6 and report.gap_ii <= 1e-6
     assert report.payoff_i == pytest.approx(2.5, abs=1e-10)
     assert report.response_i.converged and report.response_ii.converged
+    # the paper's certificate, exactly: common payoff 5/2, and no better response
+    assert report.gap_i == report.gap_ii == 0.0
+    for response in (report.response_i, report.response_ii):
+        assert (response.dual_bound, response.iterations) == (2.5, 7)
 
 
 def test_verify_nash_detects_classical_defection(ewl_game):
