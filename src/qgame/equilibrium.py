@@ -139,7 +139,8 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
     iteration makes six LAPACK calls: that factor, the scaling's eigh, the two
     eigvalsh and two solves.  The Schur matrix is one matmul; the new X and Y
     are made exactly Hermitian, the directions are not.  Raises LinAlgError
-    once X or the Schur matrix is singular.
+    once the scaling's eigh finds X not positive definite or the Schur matrix
+    is singular.
     """
     g, lam = _nt_scaling(x, ls)
     size = n * n
