@@ -25,9 +25,14 @@ max(1, |H|):
   one eigvalsh; the Schur matrix is one matmul, and the corrector's (dX, dS)
   step lengths come from one stacked eigvalsh.  An iteration makes six
   LAPACK calls: one Cholesky, one eigh, one eigvalsh, one stacked eigvalsh
-  pair and two solves.  The dual stays exactly feasible.  The corrector
-  feeds the primal residual back, so M = tr_1(X) = I + E with E of order
-  1e-9, and X -> (I (x) R) X (I (x) R), R = (3I - M)/2, leaves
+  pair and two solves, each through the gufunc that numpy.linalg's wrapper
+  calls (``linalg.lapack``), with one error state per step and one per dual
+  point.  A failed gufunc returns NaN instead of raising, so failures are
+  read from the outputs: a factor that is NaN, an eigenvalue of the scaling
+  that is not positive, a step length that is not finite.  The dual stays
+  exactly feasible.  The corrector feeds the primal residual back, so
+  M = tr_1(X) = I + E with E of order 1e-9, and
+  X -> (I (x) R) X (I (x) R), R = (3I - M)/2, leaves
   tr_1(X) = I + O(E^2): every primal iterate is feasible to rounding, as
   tr_1 commutes with I (x) A;
 * certificate: weak duality.  For any Hermitian Y with S = (I (x) Y) - H >= 0,
@@ -43,6 +48,7 @@ independent lower-bound oracle for cross-checking the solver.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +65,8 @@ from .game import (
     response_problem,
     response_value,
 )
-from .linalg import CHI_OPT_ATOL, SOLVE_TOL, STOP_GAP_RTOL, WEAK_DUALITY_RTOL, hermitian_part
+from .linalg import (CHI_OPT_ATOL, SOLVE_TOL, STOP_GAP_RTOL, WEAK_DUALITY_RTOL, hermitian_part,
+                     lapack)
 from .quantum import ChiMatrix, partial_trace_first, validate_chi
 
 # a budget, not a limit: the solver's default number of iterations
@@ -98,10 +105,13 @@ def _dual_point(y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray | None
     """
     s = _slack(y, h, n)
     trace = float(y.trace().real)
-    try:
-        return np.linalg.cholesky(s), trace
-    except np.linalg.LinAlgError:
-        return None, trace + n * max(0.0, -np.linalg.eigvalsh(s)[0])
+    with np.errstate(invalid="ignore"):
+        factor = lapack.cholesky_lo(s)
+    # a failed factorisation is all NaN, and a NaN entry of S reaches the
+    # factor's last diagonal entry
+    if not math.isnan(factor[-1, -1].real):
+        return factor, trace
+    return None, trace + n * max(0.0, -np.linalg.eigvalsh(s)[0])
 
 
 def _nt_scaling(x: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +127,7 @@ def _nt_scaling(x: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         LinAlgError: if X is not positive definite.
     """
     xl = x @ ls
-    lam2, u = np.linalg.eigh(ls.conj().T @ xl)
+    lam2, u = lapack.eigh_lo(ls.conj().T @ xl)
     if not (lam2 > 0.0).all():
         raise np.linalg.LinAlgError("X is not positive definite")
     return xl @ (u * lam2 ** -0.75), np.sqrt(lam2)
@@ -137,63 +147,73 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
     lengths.  The corrector's (dX, dS) pair comes from one stacked eigvalsh,
     which reads only the lower triangle.  With S's Cholesky factor, an
     iteration makes six LAPACK calls: that factor, the scaling's eigh, the two
-    eigvalsh and two solves.  The Schur matrix is one matmul; the new X and Y
-    are made exactly Hermitian, the directions are not.  Raises LinAlgError
-    once the scaling's eigh finds X not positive definite or the Schur matrix
-    is singular.
+    eigvalsh and two solves, each through numpy's gufunc (``linalg.lapack``),
+    under one error state per step.  A failed gufunc fills its output with
+    NaN instead of raising, so failures are read from the outputs: the
+    scaling's eigenvalues must be positive and every step length finite.  The
+    Schur matrix is one matmul; the new X and Y are made exactly Hermitian, the
+    directions are not.  Raises LinAlgError once the scaling's eigh finds X not
+    positive definite, or a step length is not finite, as it is not when the
+    Schur matrix is singular.
     """
-    g, lam = _nt_scaling(x, ls)
-    size = n * n
-    gh = g.conj().T
-    g_blocks = g.reshape(n, n, size)  # (I (x) D) G is D applied to each block row of G
-    w4 = (g @ gh).reshape(n, n, n, n)
-    # sum_ab W[(a,i),(b,j)] W[(b,m),(a,p)] = (A A^H)[(i,j),(p,m)], A[(i,j),(a,b)] = W[(a,i),(b,j)]
-    rows = w4.transpose(1, 3, 0, 2).reshape(size, size)
-    schur = (rows @ rows.conj().T).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(size, size)
-    r = lam ** -0.5
-    unscale = r[:, None] * r
-    diagonal = slice(None, None, size + 1)
-
-    def reach(low):  # the largest a with I + a D >= 0, for lambda_min(D) = low
-        return -1.0 / low if low < 0.0 else np.inf
-
-    # the affine predictor sets the centering and the corrector's second-order term
-    dy = np.linalg.solve(schur, -np.eye(n).reshape(-1)).reshape(n, n)
-    ds = gh @ np.matmul(dy, g_blocks).reshape(size, size)
-    p_eig = np.linalg.eigvalsh(ds * unscale)
-    p_low, p_high = p_eig[0], p_eig[-1]
-    ap, ad = min(1.0, reach(-1.0 - p_high)), min(1.0, reach(p_low))
-    dx = -ds
-    dx.flat[diagonal] -= lam
-    dxds = dx @ ds
-    # tr((lam + ad dS)^H (lam + ap dX)) with dX = -lam - dS
-    lam_lam, lam_ds = float(lam @ lam), float(lam @ ds.diagonal().real)
-    mu = lam_lam / size
-    mu_aff = (lam_lam - ap * (lam_lam + lam_ds) + ad * lam_ds
-              + ap * ad * dxds.trace().real) / size
-    dv = dxds + dxds.conj().T
-    dv *= -0.5
-    dv.flat[diagonal] += min(1.0, (mu_aff / mu) ** 3) * mu - lam * lam
-    dv *= 2.0 / (lam[:, None] + lam)
-    rhs = partial_trace_first(g @ dv @ gh + x, n)
-    rhs.flat[::n + 1] -= 1.0
-    dy = np.linalg.solve(schur, rhs.reshape(-1)).reshape(n, n)
-    ds = gh @ np.matmul(dy, g_blocks).reshape(size, size)
-    dx = dv - ds
-    gamma = 0.9 + 0.09 * min(ap, ad)
-    pair = np.empty((2, size, size), dtype=complex)
-    np.multiply(dx, unscale, out=pair[0])
-    np.multiply(ds, unscale, out=pair[1])
-    step_x, step_s = (min(1.0, gamma * reach(low)) for low in np.linalg.eigvalsh(pair)[:, 0])
-    x = x + step_x * (g @ dx @ gh)
-    # the corrector feeds the primal residual back, so M = tr_1(X) = I + E with
-    # E of order 1e-9; the congruence by I (x) R, R = (3I - M)/2, the first
-    # Newton-Schulz step for M^-1/2, leaves tr_1(X) = I + O(E^2), and E^2 is
-    # below rounding
-    root = 1.5 * np.eye(n) - 0.5 * partial_trace_first(x, n)
-    half = np.matmul(root, x.reshape(n, n, size))  # (I (x) R) X, then times I (x) R
-    x = hermitian_part(np.matmul(half.reshape(size, n, n), root).reshape(size, size))
-    return x, hermitian_part(y + step_s * dy)
+    with np.errstate(invalid="ignore"):
+        g, lam = _nt_scaling(x, ls)
+        size = n * n
+        gh = g.conj().T
+        g_blocks = g.reshape(n, n, size)  # (I (x) D) G is D applied to each block row of G
+        w4 = (g @ gh).reshape(n, n, n, n)
+        # sum_ab W[(a,i),(b,j)] W[(b,m),(a,p)] = (A A^H)[(i,j),(p,m)],
+        # A[(i,j),(a,b)] = W[(a,i),(b,j)]
+        rows = w4.transpose(1, 3, 0, 2).reshape(size, size)
+        schur = (rows @ rows.conj().T).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(size, size)
+        r = lam ** -0.5
+        unscale = r[:, None] * r
+        diagonal = slice(None, None, size + 1)
+        # the affine predictor sets the centering and the corrector's second-order
+        # term; a step length a is the largest with I + a D >= 0, from lambda_min(D)
+        dy = lapack.solve1(schur, -np.eye(n).reshape(-1)).reshape(n, n)
+        ds = gh @ np.matmul(dy, g_blocks).reshape(size, size)
+        p_eig = lapack.eigvalsh_lo(ds * unscale)
+        low_s, low_x = float(p_eig[0]), -1.0 - float(p_eig[-1])
+        if not (math.isfinite(low_s) and math.isfinite(low_x)):
+            raise np.linalg.LinAlgError("predictor step length is not finite")
+        ap = min(1.0, -1.0 / low_x) if low_x < 0.0 else 1.0
+        ad = min(1.0, -1.0 / low_s) if low_s < 0.0 else 1.0
+        dx = -ds
+        dx.flat[diagonal] -= lam
+        dxds = dx @ ds
+        # tr((lam + ad dS)^H (lam + ap dX)) with dX = -lam - dS
+        lam_lam, lam_ds = float(lam @ lam), float(lam @ ds.diagonal().real)
+        mu = lam_lam / size
+        mu_aff = (lam_lam - ap * (lam_lam + lam_ds) + ad * lam_ds
+                  + ap * ad * dxds.trace().real) / size
+        dv = dxds + dxds.conj().T
+        dv *= -0.5
+        dv.flat[diagonal] += min(1.0, (mu_aff / mu) ** 3) * mu - lam * lam
+        dv *= 2.0 / (lam[:, None] + lam)
+        rhs = partial_trace_first(g @ dv @ gh + x, n)
+        rhs.flat[::n + 1] -= 1.0
+        dy = lapack.solve1(schur, rhs.reshape(-1)).reshape(n, n)
+        ds = gh @ np.matmul(dy, g_blocks).reshape(size, size)
+        dx = dv - ds
+        gamma = 0.9 + 0.09 * min(ap, ad)
+        pair = np.empty((2, size, size), dtype=complex)
+        np.multiply(dx, unscale, out=pair[0])
+        np.multiply(ds, unscale, out=pair[1])
+        low_x, low_s = (float(low) for low in lapack.eigvalsh_lo(pair)[:, 0])
+        if not (math.isfinite(low_x) and math.isfinite(low_s)):
+            raise np.linalg.LinAlgError("corrector step length is not finite")
+        step_x = min(1.0, gamma * (-1.0 / low_x)) if low_x < 0.0 else 1.0
+        step_s = min(1.0, gamma * (-1.0 / low_s)) if low_s < 0.0 else 1.0
+        x = x + step_x * (g @ dx @ gh)
+        # the corrector feeds the primal residual back, so M = tr_1(X) = I + E with
+        # E of order 1e-9; the congruence by I (x) R, R = (3I - M)/2, the first
+        # Newton-Schulz step for M^-1/2, leaves tr_1(X) = I + O(E^2), and E^2 is
+        # below rounding
+        root = 1.5 * np.eye(n) - 0.5 * partial_trace_first(x, n)
+        half = np.matmul(root, x.reshape(n, n, size))  # (I (x) R) X, then times I (x) R
+        x = hermitian_part(np.matmul(half.reshape(size, n, n), root).reshape(size, size))
+        return x, hermitian_part(y + step_s * dy)
 
 
 def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,

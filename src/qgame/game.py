@@ -227,7 +227,10 @@ def validate_tensor_entries(entries) -> np.ndarray:
     a = _frozen(entries)
     if a.ndim != 4 or a.shape[0] != a.shape[1] or a.shape[2] != a.shape[3]:
         raise DimensionMismatch(f"tensor has inconsistent shape {a.shape}")
-    pairing = float(np.max(np.abs(a - a.conj().transpose(1, 0, 3, 2))))
+    # a - a.conj().transpose(1, 0, 3, 2), one first-axis slice at a time, so
+    # that no temporary is the tensor's size; np.max keeps a NaN from any slice
+    pairing = float(np.max([np.abs(a[i] - a[:, i].conj().transpose(0, 2, 1)).max()
+                            for i in range(a.shape[0])]))
     linalg.require([Check("tensor Hermiticity pairing", pairing, PAIRING_ATOL, ValidationError,
                           f"A[a,b,c,d] = conj(A[b,a,d,c]) broken by {pairing:.3e}; "
                           f"payoffs would not be real")])

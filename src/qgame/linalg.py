@@ -1,7 +1,8 @@
 """Dense complex linear algebra kernel and the validity-check record.
 
 Small, self-contained layer the rest of the package builds on: matrix
-coercion, the least eigenvalue of a Hermitian matrix, the package-wide
+coercion, the least eigenvalue of a Hermitian matrix, numpy's LAPACK gufuncs
+(``lapack``), the package-wide
 numerical tolerances, and :class:`Check`, the one shape every validity
 condition takes.  Matrices are plain square ``numpy.ndarray`` values of
 dtype complex, stored row-major.
@@ -13,6 +14,14 @@ from collections.abc import Iterable
 from typing import NamedTuple, TypeAlias
 
 import numpy as np
+
+# The gufuncs that numpy.linalg's cholesky, eigh, eigvalsh and solve call
+# (cholesky_lo, eigh_lo, eigvalsh_lo and solve1, so named from numpy 1.24 to
+# 2.x); the solver's loop calls them directly, without the wrappers' per-call
+# cost.  The contract relied on: a gufunc whose LAPACK call fails fills its
+# whole output with NaN and raises the floating-point invalid flag, where the
+# wrapper would raise LinAlgError.  tests/test_linalg.py pins it.
+from numpy.linalg import _umath_linalg as lapack
 
 from .errors import DimensionMismatch, NotHermitian, QGameError, ValidationError
 

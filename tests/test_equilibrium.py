@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,41 @@ def test_a_step_from_an_x_that_is_not_positive_definite_raises_and_the_best_pair
     np.testing.assert_array_equal(result.chi_opt.matrix, one_step.chi_opt.matrix)
 
 
+def _with_a_singular_schur_matrix(g: np.ndarray, n: int) -> np.ndarray:
+    """G with the first row of every block row zero: tr_1(W (I (x) dY) W) then has
+    a zero first row for every dY, so the Schur matrix is exactly singular."""
+    g = g.copy()
+    g[::n] = 0.0
+    return g
+
+
+def test_a_step_whose_schur_matrix_is_singular_raises_and_the_best_pair_stays(
+        ewl_game, rng, monkeypatch):
+    # the solve gufunc returns NaN for a singular Schur matrix, and the NaN
+    # reaches the step lengths: the step must raise, not take a full step
+    problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), random_chi(2, rng), "I")
+    one_step = best_response(problem, max_iters=1)
+    scalings = []
+
+    def singular_from_the_second_scaling(x, ls):
+        g, lam = nt_scaling(x, ls)
+        scalings.append(g)
+        return (g if len(scalings) == 1 else _with_a_singular_schur_matrix(g, 2)), lam
+
+    nt_scaling = equilibrium._nt_scaling
+    monkeypatch.setattr(equilibrium, "_nt_scaling", singular_from_the_second_scaling)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = best_response(problem)
+        x, y = np.eye(4, dtype=complex) / 2, 4.0 * np.eye(2, dtype=complex)
+        ls, _ = equilibrium._dual_point(y, problem.matrix, 2)
+        with pytest.raises(np.linalg.LinAlgError, match="step length is not finite"):
+            equilibrium._nt_step(x, y, ls, 2)
+    assert len(scalings) == 3 and result.iterations == 1 and not result.converged
+    assert (result.value, result.dual_bound) == (one_step.value, one_step.dual_bound)
+    np.testing.assert_array_equal(result.chi_opt.matrix, one_step.chi_opt.matrix)
+
+
 def _hermitian_with_spectrum(basis: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """A Hermitian matrix with the given spectrum, in the unitary factor of ``basis``."""
     q = np.linalg.qr(basis)[0]
@@ -408,10 +444,13 @@ def test_dual_point_factors_a_feasible_slack_and_shifts_an_infeasible_one(rng, n
     factor, bound = equilibrium._dual_point(y, h, n)
     np.testing.assert_allclose(factor @ factor.conj().T, np.kron(eye, y) - h, rtol=0, atol=1e-13)
     assert bound == y.trace().real
-    # lambda_min(S) = -0.5: no factor, and the bound shifts Y by 0.5 I
+    # lambda_min(S) = -0.5: no factor, and the bound shifts Y by 0.5 I; the
+    # failed factorisation's invalid flag stays inside _dual_point
     y = (eig_h[-1] - 0.5) * eye
     s = np.kron(eye, y) - h
-    factor, bound = equilibrium._dual_point(y, h, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factor, bound = equilibrium._dual_point(y, h, n)
     assert factor is None
     assert bound == y.trace().real + n * -np.linalg.eigvalsh(s)[0]
     assert bound == pytest.approx(n * eig_h[-1], abs=1e-12)

@@ -188,6 +188,21 @@ def test_tensor_grid_layout(ewl_game):
     assert grid[4 * 2 + 0, 4 * 1 + 3] == tensor.entries[2, 0, 1, 3]
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_pairing_check_forms_no_temporary_of_the_tensor_size(n):
+    # the frozen copy alone is 1.0 entries.nbytes; the full-size residual was 3-4
+    d = n * n
+    game = build_game(np.eye(d) / d, np.eye(d), np.eye(d), n, n)
+    entries = payoff_tensor_matrix_unit(game, "I").entries
+    tracemalloc.start()
+    try:
+        validate_tensor_entries(entries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * entries.nbytes
+
+
 def test_tensor_rejects_pairing_violation():
     bad = np.zeros((4, 4, 4, 4), dtype=complex)
     bad[0, 1, 0, 0] = 1.0  # conjugate partner missing

@@ -151,6 +151,35 @@ def test_min_eigenvalue_matches_spectrum():
     assert min_eigenvalue(np.diag([3.0, -2.0, 1.0])) == pytest.approx(-2.0)
 
 
+@pytest.mark.parametrize("name, args", [
+    ("cholesky_lo", (-np.eye(4, dtype=complex),)),
+    ("solve1", (np.zeros((4, 4), dtype=complex), np.ones(4, dtype=complex))),
+])
+def test_a_failing_lapack_gufunc_fills_its_output_with_nan_and_flags_invalid(name, args):
+    # the solver's loop reads its failures from these outputs, not from LinAlgError
+    gufunc = getattr(linalg.lapack, name)
+    with np.errstate(invalid="ignore"):
+        out = gufunc(*args)
+    assert out.shape == args[-1].shape and np.isnan(out).all()
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        gufunc(*args)
+
+
+def test_eigh_gufuncs_on_a_nan_entry_return_what_the_wrappers_do_without_a_flag():
+    # neither fails: the solver's positivity and finiteness tests must catch the NaN
+    a = np.eye(4, dtype=complex)
+    a[3, 2] = np.nan
+    with np.errstate(invalid="raise"):
+        lam2, u = linalg.lapack.eigh_lo(a)
+        lam = linalg.lapack.eigvalsh_lo(a)
+    assert np.isnan(lam).any() and not (lam2 > 0.0).all()
+    np.testing.assert_array_equal(lam, np.linalg.eigvalsh(a))
+    np.testing.assert_array_equal(lam2, lam)
+    wrapped_lam2, wrapped_u = np.linalg.eigh(a)
+    np.testing.assert_array_equal(lam2, wrapped_lam2)
+    np.testing.assert_array_equal(u, wrapped_u)
+
+
 def test_as_matrix_rejects_non_finite():
     with pytest.raises(ValidationError):
         as_matrix(np.array([[np.inf, 0], [0, 1]], dtype=complex))
