@@ -165,7 +165,8 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
         # sum_ab W[(a,i),(b,j)] W[(b,m),(a,p)] = (A A^H)[(i,j),(p,m)],
         # A[(i,j),(a,b)] = W[(a,i),(b,j)]
         rows = w4.transpose(1, 3, 0, 2).reshape(size, size)
-        schur = (rows @ rows.conj().T).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(size, size)
+        schur = (rows @ rows.conj().T).reshape(n, n, n, n)
+        schur = schur.transpose(0, 2, 1, 3).reshape(size, size)
         r = lam ** -0.5
         unscale = r[:, None] * r
         diagonal = slice(None, None, size + 1)

@@ -2,9 +2,8 @@
 
 Small, self-contained layer the rest of the package builds on: matrix
 coercion, the least eigenvalue of a Hermitian matrix, numpy's LAPACK gufuncs
-(``lapack``), the package-wide
-numerical tolerances, and :class:`Check`, the one shape every validity
-condition takes.  Matrices are plain square ``numpy.ndarray`` values of
+(``lapack``), the package-wide numerical tolerances, and :class:`Check`, the
+one shape every validity condition takes.  Matrices are plain square ``numpy.ndarray`` values of
 dtype complex, stored row-major.
 """
 

@@ -337,14 +337,6 @@ def test_a_step_from_an_x_that_is_not_positive_definite_raises_and_the_best_pair
     np.testing.assert_array_equal(result.chi_opt.matrix, one_step.chi_opt.matrix)
 
 
-def _with_a_singular_schur_matrix(g: np.ndarray, n: int) -> np.ndarray:
-    """G with the first row of every block row zero: tr_1(W (I (x) dY) W) then has
-    a zero first row for every dY, so the Schur matrix is exactly singular."""
-    g = g.copy()
-    g[::n] = 0.0
-    return g
-
-
 def test_a_step_whose_schur_matrix_is_singular_raises_and_the_best_pair_stays(
         ewl_game, rng, monkeypatch):
     # the solve gufunc returns NaN for a singular Schur matrix, and the NaN
@@ -356,7 +348,12 @@ def test_a_step_whose_schur_matrix_is_singular_raises_and_the_best_pair_stays(
     def singular_from_the_second_scaling(x, ls):
         g, lam = nt_scaling(x, ls)
         scalings.append(g)
-        return (g if len(scalings) == 1 else _with_a_singular_schur_matrix(g, 2)), lam
+        if len(scalings) > 1:
+            # the first row of every block row of G is zero, so tr_1(W (I (x) dY) W)
+            # has a zero first row for every dY: the Schur matrix is exactly singular
+            g = g.copy()
+            g[::2] = 0.0
+        return g, lam
 
     nt_scaling = equilibrium._nt_scaling
     monkeypatch.setattr(equilibrium, "_nt_scaling", singular_from_the_second_scaling)
