@@ -53,7 +53,7 @@ from .game import (
     state_payoff,
 )
 from .games_builtin import figure1_reference_tensors
-from .linalg import CROSS_CHECK_ATOL, FRACTION_ATOL, NASH_EPSILON, SOLVE_TOL
+from .linalg import CROSS_CHECK_ATOL, NASH_EPSILON, SOLVE_TOL
 from .quantum import apply_product_channel, kraus_form_loss, kraus_to_chi
 
 EXIT_OK = 0
@@ -68,9 +68,12 @@ EXIT_NO_CONVERGENCE = 4
 # ---------------------------------------------------------------------------
 
 def _as_fraction(x: float):
+    """A finite float's exact value as a fraction, if its denominator is at most 64."""
+    if not np.isfinite(x):
+        return None
     from fractions import Fraction  # kept out of start-up: only --exact-fractions needs it
-    frac = Fraction(x).limit_denominator(64)
-    return frac if abs(float(frac) - x) <= FRACTION_ATOL else None
+    frac = Fraction(x)
+    return frac if frac.denominator <= 64 else None
 
 
 def _fraction_str(frac, unit: str) -> str:
@@ -80,7 +83,7 @@ def _fraction_str(frac, unit: str) -> str:
 
 
 def format_complex(z: complex, exact: bool = False) -> str:
-    """Render a complex scalar; with ``exact`` small rationals print as fractions."""
+    """Render a complex scalar; with ``exact``, as fractions if both parts are n/d, d <= 64."""
     re, im = float(np.real(z)), float(np.imag(z))
     text = "{:.12g}{}".format
     fractions = (_as_fraction(re), _as_fraction(im)) if exact else (None,)
@@ -346,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-fixture", action="store_true",
                    help="compare against the bundled reference grids")
     p.add_argument("--exact-fractions", action="store_true",
-                   help="render entries close to small rationals as fractions")
+                   help="print entries that are exactly n/d, d <= 64, as n/d; others, such "
+                        "as the float nearest 1/3, print as decimals")
     p.set_defaults(func=cmd_tensor, text=text_tensor)
 
     p = sub.add_parser("payoff", help="expected payoffs for a strategy pair")

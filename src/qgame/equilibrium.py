@@ -39,8 +39,9 @@ max(1, |H|):
   tr(Y) bounds the optimum from above, so a Y whose S has a Cholesky factor
   yields the bound tr(Y).  For any other Hermitian Y the shifted matrix
   Y + max(0, -lambda_min(S)) I is feasible, and Y yields the certified bound
-  tr(Y) + n * max(0, -lambda_min(S)).  The gap is the best such bound minus
-  the best primal value, whatever path the iterates took.
+  tr(Y) + n * max(0, -lambda_min(S)).  Every dual point, the start ones
+  included, takes its bound from this one rule, ``_dual_point``.  The gap is
+  the best such bound minus the best primal value, whatever path the iterates took.
 
 A brute-force grid over single-qubit unitary strategies serves as an
 independent lower-bound oracle for cross-checking the solver.
@@ -76,7 +77,8 @@ MAX_ITERS = 5000
 class BestResponseResult(NamedTuple):
     """A feasible strategy, its value and a certified upper bound on the optimum.
 
-    ``iterations`` counts the iterations of the primal-dual method.
+    ``iterations`` counts the iterations of the primal-dual method, and
+    ``scale`` is |H|, the spectral norm of the response matrix's Hermitian part.
     """
 
     value: float
@@ -85,33 +87,28 @@ class BestResponseResult(NamedTuple):
     gap: float
     iterations: int
     converged: bool
+    scale: float
 
 
 # ---------------------------------------------------------------------------
 # primal-dual solver
 # ---------------------------------------------------------------------------
 
-def _slack(y: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
-    """``np.kron(I, Y) - H``, bit for bit, for one Y or a stack of them."""
-    blocks = np.eye(n).reshape(n, 1, n, 1) * y[..., None, :, None, :]
-    return blocks.reshape(*y.shape[:-2], n * n, n * n) - h
-
-
 def _dual_point(y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray | None, float]:
     """The Cholesky factor of S = np.kron(I, Y) - H, formed bit for bit, and Y's bound.
 
-    An S with a factor is positive definite, so the bound is tr(Y); only an S
+    The one rule for every dual point's bound, the start ones included.  An S
+    with a factor is positive definite, so the bound is tr(Y); only an S
     without one costs an eigvalsh, for ``(None, tr(Y) + n max(0, -lambda_min(S)))``.
     """
-    s = _slack(y, h, n)
+    # np.kron(I, Y) - H, bit for bit
+    blocks = np.eye(n).reshape(n, 1, n, 1) * y[None, :, None, :]
+    s = blocks.reshape(n * n, n * n) - h
     trace = float(y.trace().real)
-    with np.errstate(invalid="ignore"):
-        factor = lapack.cholesky_lo(s)
-    # a failed factorisation is all NaN, and a NaN entry of S reaches the
-    # factor's last diagonal entry
-    if not math.isnan(factor[-1, -1].real):
+    factor = linalg.cholesky_factor(s)
+    if factor is not None:
         return factor, trace
-    return None, trace + n * max(0.0, -np.linalg.eigvalsh(s)[0])
+    return None, trace + n * max(0.0, -linalg.min_eigenvalue(s))
 
 
 def _nt_scaling(x: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,11 +250,8 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
     # chi = I/n against the start, lambda_max(H) I and tr_1(H)/n, exact for H = I (x) Z
     x = np.eye(n * n, dtype=complex) / n
     best_x, best_val = x, float(np.trace(h).real) / n
-    # both trivial slacks are singular or nearly so, so Cholesky-first would
-    # mostly fail: one stacked eigvalsh certifies the pair
-    trivial = np.stack([eig_h[-1] / norm * eye, partial_trace_first(h, n) / n])
-    shifts = np.maximum(0.0, -np.linalg.eigvalsh(_slack(trivial, h, n))[:, 0])
-    bound = min(bound, *(trivial.trace(axis1=1, axis2=2).real + n * shifts))
+    for trivial in (eig_h[-1] / norm * eye, partial_trace_first(h, n) / n):
+        bound = min(bound, _dual_point(trivial, h, n)[1])
     iterations = 0
     # rounding that takes S to the boundary leaves it without a factor, and
     # rounding that takes X there makes the step raise: either way the best pair stays
@@ -283,7 +277,7 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
     # bound can dip below value by rounding, so the gap can be
     # slightly negative; it is reported as is
     return BestResponseResult(value, chi_opt, float(bound), float(raw_gap),
-                              iterations, bool(raw_gap <= tol * norm))
+                              iterations, bool(raw_gap <= tol * norm), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +363,7 @@ def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float
     payoff_ii = response_value(problem_ii, xi)
     br_i = best_response(problem_i, max_iters, solver_tol)
     br_ii = best_response(problem_ii, max_iters, solver_tol)
-    limit_i, limit_ii = (epsilon * max(1.0, float(np.linalg.norm(p.matrix, 2)))
-                         for p in (problem_i, problem_ii))
+    limit_i, limit_ii = (epsilon * max(1.0, br.scale) for br in (br_i, br_ii))
     gap_i = br_i.dual_bound - payoff_i
     gap_ii = br_ii.dual_bound - payoff_ii
     report = NashReport(

@@ -2,13 +2,16 @@
 
 Small, self-contained layer the rest of the package builds on: matrix
 coercion, the least eigenvalue of a Hermitian matrix, numpy's LAPACK gufuncs
-(``lapack``), the package-wide numerical tolerances, and :class:`Check`, the
-one shape every validity condition takes.  Matrices are plain square ``numpy.ndarray`` values of
+(``lapack``), :func:`cholesky_factor` (the one Cholesky test, and the one
+reader of the factorisation's NaN failure contract), the package-wide
+numerical tolerances, and :class:`Check`, the one shape every validity
+condition takes.  Matrices are plain square ``numpy.ndarray`` values of
 dtype complex, stored row-major.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from typing import NamedTuple, TypeAlias
 
@@ -16,10 +19,10 @@ import numpy as np
 
 # The gufuncs that numpy.linalg's cholesky, eigh, eigvalsh and solve call
 # (cholesky_lo, eigh_lo, eigvalsh_lo and solve1, so named from numpy 1.24 to
-# 2.x); the solver's loop calls them directly, without the wrappers' per-call
-# cost.  The contract relied on: a gufunc whose LAPACK call fails fills its
-# whole output with NaN and raises the floating-point invalid flag, where the
-# wrapper would raise LinAlgError.  tests/test_linalg.py pins it.
+# 2.x); the solver's loop and cholesky_factor call them directly, without the
+# wrappers' per-call cost.  The contract relied on: a gufunc whose LAPACK call
+# fails fills its whole output with NaN and raises the floating-point invalid
+# flag, where the wrapper would raise LinAlgError.  tests/test_linalg.py pins it.
 from numpy.linalg import _umath_linalg as lapack
 
 from .errors import DimensionMismatch, NotHermitian, QGameError, ValidationError
@@ -45,7 +48,6 @@ CROSS_CHECK_ATOL = 1e-9    # max|R|         -      contraction against direct pa
 WEAK_DUALITY_RTOL = 1e-8   # |H|            -      a value above its certified bound: a solver bug
 STOP_GAP_RTOL = 1e-12      # |H|            -      the gap at which the solver stops
 CHI_OPT_ATOL = 1e-7        # none           -      the solver's strategy, as a chi matrix
-FRACTION_ATOL = 1e-12      # none           -      --exact-fractions: a value against its fraction
 TENSOR_BYTES_MAX = 2**28   # none           -      bytes of a tensor's explicit entries (n1 = n2 = 8)
 SOLVE_TOL = 1e-7           # |H|            -      gap a best response certifies; --tol sets it
 NASH_EPSILON = 1e-6        # |H|            -      gain a deviation may offer; --epsilon sets it
@@ -99,6 +101,15 @@ def hermitian_check(m: ComplexMatrix, tol: float | None = None, what: str = "mat
 def min_eigenvalue(m: ComplexMatrix) -> float:
     """Smallest eigenvalue of a Hermitian matrix (read from its lower triangle)."""
     return float(np.linalg.eigvalsh(m)[0])
+
+
+def cholesky_factor(a: ComplexMatrix) -> ComplexMatrix | None:
+    """The lower Cholesky factor of ``a`` (read from its lower triangle), or None if it has none."""
+    with np.errstate(invalid="ignore"):
+        factor = lapack.cholesky_lo(a)
+    # a failed factorisation is all NaN, and a NaN entry of ``a`` reaches the
+    # factor's last diagonal entry
+    return None if math.isnan(factor[-1, -1].real) else factor
 
 
 def hermitian_part(m) -> ComplexMatrix:

@@ -166,15 +166,6 @@ def completeness_check(stacked: np.ndarray, tol: float | None = None,
                  CompletenessViolation, f"residual {residual:.3e}")
 
 
-def _factorises(a: ComplexMatrix, shift: float) -> bool:
-    """Whether ``a + shift I`` has a Cholesky factor (read, like eigvalsh, from the lower triangle)."""
-    try:
-        np.linalg.cholesky(a + shift * np.eye(a.shape[0]))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def validate_density(m: ComplexMatrix, tol: float | None = None) -> DensityMatrix:
     """Validate a candidate state; checks trace, Hermiticity, positivity.
 
@@ -185,17 +176,17 @@ def validate_density(m: ComplexMatrix, tol: float | None = None) -> DensityMatri
     stable (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 10),
     so it may also accept a minimum eigenvalue up to about d eps ||rho|| below
     -limit for a d x d state, the order of the eigenvalue's own rounding.
-    Every other matrix is judged by :func:`density_checks` on its minimum
-    eigenvalue, so a state whose factorisation fails but whose eigenvalue
-    passes is still accepted; the raised diagnostic names the first violated
-    condition and carries the measured residual.
+    Only a matrix without that factor meets :func:`density_checks`' positivity
+    check, on its minimum eigenvalue, so a state whose factorisation fails but
+    whose eigenvalue passes is still accepted; the raised diagnostic names the
+    first violated condition and carries the measured residual.
     """
     a = linalg.as_matrix(m, "density matrix")
     checks = density_checks(a, tol)
-    trace_one, hermitian = next(checks), next(checks)
-    if not (trace_one.passed and hermitian.passed
-            and _factorises(a, linalg.limit(linalg.PSD_ATOL, tol))):
-        linalg.require(density_checks(a, tol))
+    linalg.require([next(checks), next(checks)])  # trace one, then Hermiticity
+    shifted = a + linalg.limit(linalg.PSD_ATOL, tol) * np.eye(a.shape[0])
+    if linalg.cholesky_factor(shifted) is None:
+        linalg.require(checks)
     return DensityMatrix(a)
 
 

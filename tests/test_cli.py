@@ -239,6 +239,32 @@ def test_tensor_exact_fraction_rendering(capsys):
     assert "5/4" in rows[0]
 
 
+@pytest.mark.parametrize("z, text", [
+    (0.5, "1/2"), (-1.25j, "-5i/4"), (0.5 + 1e-13, "0.5"), (1 / 3, "0.333333333333"),
+    (2.0 ** -7, "0.0078125"), (0.5 - 1e-13j, "0.5-1e-13i"),
+], ids=["half", "imaginary", "near-half", "third", "1/128", "near-half-imaginary"])
+def test_exact_fractions_print_only_exact_values(z, text):
+    # a float is its own exact fraction; only denominators up to 64 print as one
+    assert cli.format_complex(z, exact=True) == text
+
+
+def test_exact_fractions_print_an_infinite_entry_as_plain_text_does(tmp_path, monkeypatch, capsys):
+    # rho = diag(1 - 3e10, 1e10, 1e10, 1e10) passes only at QGAME_TOL=1e300, and against
+    # R_I = 1e300 I some entries of player I's tensor overflow to +-inf
+    zero = [0, 0]
+    doc = _bundled("ewl.game")
+    doc["rho"] = [[[v, 0] if i == j else zero for j in range(4)]
+                  for i, v in enumerate((1 - 3e10, 1e10, 1e10, 1e10))]
+    doc["payoff_ops"]["I"] = [[[1e300, 0] if i == j else zero for j in range(4)] for i in range(4)]
+    path = tmp_path / "overflow.game"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("QGAME_TOL", "1e300")
+    code, out, err = run(capsys, "tensor", str(path), "I", "--exact-fractions")
+    assert (code, err) == (0, "")
+    assert "inf" in out.split()
+    assert run(capsys, "tensor", str(path), "I") == (0, out, "")
+
+
 def test_tensor_json_round_trips(capsys):
     code, out, _ = run(capsys, "tensor", "ewl.game", "I", "--format", "json")
     assert code == 0

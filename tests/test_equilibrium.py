@@ -25,6 +25,7 @@ from qgame.game import (
     payoff_direct,
     payoff_tensor_matrix_unit,
 )
+from qgame.linalg import hermitian_part
 from qgame.quantum import (
     apply_product_channel,
     identity_chi,
@@ -597,6 +598,34 @@ def test_verify_nash_equilibrium(ewl_game, ewl_stars):
     assert report.gap_i == report.gap_ii == 0.0
     for response in (report.response_i, report.response_ii):
         assert (response.dual_bound, response.iterations) == (2.5, 7)
+
+
+def _same_report(a, b):
+    assert a[:5] == b[:5]
+    for ra, rb in ((a.response_i, b.response_i), (a.response_ii, b.response_ii)):
+        assert ra._replace(chi_opt=None) == rb._replace(chi_opt=None)
+        np.testing.assert_array_equal(ra.chi_opt.matrix, rb.chi_opt.matrix)
+
+
+def test_verify_nash_takes_each_norm_from_its_best_response(ewl_game, ewl_stars, monkeypatch):
+    profiles = [ewl_stars, (identity_chi(2), identity_chi(2))]
+    reports = [verify_nash(ewl_game, *profile, epsilon=1e-6) for profile in profiles]
+
+    def norm(*args, **kwargs):
+        raise AssertionError("a second norm of H")
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    for profile, report in zip(profiles, reports):
+        _same_report(verify_nash(ewl_game, *profile, epsilon=1e-6), report)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e9], ids=["1e-6", "1", "1e3", "1e9"])
+def test_best_response_scale_is_the_spectral_norm_of_the_hermitian_part(scale, rng):
+    for n in (2, 3):
+        g = scale * random_hermitian(n * n, rng)
+        expected = np.linalg.norm(hermitian_part(g), 2)
+        result = best_response(ResponseProblem(g, n), max_iters=5)
+        assert abs(result.scale - expected) <= 4 * np.finfo(float).eps * max(1.0, expected)
 
 
 def test_verify_nash_detects_classical_defection(ewl_game):

@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,41 @@ def test_a_failing_lapack_gufunc_fills_its_output_with_nan_and_flags_invalid(nam
         gufunc(*args)
 
 
+@pytest.mark.parametrize("d", [4, 9, 36])
+def test_cholesky_factor_is_numpys_factor_bit_for_bit(d, rng):
+    for _ in range(3):
+        a = random_matrix(rng, d)
+        m = a @ a.conj().T + 1e-3 * np.eye(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = linalg.cholesky_factor(m)
+        np.testing.assert_array_equal(factor, np.linalg.cholesky(m))
+
+
+def _indefinite(rng):
+    # shifted between its two least eigenvalues
+    a = hermitian_part(random_matrix(rng, 4))
+    return a - 0.5 * (min_eigenvalue(a) + np.linalg.eigvalsh(a)[1]) * np.eye(4)
+
+
+def _nan_below_the_diagonal():
+    # LAPACK need not fail on it, but the NaN reaches the factor's last diagonal entry
+    m = np.eye(4, dtype=complex)
+    m[3, 2] = np.nan
+    return m
+
+
+@pytest.mark.parametrize("make", [lambda rng: -np.eye(4, dtype=complex), _indefinite,
+                                  lambda rng: _nan_below_the_diagonal()],
+                         ids=["minus-identity", "indefinite", "nan-entry"])
+def test_cholesky_factor_is_none_without_a_factor_and_lets_no_warning_out(make, rng):
+    m = make(rng)
+    assert np.isnan(m).any() or min_eigenvalue(m) < 0
+    with warnings.catch_warnings(), np.errstate(invalid="warn"):
+        warnings.simplefilter("error")
+        assert linalg.cholesky_factor(m) is None
+
+
 def test_eigh_gufuncs_on_a_nan_entry_return_what_the_wrappers_do_without_a_flag():
     # neither fails: the solver's positivity and finiteness tests must catch the NaN
     a = np.eye(4, dtype=complex)
@@ -218,7 +254,6 @@ LEDGER = {
     "WEAK_DUALITY_RTOL": 1e-8,
     "STOP_GAP_RTOL": 1e-12,
     "CHI_OPT_ATOL": 1e-7,
-    "FRACTION_ATOL": 1e-12,
     "TENSOR_BYTES_MAX": 2 ** 28,
     "SOLVE_TOL": 1e-7,
     "NASH_EPSILON": 1e-6,
