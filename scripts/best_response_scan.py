@@ -12,7 +12,7 @@ import numpy as np
 
 from qgame.cli import ArgumentParser, _positive_int, _seed, survive_closed_pipe
 from qgame.equilibrium import best_response, unitary_oracle
-from qgame.game import build_game, payoff_tensor_matrix_unit, response_problem
+from qgame.game import build_game, payoff_tensor_matrix_unit, response_problem, response_value
 from qgame.games_builtin import ewl_prisoners_dilemma
 from qgame.quantum import kraus_to_chi
 from qgame.random_ops import random_chi, random_density, random_hermitian, random_kraus_channel
@@ -47,10 +47,8 @@ def main():
 
         result = best_response(problem)
         grid_value, _ = unitary_oracle(tensor, opponent, player, resolution=args.resolution)
-        extreme = max(
-            float(np.trace(problem.matrix @ kraus_to_chi(random_kraus_channel(2, rng)).matrix).real)
-            for _ in range(200)
-        )
+        extreme = max(response_value(problem, kraus_to_chi(random_kraus_channel(2, rng)))
+                      for _ in range(200))
         lower = max(grid_value, extreme)
         margin = result.value - lower
         worst_margin = min(worst_margin, margin)

@@ -18,23 +18,20 @@ max(1, |H|):
   Y = (lambda_max(H) + |H|) I.  Each iteration is a Mehrotra
   predictor-corrector step along the Nesterov-Todd direction, whose Schur
   system has n^2 unknowns; I (x) D acts on the n diagonal blocks of a
-  matrix, never as a Kronecker product.  S = L L^H is factored once per dual
-  point, and its Cholesky factor L serves both its bound and the next step,
-  whose NT scaling comes from one eigh of L^H X L, which also tests X > 0.
-  The predictor's right-hand side is -I and its two step lengths come from
-  one eigvalsh; the Schur matrix is one matmul, and the corrector's (dX, dS)
-  step lengths come from one stacked eigvalsh.  An iteration makes six
-  LAPACK calls: one Cholesky, one eigh, one eigvalsh, one stacked eigvalsh
-  pair and two solves, each through the gufunc that numpy.linalg's wrapper
-  calls (``linalg.lapack``), with one error state per step and one per dual
-  point.  A failed gufunc returns NaN instead of raising, so failures are
-  read from the outputs: a factor that is NaN, an eigenvalue of the scaling
-  that is not positive, a step length that is not finite.  The dual stays
+  matrix, never as a Kronecker product.  An iteration makes six LAPACK
+  calls, each straight to its gufunc in ``linalg.lapack``: S's Cholesky
+  factor L, which serves both Y's bound and the next step; one eigh of
+  L^H X L for the NT scaling, which also tests X > 0; one eigvalsh for the
+  predictor's step lengths and one stacked eigvalsh for the corrector's; and
+  two solves of the Schur matrix, itself one matmul.  They run under one
+  error state per step and one per dual point, and a failure is read from
+  the NaN it leaves (``linalg`` states the contract): a NaN factor sends Y to
+  the eigenvalue rule below, and a scaling eigenvalue that is not positive,
+  or a step length that is not finite, ends the loop.  The dual stays
   exactly feasible.  The corrector feeds the primal residual back, so
-  M = tr_1(X) = I + E with E of order 1e-9, and
-  X -> (I (x) R) X (I (x) R), R = (3I - M)/2, leaves
-  tr_1(X) = I + O(E^2): every primal iterate is feasible to rounding, as
-  tr_1 commutes with I (x) A;
+  M = tr_1(X) = I + E with E of order 1e-9, and X -> (I (x) R) X (I (x) R),
+  R = (3I - M)/2, leaves tr_1(X) = I + O(E^2): every primal iterate is
+  feasible to rounding, as tr_1 commutes with I (x) A;
 * certificate: weak duality.  For any Hermitian Y with S = (I (x) Y) - H >= 0,
   tr(Y) bounds the optimum from above, so a Y whose S has a Cholesky factor
   yields the bound tr(Y).  For any other Hermitian Y the shifted matrix
@@ -140,18 +137,10 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
     fed the primal residual.  S's Cholesky factor ``ls`` comes from Y's bound.
     The predictor's ``dV = -diag(lam)`` gives ``G dV G^H = -X``, so its
     right-hand side is exactly ``-I``, and its scaled dX is ``-I - P`` for the
-    scaled dS ``P = lam^-1/2 dS lam^-1/2``: one eigvalsh of P gives both step
-    lengths.  The corrector's (dX, dS) pair comes from one stacked eigvalsh,
-    which reads only the lower triangle.  With S's Cholesky factor, an
-    iteration makes six LAPACK calls: that factor, the scaling's eigh, the two
-    eigvalsh and two solves, each through numpy's gufunc (``linalg.lapack``),
-    under one error state per step.  A failed gufunc fills its output with
-    NaN instead of raising, so failures are read from the outputs: the
-    scaling's eigenvalues must be positive and every step length finite.  The
-    Schur matrix is one matmul; the new X and Y are made exactly Hermitian, the
-    directions are not.  Raises LinAlgError once the scaling's eigh finds X not
-    positive definite, or a step length is not finite, as it is not when the
-    Schur matrix is singular.
+    scaled dS ``P = lam^-1/2 dS lam^-1/2``: P's extreme eigenvalues give both
+    step lengths.  The new X and Y are made exactly Hermitian; the directions,
+    whose eigvalsh reads the lower triangle, are not.  Raises LinAlgError once
+    the scaling finds X not positive definite, or a step length is not finite.
     """
     with np.errstate(invalid="ignore"):
         g, lam = _nt_scaling(x, ls)
@@ -229,6 +218,7 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
         ValueError: if ``tol`` is negative, NaN or infinite.
         DimensionMismatch: if n is not an integer >= 1 or the response matrix is not n^2 x n^2.
         ValidationError: if the response matrix has a non-finite entry.
+        NoConvergence: if an eigenvalue computation fails.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
@@ -238,7 +228,7 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
     h = hermitian_part(linalg.as_matrix(problem.matrix, "response matrix"))
     if h.shape[0] != n * n:
         raise DimensionMismatch(f"response matrix dim {h.shape[0]} != strategy dim {n * n}")
-    eig_h = np.linalg.eigvalsh(h)
+    eig_h = linalg.spectrum(h)
     scale = float(max(-eig_h[0], eig_h[-1]))
     # the method runs on H / max(1, |H|), so that its stopping gap is absolute
     norm = max(1.0, scale)

@@ -1,12 +1,12 @@
 """Dense complex linear algebra kernel and the validity-check record.
 
 Small, self-contained layer the rest of the package builds on: matrix
-coercion, the least eigenvalue of a Hermitian matrix, numpy's LAPACK gufuncs
-(``lapack``), :func:`cholesky_factor` (the one Cholesky test, and the one
-reader of the factorisation's NaN failure contract), the package-wide
-numerical tolerances, and :class:`Check`, the one shape every validity
-condition takes.  Matrices are plain square ``numpy.ndarray`` values of
-dtype complex, stored row-major.
+coercion, numpy's LAPACK gufuncs (``lapack``), :func:`spectrum` and
+:func:`cholesky_factor` (the one eigenvalue-only call and the one Cholesky
+test, each the one reader of its gufunc's NaN failure contract), the
+package-wide numerical tolerances, and :class:`Check`, the one shape every
+validity condition takes.  Matrices are plain square ``numpy.ndarray``
+values of dtype complex, stored row-major.
 """
 
 from __future__ import annotations
@@ -17,15 +17,19 @@ from typing import NamedTuple, TypeAlias
 
 import numpy as np
 
-# The gufuncs that numpy.linalg's cholesky, eigh, eigvalsh and solve call
-# (cholesky_lo, eigh_lo, eigvalsh_lo and solve1, so named from numpy 1.24 to
-# 2.x); the solver's loop and cholesky_factor call them directly, without the
-# wrappers' per-call cost.  The contract relied on: a gufunc whose LAPACK call
-# fails fills its whole output with NaN and raises the floating-point invalid
-# flag, where the wrapper would raise LinAlgError.  tests/test_linalg.py pins it.
+# The gufuncs that numpy.linalg's cholesky, eigh, eigvalsh and solve call, so
+# named from numpy 1.24 to 2.x; the solver's loop, spectrum and cholesky_factor
+# call them directly, without the wrappers' per-call cost.  The contract relied
+# on, pinned in tests/test_linalg.py: a gufunc whose LAPACK call fails fills its
+# whole output with NaN and raises the floating-point invalid flag, where the
+# wrapper would raise LinAlgError.  A numpy without these private names fails at import.
 from numpy.linalg import _umath_linalg as lapack
 
-from .errors import DimensionMismatch, NotHermitian, QGameError, ValidationError
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, QGameError, ValidationError
+
+if _missing := [name for name in ("cholesky_lo", "eigh_lo", "eigvalsh_lo", "solve1")
+                if not hasattr(lapack, name)]:
+    raise ImportError(f"numpy {np.__version__} lacks the LAPACK gufuncs {_missing} that qgame calls")
 
 #: Square complex matrix carrier used throughout the package.
 ComplexMatrix: TypeAlias = np.ndarray
@@ -98,9 +102,21 @@ def hermitian_check(m: ComplexMatrix, tol: float | None = None, what: str = "mat
                  f"residual {residual:.3e}")
 
 
+def spectrum(m: ComplexMatrix) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix (read from its lower triangle).
+
+    Raises NoConvergence if they are NaN, as a failed LAPACK call leaves them.
+    """
+    with np.errstate(invalid="ignore"):
+        eig = lapack.eigvalsh_lo(m)
+    if np.isnan(eig).any():
+        raise NoConvergence(f"eigenvalues of a {len(eig)}x{len(eig)} matrix did not converge")
+    return eig
+
+
 def min_eigenvalue(m: ComplexMatrix) -> float:
     """Smallest eigenvalue of a Hermitian matrix (read from its lower triangle)."""
-    return float(np.linalg.eigvalsh(m)[0])
+    return float(spectrum(m)[0])
 
 
 def cholesky_factor(a: ComplexMatrix) -> ComplexMatrix | None:

@@ -1,20 +1,26 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgame import linalg
+from qgame import cli, equilibrium, linalg
 from qgame.cli import build_parser
 from qgame.equilibrium import MAX_ITERS
-from qgame.errors import DimensionMismatch, NotHermitian, NotPositive, UnsupportedDimension, ValidationError
+from qgame.errors import (DimensionMismatch, NoConvergence, NotHermitian, NotPositive,
+                          UnsupportedDimension, ValidationError)
 from qgame.game import (
     PayoffTensor,
     QuantumGame,
     _consistency_check,
     matrix_unit_basis,
     payoff_tensor_general,
+    payoff_tensor_matrix_unit,
+    response_problem,
     validate_tensor_entries,
 )
 from qgame.quantum import (
@@ -175,6 +181,58 @@ def test_cholesky_factor_is_numpys_factor_bit_for_bit(d, rng):
             warnings.simplefilter("error")
             factor = linalg.cholesky_factor(m)
         np.testing.assert_array_equal(factor, np.linalg.cholesky(m))
+
+
+@pytest.mark.parametrize("d", [4, 9, 36])
+def test_spectrum_is_numpys_eigvalsh_bit_for_bit(d, rng):
+    for _ in range(3):
+        m = hermitian_part(random_matrix(rng, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = linalg.spectrum(m)
+        np.testing.assert_array_equal(eig, np.linalg.eigvalsh(m))
+
+
+@pytest.fixture(params=[-1.0, np.nan], ids=["flagged", "unflagged"])
+def failed_eigvalsh(request, monkeypatch):
+    # all NaN, as a failed call leaves them: sqrt(-1) raises the invalid flag, sqrt(nan) does not
+    def eigvalsh_lo(a, signature=None):
+        return np.sqrt(np.full(a.shape[:-1], request.param))
+
+    monkeypatch.setattr(linalg.lapack, "eigvalsh_lo", eigvalsh_lo)
+
+
+def _xi_star_problem(ewl_game, ewl_stars):
+    return response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), ewl_stars[1], "I")
+
+
+@pytest.mark.parametrize("call", [
+    lambda game, stars: min_eigenvalue(np.eye(4)),
+    lambda game, stars: equilibrium._dual_point(
+        0 * np.eye(2), hermitian_part(_xi_star_problem(game, stars).matrix), 2),
+    lambda game, stars: equilibrium.best_response(_xi_star_problem(game, stars)),
+], ids=["min_eigenvalue", "dual_point", "best_response"])
+def test_a_failed_eigenvalue_call_raises_no_convergence_and_no_warning(
+        call, ewl_game, ewl_stars, failed_eigvalsh):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match="did not converge"):
+            call(ewl_game, ewl_stars)
+
+
+def test_validate_exits_4_on_a_failed_eigenvalue_call(failed_eigvalsh, capsys):
+    assert cli.main(["validate", "ewl.game"]) == cli.EXIT_NO_CONVERGENCE == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("no convergence: ")
+
+
+def test_a_numpy_without_a_gufunc_fails_at_import():
+    code = "import numpy.linalg._umath_linalg as m; del m.eigh_lo; import qgame"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert proc.stderr.rstrip().endswith(
+        f"ImportError: numpy {np.__version__} lacks the LAPACK gufuncs ['eigh_lo'] that qgame calls")
 
 
 def _indefinite(rng):
