@@ -27,7 +27,10 @@ max(1, |H|):
   error state per step and one per dual point, and a failure is read from
   the NaN it leaves (``linalg`` states the contract): a NaN factor sends Y to
   the eigenvalue rule below, and a scaling eigenvalue that is not positive,
-  or a step length that is not finite, ends the loop.  The dual stays
+  or a step length that is not finite, ends the loop.  The constants the
+  loop needs at a given n are built once and kept read-only, and its 2-D
+  products call ``ndarray.dot``: the same BLAS gemm as ``@`` with less
+  dispatch, about 0.5 of the 2 us a 4x4 product takes.  The dual stays
   exactly feasible.  The corrector feeds the primal residual back, so
   M = tr_1(X) = I + E with E of order 1e-9, and X -> (I (x) R) X (I (x) R),
   R = (3I - M)/2, leaves tr_1(X) = I + O(E^2): every primal iterate is
@@ -46,13 +49,15 @@ independent lower-bound oracle for cross-checking the solver.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NoConvergence, UnsupportedDimension, WeakDualityViolation
+from .errors import (DimensionMismatch, NoConvergence, UnsupportedDimension, ValidationError,
+                     WeakDualityViolation)
 from .game import (
     PLAYER_I,
     PLAYER_II,
@@ -91,6 +96,20 @@ class BestResponseResult(NamedTuple):
 # primal-dual solver
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loop's constants at dimension n, built once and read-only.
+
+    I as the (n, 1, n, 1) blocks of I (x) Y, -vec(I) for the predictor's
+    right-hand side, and 1.5 I for the congruence.
+    """
+    eye = np.eye(n)
+    constants = (eye.reshape(n, 1, n, 1), -eye.reshape(-1), 1.5 * eye)
+    for constant in constants:
+        constant.setflags(write=False)
+    return constants
+
+
 def _dual_point(y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray | None, float]:
     """The Cholesky factor of S = np.kron(I, Y) - H, formed bit for bit, and Y's bound.
 
@@ -99,8 +118,7 @@ def _dual_point(y: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray | None
     without one costs an eigvalsh, for ``(None, tr(Y) + n max(0, -lambda_min(S)))``.
     """
     # np.kron(I, Y) - H, bit for bit
-    blocks = np.eye(n).reshape(n, 1, n, 1) * y[None, :, None, :]
-    s = blocks.reshape(n * n, n * n) - h
+    s = (_constants(n)[0] * y[None, :, None, :]).reshape(n * n, n * n) - h
     trace = float(y.trace().real)
     factor = linalg.cholesky_factor(s)
     if factor is not None:
@@ -120,11 +138,11 @@ def _nt_scaling(x: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises:
         LinAlgError: if X is not positive definite.
     """
-    xl = x @ ls
-    lam2, u = lapack.eigh_lo(ls.conj().T @ xl)
-    if not (lam2 > 0.0).all():
+    xl = x.dot(ls)
+    lam2, u = lapack.eigh_lo(ls.conj().T.dot(xl))
+    if not lam2.min() > 0.0:
         raise np.linalg.LinAlgError("X is not positive definite")
-    return xl @ (u * lam2 ** -0.75), np.sqrt(lam2)
+    return xl.dot(u * lam2 ** -0.75), np.sqrt(lam2)
 
 
 def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,35 +160,36 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
     whose eigvalsh reads the lower triangle, are not.  Raises LinAlgError once
     the scaling finds X not positive definite, or a step length is not finite.
     """
+    _, minus_vec_eye, three_halves_eye = _constants(n)
     with np.errstate(invalid="ignore"):
         g, lam = _nt_scaling(x, ls)
         size = n * n
         gh = g.conj().T
         g_blocks = g.reshape(n, n, size)  # (I (x) D) G is D applied to each block row of G
-        w4 = (g @ gh).reshape(n, n, n, n)
+        w4 = g.dot(gh).reshape(n, n, n, n)
         # sum_ab W[(a,i),(b,j)] W[(b,m),(a,p)] = (A A^H)[(i,j),(p,m)],
         # A[(i,j),(a,b)] = W[(a,i),(b,j)]
         rows = w4.transpose(1, 3, 0, 2).reshape(size, size)
-        schur = (rows @ rows.conj().T).reshape(n, n, n, n)
+        schur = rows.dot(rows.conj().T).reshape(n, n, n, n)
         schur = schur.transpose(0, 2, 1, 3).reshape(size, size)
         r = lam ** -0.5
         unscale = r[:, None] * r
         diagonal = slice(None, None, size + 1)
         # the affine predictor sets the centering and the corrector's second-order
         # term; a step length a is the largest with I + a D >= 0, from lambda_min(D)
-        dy = lapack.solve1(schur, -np.eye(n).reshape(-1)).reshape(n, n)
-        ds = gh @ np.matmul(dy, g_blocks).reshape(size, size)
-        p_eig = lapack.eigvalsh_lo(ds * unscale)
-        low_s, low_x = float(p_eig[0]), -1.0 - float(p_eig[-1])
+        dy = lapack.solve1(schur, minus_vec_eye).reshape(n, n)
+        ds = gh.dot(np.matmul(dy, g_blocks).reshape(size, size))
+        p_eig = lapack.eigvalsh_lo(ds * unscale).tolist()
+        low_s, low_x = p_eig[0], -1.0 - p_eig[-1]
         if not (math.isfinite(low_s) and math.isfinite(low_x)):
             raise np.linalg.LinAlgError("predictor step length is not finite")
         ap = min(1.0, -1.0 / low_x) if low_x < 0.0 else 1.0
         ad = min(1.0, -1.0 / low_s) if low_s < 0.0 else 1.0
         dx = -ds
         dx.flat[diagonal] -= lam
-        dxds = dx @ ds
+        dxds = dx.dot(ds)
         # tr((lam + ad dS)^H (lam + ap dX)) with dX = -lam - dS
-        lam_lam, lam_ds = float(lam @ lam), float(lam @ ds.diagonal().real)
+        lam_lam, lam_ds = float(lam.dot(lam)), float(lam.dot(ds.diagonal().real))
         mu = lam_lam / size
         mu_aff = (lam_lam - ap * (lam_lam + lam_ds) + ad * lam_ds
                   + ap * ad * dxds.trace().real) / size
@@ -178,29 +197,29 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
         dv *= -0.5
         dv.flat[diagonal] += min(1.0, (mu_aff / mu) ** 3) * mu - lam * lam
         dv *= 2.0 / (lam[:, None] + lam)
-        rhs = partial_trace_first(g @ dv @ gh + x, n)
+        rhs = partial_trace_first(g.dot(dv).dot(gh) + x, n)
         rhs.flat[::n + 1] -= 1.0
         dy = lapack.solve1(schur, rhs.reshape(-1)).reshape(n, n)
-        ds = gh @ np.matmul(dy, g_blocks).reshape(size, size)
+        ds = gh.dot(np.matmul(dy, g_blocks).reshape(size, size))
         dx = dv - ds
         gamma = 0.9 + 0.09 * min(ap, ad)
-        pair = np.empty((2, size, size), dtype=complex)
-        np.multiply(dx, unscale, out=pair[0])
-        np.multiply(ds, unscale, out=pair[1])
-        low_x, low_s = (float(low) for low in lapack.eigvalsh_lo(pair)[:, 0])
+        low_x, low_s = lapack.eigvalsh_lo(np.multiply((dx, ds), unscale))[:, 0].tolist()
         if not (math.isfinite(low_x) and math.isfinite(low_s)):
             raise np.linalg.LinAlgError("corrector step length is not finite")
         step_x = min(1.0, gamma * (-1.0 / low_x)) if low_x < 0.0 else 1.0
         step_s = min(1.0, gamma * (-1.0 / low_s)) if low_s < 0.0 else 1.0
-        x = x + step_x * (g @ dx @ gh)
+        x = x + step_x * g.dot(dx).dot(gh)
         # the corrector feeds the primal residual back, so M = tr_1(X) = I + E with
         # E of order 1e-9; the congruence by I (x) R, R = (3I - M)/2, the first
         # Newton-Schulz step for M^-1/2, leaves tr_1(X) = I + O(E^2), and E^2 is
         # below rounding
-        root = 1.5 * np.eye(n) - 0.5 * partial_trace_first(x, n)
+        root = three_halves_eye - 0.5 * partial_trace_first(x, n)
         half = np.matmul(root, x.reshape(n, n, size))  # (I (x) R) X, then times I (x) R
-        x = hermitian_part(np.matmul(half.reshape(size, n, n), root).reshape(size, size))
-        return x, hermitian_part(y + step_s * dy)
+        # both made exactly Hermitian as linalg.hermitian_part does, without its asarray
+        half = 0.5 * np.matmul(half.reshape(size, n, n), root).reshape(size, size)
+        x = half + half.conj().T
+        half = 0.5 * (y + step_s * dy)
+        return x, half + half.conj().T
 
 
 def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
@@ -217,7 +236,7 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
     Raises:
         ValueError: if ``tol`` is negative, NaN or infinite.
         DimensionMismatch: if n is not an integer >= 1 or the response matrix is not n^2 x n^2.
-        ValidationError: if the response matrix has a non-finite entry.
+        ValidationError: if the response matrix has a non-finite entry or spectral norm.
         NoConvergence: if an eigenvalue computation fails.
     """
     if not 0 <= tol < np.inf:
@@ -230,6 +249,10 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
         raise DimensionMismatch(f"response matrix dim {h.shape[0]} != strategy dim {n * n}")
     eig_h = linalg.spectrum(h)
     scale = float(max(-eig_h[0], eig_h[-1]))
+    if scale == math.inf:
+        # finite entries can still have an eigenvalue beyond the largest float
+        raise ValidationError("response matrix has a non-finite spectral norm |H|: an eigenvalue "
+                              "overflows")
     # the method runs on H / max(1, |H|), so that its stopping gap is absolute
     norm = max(1.0, scale)
     h = h / norm
@@ -239,7 +262,7 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
     ls, bound = _dual_point(y, h, n)
     # chi = I/n against the start, lambda_max(H) I and tr_1(H)/n, exact for H = I (x) Z
     x = np.eye(n * n, dtype=complex) / n
-    best_x, best_val = x, float(np.trace(h).real) / n
+    best_x, best_val = x, float(h.trace().real) / n
     for trivial in (eig_h[-1] / norm * eye, partial_trace_first(h, n) / n):
         bound = min(bound, _dual_point(trivial, h, n)[1])
     iterations = 0

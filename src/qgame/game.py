@@ -290,7 +290,7 @@ def require_real(value: complex, operator: np.ndarray, what: str) -> float:
     a larger one, or a real part that is not finite, signals a corrupted
     strategy or game and raises ``NonRealPayoff``.
     """
-    limit = IMAG_RTOL * max(1.0, float(np.max(np.abs(operator))))
+    limit = IMAG_RTOL * max(1.0, float(np.abs(operator).max()))
     finite = math.isfinite(value.real)
     residual = abs(value.imag) if finite else math.inf
     if not residual <= limit:  # the Check is built only to raise: this runs on every payoff

@@ -90,14 +90,14 @@ def as_matrix(m, what: str = "matrix") -> ComplexMatrix:
         raise DimensionMismatch(f"{what} must be square, got shape {a.shape}")
     if a.shape[0] < 1:
         raise DimensionMismatch(f"{what} must be at least 1x1")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{what} has non-finite entries")
     return a
 
 
 def hermitian_check(m: ComplexMatrix, tol: float | None = None, what: str = "matrix") -> Check:
     """Largest entrywise |m - m^dag|, within ``tol`` (default ``HERMITIAN_ATOL``)."""
-    residual = float(np.max(np.abs(m - m.conj().T)))
+    residual = float(np.abs(m - m.conj().T).max())
     return Check(f"{what} hermitian", residual, limit(HERMITIAN_ATOL, tol), NotHermitian,
                  f"residual {residual:.3e}")
 

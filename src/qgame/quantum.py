@@ -52,7 +52,7 @@ def _record(name: str, fields: list) -> type:
 
 def partial_trace_first(m: np.ndarray, n: int) -> np.ndarray:
     """Partial trace over the first factor of the flattened (i, j) label."""
-    return np.einsum("ijil->jl", m.reshape(n, n, n, n))
+    return m.reshape(n, n, n, n).trace(axis1=0, axis2=2)
 
 
 class DensityMatrix(_record("DensityMatrix", [("matrix", ComplexMatrix)])):
@@ -139,11 +139,11 @@ def density_checks(a: ComplexMatrix, tol: float | None = None,
 def chi_checks(a: ComplexMatrix, n: int, tol: float | None = None) -> Iterator[Check]:
     """Hermiticity, positivity, trace-preservation sums and 2x2 principal minors of chi."""
     yield from _hermitian_positive_checks(a, tol, "chi matrix")
-    residual = float(np.max(np.abs(partial_trace_first(a, n) - np.eye(n))))
+    residual = float(np.abs(partial_trace_first(a, n) - np.eye(n)).max())
     yield Check("chi matrix trace-preservation", residual, linalg.limit(linalg.TRACE_ATOL, tol),
                 TraceConditionViolation, f"residual {residual:.3e}")
-    diag = np.real(np.diag(a))
-    minor = float(np.min(np.outer(diag, diag) - np.abs(a) ** 2))
+    diag = a.diagonal().real
+    minor = float((diag[:, None] * diag - np.abs(a) ** 2).min())
     yield Check("chi matrix principal minors", -minor, linalg.limit(linalg.PSD_ATOL, tol),
                 NotPositive, f"smallest minor {minor:.3e}")
 

@@ -269,6 +269,20 @@ def test_best_response_rejects_a_non_finite_response_matrix(ewl_game, ewl_stars)
         best_response(problem._replace(matrix=matrix))
 
 
+def test_best_response_rejects_a_response_matrix_whose_spectral_norm_overflows(rng):
+    # every entry is finite, but |H| is not a float: a precise ValidationError,
+    # raised before any arithmetic on |H| could warn
+    h = random_hermitian(4, rng)
+    h /= np.abs(h).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite spectral norm"):
+            best_response(ResponseProblem(1.7e308 * h, 2))
+        # a little lower, |H| is finite and the solve certifies its gap
+        result = best_response(ResponseProblem(5e307 * h, 2))
+    assert result.converged and np.isfinite(result.scale)
+
+
 def test_best_response_rejects_a_response_matrix_of_the_wrong_size(rng):
     problem = ResponseProblem(random_hermitian(9, rng), 2)
     with pytest.raises(DimensionMismatch, match="response matrix dim 9 != strategy dim 4"):
@@ -452,6 +466,21 @@ def test_dual_point_factors_a_feasible_slack_and_shifts_an_infeasible_one(rng, n
     assert factor is None
     assert bound == y.trace().real + n * -np.linalg.eigvalsh(s)[0]
     assert bound == pytest.approx(n * eig_h[-1], abs=1e-12)
+
+
+def test_cached_constants_are_read_only_and_do_not_leak_between_solves(rng):
+    # the loop's per-n constants are built once and shared by every solve
+    problem_a = ResponseProblem(random_hermitian(4, rng), 2)
+    problem_b = ResponseProblem(random_hermitian(9, rng), 3)
+    first = best_response(problem_a)
+    best_response(problem_b)
+    again = best_response(problem_a)
+    for n in (2, 3):
+        for constant in equilibrium._constants(n):
+            assert constant.flags.writeable is False
+    assert ((first.value, first.dual_bound, first.gap, first.iterations)
+            == (again.value, again.dual_bound, again.gap, again.iterations))
+    assert first.chi_opt.matrix.tobytes() == again.chi_opt.matrix.tobytes()
 
 
 def test_verify_nash_propagates_no_convergence(ewl_game, ewl_stars):
@@ -688,11 +717,21 @@ def test_script_runs(script, args):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_solver_fingerprint_prints_one_digest_per_group():
+    proc = run_script("solver_fingerprint.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["tuned", "held-out", "stress", "bundled"]
+    assert all(re.fullmatch(r"\S+ +problems +\d+ +iterations +\d+ +sha256 [0-9a-f]{64}", line)
+               for line in lines)
+
+
 @pytest.mark.parametrize("script, args", [
     ("reference_game_report.py", ()),
     ("simulate_matches.py", ("--rounds", "1000", "--seed", "0")),
     ("best_response_scan.py", ("--trials", "3")),
-], ids=["reference_game_report", "simulate_matches", "best_response_scan"])
+    ("solver_fingerprint.py", ()),
+], ids=["reference_game_report", "simulate_matches", "best_response_scan", "solver_fingerprint"])
 def test_script_exits_quietly_when_its_reader_closes(script, args):
     # unbuffered, each line is written as it is printed, so the lines after
     # the first meet a closed pipe

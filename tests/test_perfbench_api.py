@@ -71,6 +71,14 @@ def test_solve_corpus_passes_every_check(corpus, monkeypatch):
     assert failures == dict.fromkeys(range(workload.slots))
 
 
+@pytest.mark.parametrize("corpus, most", [("tuned", 376), ("held-out", 388)])
+def test_solve_corpus_iterations_do_not_rise(corpus, most, monkeypatch):
+    # a solver change may not raise the total iterations over a solve corpus
+    _, workload = _workload("solve", monkeypatch, corpus)
+    total = sum(workload.op(workload.prepare(0, slot)).iterations for slot in range(workload.slots))
+    assert total <= most
+
+
 def test_payoff_round_passes_every_check(monkeypatch):
     # all 48 slots of a round cover every dims x Kraus-rank class of the payoff
     # workload, so an index slip in a kernel fails here and not in a benchmark run
