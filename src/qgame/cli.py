@@ -283,7 +283,7 @@ def text_simulate(payload, args) -> None:
 
 
 def cmd_classical(args) -> tuple[int, dict]:
-    bimatrix = classical_reduction(files.load_game(args.game, args.tol), args.tol)
+    bimatrix = classical_reduction(files.load_game(args.game, args.tol))
     return EXIT_OK, {"payoff_I": bimatrix.payoff_i, "payoff_II": bimatrix.payoff_ii}
 
 

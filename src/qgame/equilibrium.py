@@ -352,15 +352,14 @@ class NashReport(NamedTuple):
     response_ii: BestResponseResult
 
 
-def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float,
-                solver_tol: float = SOLVE_TOL, max_iters: int = MAX_ITERS) -> NashReport:
+def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float) -> NashReport:
     """Check the epsilon-Nash property of a strategy profile from certificates.
 
-    ``gap_j`` is player j's certified best-response bound minus j's payoff.
-    ``epsilon`` is relative, as ``tol`` is: j's limit is
-    ``epsilon * max(1, |H_j|)``.  The profile is an epsilon-equilibrium iff
-    both gaps are within their limits, and is not one iff a best response
-    found beats a payoff by more than its limit.
+    ``gap_j`` is player j's certified bound from :func:`best_response`, at its
+    defaults, minus j's payoff.  ``epsilon`` is relative, as the solve's
+    ``tol`` is: j's limit is ``epsilon * max(1, |H_j|)``.  The profile is an
+    epsilon-equilibrium iff both gaps are within their limits, and is not one
+    iff a best response found beats a payoff by more than its limit.
 
     Raises:
         ValueError: if ``epsilon`` is negative, NaN or infinite.
@@ -374,8 +373,8 @@ def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float
     problem_ii = response_problem(payoff_tensor_matrix_unit(game, PLAYER_II), chi, PLAYER_II)
     payoff_i = response_value(problem_i, chi)
     payoff_ii = response_value(problem_ii, xi)
-    br_i = best_response(problem_i, max_iters, solver_tol)
-    br_ii = best_response(problem_ii, max_iters, solver_tol)
+    br_i = best_response(problem_i)
+    br_ii = best_response(problem_ii)
     limit_i, limit_ii = (epsilon * max(1.0, br.scale) for br in (br_i, br_ii))
     gap_i = br_i.dual_bound - payoff_i
     gap_ii = br_ii.dual_bound - payoff_ii

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
@@ -136,7 +135,7 @@ def parse_document(text: str) -> dict:
 
 def bundled_path(name) -> pathlib.Path:
     """The packaged data file with the final component of ``name``."""
-    return pathlib.Path(str(resources.files("qgame").joinpath(f"data/{pathlib.Path(name).name}")))
+    return pathlib.Path(__file__).with_name("data") / pathlib.Path(name).name
 
 
 def resolve_input(name) -> pathlib.Path:

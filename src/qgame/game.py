@@ -61,6 +61,7 @@ from .quantum import (
     _record,
     apply_product_channel,
     density_checks,
+    kraus_to_chi,
     measure_probs,
     shift_channel,
 )
@@ -351,28 +352,23 @@ def payoff_direct(game: QuantumGame, ch_a: KrausChannel, ch_b: KrausChannel, pla
     return state_payoff(game, apply_product_channel(ch_a, ch_b, game.rho), player)
 
 
-def classical_reduction(game: QuantumGame, tol: float | None = None) -> ClassicalBimatrix:
+def classical_reduction(game: QuantumGame) -> ClassicalBimatrix:
     """Restrict both players to powers of the cyclic shift.
 
     For qubit strategies the allowed operations are exactly the identity and
-    the bit flip, which reduces the game to a classical bimatrix.  Requires
-    ``n1 == n2``; pure strategies only (mixtures are recoverable as convex
-    combinations of chi matrices).  ``tol`` is the tolerance the game passed.
+    the bit flip, which reduces the game to a classical bimatrix: entry (s, t)
+    of p's grid is p's :func:`payoff_contract` of the s-th and t-th shift
+    powers.  Requires ``n1 == n2``; pure strategies only (mixtures are convex
+    combinations of chi matrices).
     """
     if game.n1 != game.n2:
         raise UnsupportedDimension(
             f"classical reduction needs equal per-player dimensions, got {game.n1} != {game.n2}"
         )
-    n = game.n1
-    channels = [shift_channel(n, s) for s in range(n)]
-    pay_i = np.zeros((n, n))
-    pay_ii = np.zeros((n, n))
-    for s in range(n):
-        for t in range(n):
-            pi = apply_product_channel(channels[s], channels[t], game.rho, tol)
-            pay_i[s, t] = state_payoff(game, pi, PLAYER_I)
-            pay_ii[s, t] = state_payoff(game, pi, PLAYER_II)
-    return ClassicalBimatrix(pay_i, pay_ii)
+    chis = [kraus_to_chi(shift_channel(game.n1, s)) for s in range(game.n1)]
+    tensors = [payoff_tensor_matrix_unit(game, player) for player in (PLAYER_I, PLAYER_II)]
+    return ClassicalBimatrix(*([[payoff_contract(tensor, chi_s, chi_t) for chi_t in chis]
+                                for chi_s in chis] for tensor in tensors))
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +409,13 @@ def simulate_play(game: QuantumGame, povm: KrausChannel, payoffs_i, payoffs_ii,
 
     Only the outcome counts of the rounds enter the result, so they are
     drawn in one multinomial call: ``rng`` fixes the counts, and time and
-    memory do not grow with ``rounds``, which must lie in [1, 2^63 - 1].
+    memory do not grow with ``rounds``, an integer (not a bool) in [1, 2^63 - 1].
     Standard errors are sample standard deviations over sqrt(rounds); the
     exact payoffs are those of the measured output state.
     """
-    if not 1 <= rounds <= 2 ** 63 - 1:
-        raise ValueError(f"rounds must be an integer in [1, 2^63 - 1], got {rounds}")
+    if (isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer))
+            or not 1 <= rounds <= 2 ** 63 - 1):
+        raise ValueError(f"rounds must be an integer in [1, 2^63 - 1], got {rounds!r}")
     if povm.dim != game.rho.dim:
         raise DimensionMismatch(f"POVM dim {povm.dim} != state dim {game.rho.dim}")
     a_i = np.asarray(payoffs_i, dtype=float)

@@ -18,8 +18,8 @@ from typing import NamedTuple, TypeAlias
 import numpy as np
 
 # The gufuncs that numpy.linalg's cholesky, eigh, eigvalsh and solve call, so
-# named from numpy 1.24 to 2.x; the solver's loop, spectrum and cholesky_factor
-# call them directly, without the wrappers' per-call cost.  The contract relied
+# named from numpy 1.24 to 2.x; the solver's loop, spectrum, cholesky_factor and
+# quantum.kraus_form call them directly, without the wrappers' per-call cost.  The contract relied
 # on, pinned in tests/test_linalg.py: a gufunc whose LAPACK call fails fills its
 # whole output with NaN and raises the floating-point invalid flag, where the
 # wrapper would raise LinAlgError.  A numpy without these private names fails at import.

@@ -299,10 +299,10 @@ def kraus_form(chi: ChiMatrix) -> KrausChannel:
     Raises:
         NoConvergence: if the eigendecomposition fails to converge.
     """
-    try:
-        w, v = np.linalg.eigh(chi.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
+    with np.errstate(invalid="ignore"):
+        w, v = linalg.lapack.eigh_lo(chi.matrix)
+    if np.isnan(w).any():  # a failed call leaves NaN, as ``linalg`` states
+        raise NoConvergence(f"eigendecomposition of a {len(w)}x{len(w)} chi did not converge")
     w, v = w[::-1], v[:, ::-1]
     keep = w > linalg.KRAUS_RANK_TOL
     if not np.any(keep):

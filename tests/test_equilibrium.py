@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgame import equilibrium
+from qgame import equilibrium, linalg
 from qgame.equilibrium import (
     best_response,
     partial_trace_first,
@@ -384,6 +384,26 @@ def test_a_step_whose_schur_matrix_is_singular_raises_and_the_best_pair_stays(
     np.testing.assert_array_equal(result.chi_opt.matrix, one_step.chi_opt.matrix)
 
 
+def test_a_corrector_step_length_that_is_not_finite_ends_the_solve_at_the_start(
+        ewl_game, ewl_stars, monkeypatch):
+    # only the corrector's stacked (2, d, d) call fails: all NaN, with the invalid flag raised
+    eigvalsh_lo = linalg.lapack.eigvalsh_lo
+
+    def failing_stacked_call(a, *args, **kwargs):
+        if a.ndim == 3:
+            return np.sqrt(np.full(a.shape[:-1], -1.0))
+        return eigvalsh_lo(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.lapack, "eigvalsh_lo", failing_stacked_call)
+    problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), ewl_stars[1], "I")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = best_response(problem)
+    # the start pair X = I/2, and the bound of the trivial certificates
+    assert ((result.value, result.dual_bound, result.iterations, result.converged)
+            == (2.25, 2.5, 0, False))
+
+
 def _hermitian_with_spectrum(basis: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """A Hermitian matrix with the given spectrum, in the unitary factor of ``basis``."""
     q = np.linalg.qr(basis)[0]
@@ -483,13 +503,16 @@ def test_cached_constants_are_read_only_and_do_not_leak_between_solves(rng):
     assert first.chi_opt.matrix.tobytes() == again.chi_opt.matrix.tobytes()
 
 
-def test_verify_nash_propagates_no_convergence(ewl_game, ewl_stars):
+def test_verify_nash_propagates_no_convergence(ewl_game, ewl_stars, monkeypatch):
     from qgame.errors import NoConvergence
 
+    # both solves starved: a gap no float reaches, within 30 iterations
+    solve = equilibrium.best_response
+    monkeypatch.setattr(equilibrium, "best_response",
+                        lambda problem: solve(problem, max_iters=30, tol=1e-30))
     chi_star, xi_star = ewl_stars
     with pytest.raises(NoConvergence) as err:
-        verify_nash(ewl_game, chi_star, xi_star, epsilon=1e-5,
-                    solver_tol=1e-30, max_iters=30)
+        verify_nash(ewl_game, chi_star, xi_star, epsilon=1e-5)
     partial = err.value.partial
     assert partial is not None
     assert abs(partial.gap_i) < 1e-3  # partial gaps still reported

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -400,11 +401,16 @@ def test_classical_reduction_qutrit(rng):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_classical_reduction_forms_one_state_per_profile(n, rng, product_channel_calls):
-    bim = classical_reduction(random_game(n, n, rng))
-    assert len(product_channel_calls) == n * n
-    # each state is traced against both payoff operators
-    assert bim.payoff_i.shape == bim.payoff_ii.shape == (n, n)
+def test_classical_reduction_contracts_the_shift_powers(n, rng, product_channel_calls):
+    game = random_game(n, n, rng)
+    bim = classical_reduction(game)
+    # the closed form alone: no output state is formed
+    assert product_channel_calls == []
+    chis = [kraus_to_chi(shift_channel(n, s)) for s in range(n)]
+    for grid, player in ((bim.payoff_i, "I"), (bim.payoff_ii, "II")):
+        tensor = payoff_tensor_matrix_unit(game, player)
+        expected = [[payoff_contract(tensor, chi_s, chi_t) for chi_t in chis] for chi_s in chis]
+        np.testing.assert_array_equal(grid, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +484,23 @@ def test_simulate_rejects_zero_rounds(ewl_game):
     with pytest.raises(ValueError):
         simulate_play(ewl_game, povm, a_i, a_ii, shift_channel(2, 0), shift_channel(2, 0),
                       0, np.random.default_rng(0))
+
+
+def test_simulate_rejects_rounds_that_are_not_integers(ewl_game):
+    povm, a_i, a_ii = ewl_referee_measurement()
+    identity = shift_channel(2, 0)
+
+    def play(rounds):
+        return simulate_play(ewl_game, povm, a_i, a_ii, identity, identity, rounds,
+                             np.random.default_rng(0))
+
+    # none of them is a count of rounds, though each lies within [1, 2^63 - 1]
+    for rounds in (2.5, 100.0, True):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer in [1, 2^63 - 1], "
+                                                       f"got {rounds!r}")):
+            play(rounds)
+    result = play(np.int64(5))
+    assert (result.mean_i, result.mean_ii, result.rounds) == (3.0, 3.0, 5)
 
 
 def _outcome_probs(game, povm, ch_a, ch_b):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,12 +383,15 @@ def test_kraus_form_operators_come_largest_first(ewl_stars, rng):
 
 
 def test_kraus_form_reports_an_eigensolver_failure(monkeypatch):
-    def fail(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    # all NaN, as a failed call leaves them, with the invalid flag raised
+    def eigh_lo(a, signature=None):
+        return np.sqrt(np.full(a.shape[:-1], -1.0)), np.full(a.shape, np.nan, dtype=complex)
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    with pytest.raises(NoConvergence, match="did not converge"):
-        files.load_strategy("chi_star.strategy", 2)
+    monkeypatch.setattr(linalg.lapack, "eigh_lo", eigh_lo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match="did not converge"):
+            files.load_strategy("chi_star.strategy", 2)
 
 
 @settings(max_examples=25, deadline=None)
