@@ -27,7 +27,7 @@ import numpy as np
 
 from qgame.cli import survive_closed_pipe
 from qgame.equilibrium import best_response
-from qgame.game import ResponseProblem, build_game, payoff_tensor_matrix_unit, response_problem
+from qgame.game import build_game, payoff_tensor_matrix_unit, response_problem
 from qgame.games_builtin import ewl_prisoners_dilemma
 from qgame.random_ops import random_chi, random_density, random_hermitian
 
@@ -42,7 +42,7 @@ def _perfbench_module(name: str):
     return importlib.import_module(name)
 
 
-def corpus_problems(corpus: str) -> list[ResponseProblem]:
+def corpus_problems(corpus: str) -> list[np.ndarray]:
     workloads = _perfbench_module("workloads")
     tracer = _perfbench_module("tracer").Tracer(enabled=False)
     workload = workloads.WORKLOADS["solve"](seed=0, corpus=corpus, tracer=tracer)
@@ -54,7 +54,7 @@ def corpus_problems(corpus: str) -> list[ResponseProblem]:
     return problems
 
 
-def stress_problems() -> list[ResponseProblem]:
+def stress_problems() -> list[np.ndarray]:
     problems = []
     for n in range(2, 6):
         for k, (player, n1, n2) in enumerate((("I", n, 2), ("II", 2, n))):
@@ -62,24 +62,24 @@ def stress_problems() -> list[ResponseProblem]:
             d = n1 * n2
             game = build_game(random_density(d, rng), random_hermitian(d, rng),
                               random_hermitian(d, rng), n1, n2)
-            base = response_problem(payoff_tensor_matrix_unit(game, player), random_chi(2, rng),
-                                    player)
-            problems += [ResponseProblem(scale * base.matrix, n) for scale in STRESS_SCALES]
+            g = response_problem(payoff_tensor_matrix_unit(game, player), random_chi(2, rng),
+                                 player)
+            problems += [scale * g for scale in STRESS_SCALES]
     return problems
 
 
-def bundled_problems() -> list[ResponseProblem]:
+def bundled_problems() -> list[np.ndarray]:
     bundled = ewl_prisoners_dilemma()
     return [response_problem(payoff_tensor_matrix_unit(bundled.game, player), opponent, player)
             for player in ("I", "II") for _, opponent in bundled.reference_strategies]
 
 
-def fingerprint(problems: list[ResponseProblem]) -> tuple[str, int]:
+def fingerprint(problems: list[np.ndarray]) -> tuple[str, int]:
     """The SHA-256 of every solve's answer, and the total iterations."""
     digest = hashlib.sha256()
     iterations = 0
-    for problem in problems:
-        result = best_response(problem)
+    for g in problems:
+        result = best_response(g)
         digest.update(struct.pack("<3dq?", result.value, result.dual_bound, result.gap,
                                   result.iterations, result.converged))
         digest.update(np.ascontiguousarray(result.chi_opt.matrix).tobytes())

@@ -40,7 +40,6 @@ from .game import (
     ClassicalBimatrix,
     PayoffTensor,
     QuantumGame,
-    ResponseProblem,
     SimulationResult,
     build_game,
     classical_reduction,

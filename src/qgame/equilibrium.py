@@ -2,9 +2,10 @@
 
 Fixing the opponent's chi matrix makes one player's expected payoff linear
 in their own strategy, ``payoff = tr(G chi)``; :func:`qgame.game.response_problem`
-forms G, and every closed-form payoff, here and in :mod:`qgame.game`, is a
-:func:`~qgame.game.response_value` of it.  The best response is the maximum
-of that linear functional over the spectrahedron
+returns G, n^2 x n^2 for the responder's n, and every closed-form payoff is a
+:func:`~qgame.game.response_value` of such a G; :func:`verify_nash` reports
+:func:`~qgame.game.payoff_contract`'s, as ``qgame payoff`` does.  The best
+response is the maximum of that linear functional over the spectrahedron
 
     Omega_n = { chi >= 0 : partial-trace over the first index factor = I }.
 
@@ -63,13 +64,13 @@ from .game import (
     PLAYER_II,
     PayoffTensor,
     QuantumGame,
-    ResponseProblem,
+    payoff_contract,
     payoff_tensor_matrix_unit,
     response_problem,
     response_value,
 )
-from .linalg import (CHI_OPT_ATOL, SOLVE_TOL, STOP_GAP_RTOL, WEAK_DUALITY_RTOL, hermitian_part,
-                     lapack)
+from .linalg import (CHI_OPT_ATOL, SOLVE_TOL, STOP_GAP_RTOL, WEAK_DUALITY_RTOL, ComplexMatrix,
+                     hermitian_part, lapack)
 from .quantum import ChiMatrix, partial_trace_first, validate_chi
 
 # a budget, not a limit: the solver's default number of iterations
@@ -222,31 +223,32 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
         return x, half + half.conj().T
 
 
-def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
+def best_response(g: ComplexMatrix, max_iters: int = MAX_ITERS,
                   tol: float = SOLVE_TOL) -> BestResponseResult:
     """Maximize ``tr(G chi)`` over the strategy set with a duality certificate.
 
-    Returns the best feasible strategy found, the best certified upper
-    bound, and the duality gap.  ``max_iters`` bounds the iterations of the
-    primal-dual method.  ``tol`` is relative: ``converged`` is set iff the
-    gap closed to within ``tol * max(1, |H|)``, |H| the spectral norm of G's
-    Hermitian part.  An unconverged result still carries the best feasible
-    strategy found (callers decide whether to treat that as an error).
+    G is n^2 x n^2 for the responder's n.  Returns the best feasible strategy
+    found, the best certified upper bound, and the duality gap.  ``max_iters``
+    bounds the iterations (0 certifies the start points alone).  ``tol`` is
+    relative: ``converged`` is set iff the gap closed to within
+    ``tol * max(1, |H|)``, |H| the spectral norm of G's Hermitian part.  An
+    unconverged result still carries the best feasible strategy found.
 
     Raises:
-        ValueError: if ``tol`` is negative, NaN or infinite.
-        DimensionMismatch: if n is not an integer >= 1 or the response matrix is not n^2 x n^2.
-        ValidationError: if the response matrix has a non-finite entry or spectral norm.
+        ValueError: if ``max_iters`` is not an integer >= 0, or ``tol`` not finite and >= 0.
+        DimensionMismatch: if G is not n^2 x n^2.
+        ValidationError: if G has a non-finite entry or spectral norm.
         NoConvergence: if an eigenvalue computation fails.
     """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
-    n = problem.n
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DimensionMismatch(f"strategy dimension must be an integer >= 1, got {n!r}")
-    h = hermitian_part(linalg.as_matrix(problem.matrix, "response matrix"))
-    if h.shape[0] != n * n:
-        raise DimensionMismatch(f"response matrix dim {h.shape[0]} != strategy dim {n * n}")
+    g = linalg.as_matrix(g, "response matrix")
+    n = math.isqrt(g.shape[0])
+    if n * n != g.shape[0]:
+        raise DimensionMismatch(f"response matrix size {g.shape[0]} is not a square n^2")
+    h = hermitian_part(g)
     eig_h = linalg.spectrum(h)
     scale = float(max(-eig_h[0], eig_h[-1]))
     if scale == math.inf:
@@ -281,7 +283,7 @@ def best_response(problem: ResponseProblem, max_iters: int = MAX_ITERS,
         bound = min(bound, y_bound)
 
     chi_opt = validate_chi(best_x, n, tol=CHI_OPT_ATOL)
-    value = response_value(problem, chi_opt)
+    value = response_value(g, chi_opt)
     bound *= norm
     raw_gap = bound - value
     linalg.require([linalg.Check("weak duality", value - bound, WEAK_DUALITY_RTOL * norm,
@@ -310,18 +312,17 @@ def unitary_oracle(tensor: PayoffTensor, opponent: ChiMatrix, player,
     unitary; a lower bound on the best response over all physical
     operations.
     """
-    problem = response_problem(tensor, opponent, player)
-    if problem.n != 2:
-        raise UnsupportedDimension(
-            f"unitary oracle grid only covers dimension 2, got {problem.n}"
-        )
-    res = int(resolution)
-    if res < 1:
+    h = response_problem(tensor, opponent, player)
+    if h.shape[0] != 4:
+        raise UnsupportedDimension(f"unitary oracle grid only covers dimension 2, got "
+                                   f"{math.isqrt(h.shape[0])}")
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
+    if resolution < 1:
         raise ValueError("resolution must be positive")
-    h = problem.matrix
 
-    t = theta = np.pi * np.arange(res) / res
-    phi = 2.0 * np.pi * np.arange(res) / res
+    t = theta = np.pi * np.arange(resolution) / resolution
+    phi = 2.0 * np.pi * np.arange(resolution) / resolution
     tg, thg, phg = (a.ravel() for a in np.meshgrid(t, theta, phi, indexing="ij"))
 
     nx = np.sin(thg) * np.cos(phg)
@@ -369,12 +370,10 @@ def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float
     """
     if not 0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
-    problem_i = response_problem(payoff_tensor_matrix_unit(game, PLAYER_I), xi, PLAYER_I)
-    problem_ii = response_problem(payoff_tensor_matrix_unit(game, PLAYER_II), chi, PLAYER_II)
-    payoff_i = response_value(problem_i, chi)
-    payoff_ii = response_value(problem_ii, xi)
-    br_i = best_response(problem_i)
-    br_ii = best_response(problem_ii)
+    tensor_i, tensor_ii = (payoff_tensor_matrix_unit(game, p) for p in (PLAYER_I, PLAYER_II))
+    payoff_i, payoff_ii = (payoff_contract(tensor, chi, xi) for tensor in (tensor_i, tensor_ii))
+    br_i = best_response(response_problem(tensor_i, xi, PLAYER_I))
+    br_ii = best_response(response_problem(tensor_ii, chi, PLAYER_II))
     limit_i, limit_ii = (epsilon * max(1.0, br.scale) for br in (br_i, br_ii))
     gap_i = br_i.dual_bound - payoff_i
     gap_ii = br_ii.dual_bound - payoff_ii

@@ -18,9 +18,10 @@ one factor of R times one factor of rho.  The closed form is the one
 production path: a :class:`PayoffTensor` holds the two factors, and
 :func:`response_problem` takes the opponent's chi into rho first and then
 into R, in O(n^6) time and O(n^4) memory, without forming the
-(n1^2)^2 (n2^2)^2 entries.  It yields the Hermitian matrix G with
-``tr(G chi)`` the responder's payoff, and every closed-form payoff,
-:func:`payoff_contract` included, is :func:`response_value` over it.  Two
+(n1^2)^2 (n2^2)^2 entries.  It returns the Hermitian n^2 x n^2 matrix G, the
+whole best-response problem: ``tr(G chi)`` is the responder's payoff, and
+every closed-form payoff, :func:`payoff_contract` included, is
+:func:`response_value` over it.  Two
 independent cross-checks stay: :func:`payoff_tensor_general` evaluates the
 trace formula literally, and the direct path, which never touches the closed
 form, forms a profile's output state ``pi = (A (x) B) rho (A (x) B)^dag`` once
@@ -276,13 +277,6 @@ def payoff_tensor_matrix_unit(game: QuantumGame, player) -> PayoffTensor:
 # evaluation
 # ---------------------------------------------------------------------------
 
-class ResponseProblem(NamedTuple):
-    """Linear payoff ``tr(matrix @ chi)`` over the strategies of a player of dimension ``n``."""
-
-    matrix: np.ndarray
-    n: int
-
-
 def require_real(value: complex, operator: np.ndarray, what: str) -> float:
     """The real part of ``value``, a trace against ``operator``.
 
@@ -301,12 +295,12 @@ def require_real(value: complex, operator: np.ndarray, what: str) -> float:
     return float(value.real)
 
 
-def response_problem(tensor: PayoffTensor, opponent: ChiMatrix, player) -> ResponseProblem:
+def response_problem(tensor: PayoffTensor, opponent: ChiMatrix, player) -> ComplexMatrix:
     """Contract the opponent's strategy out of the payoff tensor.
 
-    The result's matrix G makes ``tr(G chi)`` the responding player's
-    payoff; for player I ``G[b, a] = sum_gd A[a, b, g, d] xi[g, d]``.  With
-    n the responder's dimension and m the opponent's, two matrix products
+    The result is the n^2 x n^2 matrix G that makes ``tr(G chi)`` the
+    responder's payoff; for player I ``G[b, a] = sum_gd A[a, b, g, d] xi[g, d]``.
+    With n the responder's dimension and m the opponent's, two matrix products
     do the work in O(n^4) memory: the opponent's chi goes into the state
     factor, (n^2, m^2) times (m^2, m^2) in O(n^2 m^4), then the result into
     the payoff factor, (n^2, m^2) times (m^2, n^2) in O(n^4 m^2).  G is
@@ -325,15 +319,14 @@ def response_problem(tensor: PayoffTensor, opponent: ChiMatrix, player) -> Respo
     # g[(c,a), (b,d)] = sum_ik r[c, k, a, i] partial[(b,d), (i,k)], then rows (c,d), columns (a,b)
     g = r.transpose(0, 2, 3, 1).reshape(n * n, m * m) @ partial.T
     g = g.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
-    return ResponseProblem(linalg.hermitian_part(g), n)
+    return linalg.hermitian_part(g)
 
 
-def response_value(problem: ResponseProblem, chi: ChiMatrix) -> float:
-    """The payoff ``tr(G chi)`` of ``chi`` in a response problem, real by :func:`require_real`."""
-    if chi.dim != problem.matrix.shape[0]:
-        raise DimensionMismatch(f"strategy dim {chi.dim} != problem dim {problem.matrix.shape[0]}")
-    value = complex(np.einsum("ba,ab->", problem.matrix, chi.matrix))
-    return require_real(value, problem.matrix, "payoff")
+def response_value(g: ComplexMatrix, chi: ChiMatrix) -> float:
+    """The payoff ``tr(G chi)`` of ``chi`` for a response matrix G, real by :func:`require_real`."""
+    if chi.dim != g.shape[0]:
+        raise DimensionMismatch(f"strategy dim {chi.dim} != problem dim {g.shape[0]}")
+    return require_real(complex(np.einsum("ba,ab->", g, chi.matrix)), g, "payoff")
 
 
 def payoff_contract(tensor: PayoffTensor, chi: ChiMatrix, xi: ChiMatrix) -> float:

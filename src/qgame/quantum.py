@@ -19,6 +19,7 @@ complex copy of what the constructor was given.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -94,21 +95,29 @@ class KrausChannel(_record("KrausChannel", [("operators", np.ndarray)])):
         return np.einsum("kai,kaj->kij", self.operators.conj(), self.operators)
 
 
-class ChiMatrix(_record("ChiMatrix", [("matrix", ComplexMatrix), ("n", int)])):
+class ChiMatrix(_record("ChiMatrix", [("matrix", ComplexMatrix)])):
     """A strategy in the chi representation over the matrix-unit basis.
 
-    ``matrix`` has dimension n^2 with rows/columns labelled by the flattened
-    basis index ``(i, j) -> i*n + j``.
+    ``matrix`` is n^2 x n^2, n >= 1, rows/columns labelled by the flattened
+    basis index ``(i, j) -> i*n + j``; any other shape raises ``DimensionMismatch``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, matrix, n):
-        return super().__new__(cls, _frozen(matrix), n)
+    def __new__(cls, matrix):
+        a = _frozen(matrix)
+        size = a.shape[0] if a.ndim == 2 and a.shape[0] == a.shape[1] else 0
+        if size == 0 or math.isqrt(size) ** 2 != size:
+            raise DimensionMismatch(f"chi matrix must be n^2 x n^2, n >= 1, got shape {a.shape}")
+        return super().__new__(cls, a)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def n(self) -> int:
+        return math.isqrt(self.matrix.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +228,7 @@ def validate_chi(m: ComplexMatrix, n: int, tol: float | None = None) -> ChiMatri
     if a.shape[0] != n * n:
         raise DimensionMismatch(f"chi matrix for n={n} must have dimension {n * n}, got {a.shape[0]}")
     linalg.require(chi_checks(a, n, tol))
-    return ChiMatrix(a, n)
+    return ChiMatrix(a)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +291,8 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     ``chi[a, b] = sum_k e_k[a] * conj(e_k[b])`` with ``e_k`` the row-major
     flattening of ``E_k``.  The result is positive by construction.
     """
-    n = ch.dim
-    flat = ch.operators.reshape(ch.n_operators, n * n)
-    return ChiMatrix(linalg.hermitian_part(flat.T @ flat.conj()), n)
+    flat = ch.operators.reshape(ch.n_operators, ch.dim ** 2)
+    return ChiMatrix(linalg.hermitian_part(flat.T @ flat.conj()))
 
 
 def kraus_form(chi: ChiMatrix) -> KrausChannel:

@@ -13,7 +13,7 @@ from qgame.game import build_game, payoff_contract, payoff_tensor_matrix_unit, r
 from qgame.games_builtin import ewl_referee_measurement
 from qgame.linalg import Check, hermitian_part
 from qgame.quantum import identity_chi, shift_channel, validate_chi
-from qgame.random_ops import random_density, random_hermitian
+from qgame.random_ops import random_density, random_hermitian, random_kraus_channel
 
 
 def run(capsys, *argv):
@@ -568,6 +568,29 @@ def test_verify_nash_undecided_exits_4(tmp_path, capsys):
     assert code == 0 and out.startswith("EQUILIBRIUM")
 
 
+def test_verify_nash_json_prints_the_payoffs_of_payoff_json(tmp_path, capsys):
+    # both commands report one profile's payoffs: they must be the same floats
+    rng = np.random.default_rng(30)
+    game = build_game(random_density(6, rng), random_hermitian(6, rng), random_hermitian(6, rng),
+                      2, 3)
+    path = tmp_path / "2x3.game"
+    path.write_text(files.emit_document(files.game_to_payload(game)))
+    pair = []
+    for n in (2, 3):
+        strategy = tmp_path / f"kraus{n}.strategy"
+        operators = [files.matrix_to_lists(m) for m in random_kraus_channel(n, rng).operators]
+        strategy.write_text(json.dumps({"format_version": 1, "kind": "kraus",
+                                        "operators": operators}))
+        pair.append(str(strategy))
+    code, out, err = run(capsys, "payoff", str(path), *pair, "--json")
+    assert code == 0, err
+    payoffs = files.parse_document(out)
+    code, out, err = run(capsys, "verify-nash", str(path), *pair, "--json")
+    assert code in (0, 1), err
+    report = files.parse_document(out)
+    assert (report["payoff_I"], report["payoff_II"]) == (payoffs["payoff_I"], payoffs["payoff_II"])
+
+
 def test_verify_nash_cli_rejects_classical_play(capsys):
     code, out, _ = run(capsys, "verify-nash", "ewl.game", "identity.strategy",
                        "identity.strategy", "--epsilon", "1e-3")
@@ -596,7 +619,7 @@ def _response_scale(game, player):
     n_opponent = game.n2 if player == "I" else game.n1
     problem = response_problem(payoff_tensor_matrix_unit(game, player),
                                identity_chi(n_opponent), player)
-    return max(1.0, float(np.linalg.norm(hermitian_part(problem.matrix), 2)))
+    return max(1.0, float(np.linalg.norm(hermitian_part(problem), 2)))
 
 
 @pytest.mark.parametrize("case", sorted(ROBUSTNESS_GAMES))

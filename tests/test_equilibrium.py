@@ -17,9 +17,8 @@ from qgame.equilibrium import (
     unitary_oracle,
     verify_nash,
 )
-from qgame.errors import DimensionMismatch, UnsupportedDimension, ValidationError
+from qgame.errors import DimensionMismatch, NoConvergence, UnsupportedDimension, ValidationError
 from qgame.game import (
-    ResponseProblem,
     build_game,
     payoff_contract,
     payoff_direct,
@@ -79,7 +78,7 @@ def test_response_problem_constant_game(rng):
 def test_response_problem_matrix_is_hermitian(rng):
     game = random_game(2, 2, rng)
     problem = response_problem(payoff_tensor_matrix_unit(game, "I"), random_chi(2, rng), "I")
-    np.testing.assert_allclose(problem.matrix, problem.matrix.conj().T, atol=1e-12)
+    np.testing.assert_allclose(problem, problem.conj().T, atol=1e-12)
 
 
 def test_response_problem_dimension_mismatch(ewl_game):
@@ -185,7 +184,7 @@ def test_best_response_strategy_is_feasible(rng):
         opponent = random_chi(n2 if player == "I" else n1, rng)
         problem = response_problem(payoff_tensor_matrix_unit(game, player), opponent, player)
         result = best_response(problem)
-        validate_chi(result.chi_opt.matrix, problem.n, tol=1e-9)
+        validate_chi(result.chi_opt.matrix, n1 if player == "I" else n2, tol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -263,10 +262,10 @@ def test_best_response_rejects_a_tol_out_of_range(ewl_game, ewl_stars, tol):
 
 def test_best_response_rejects_a_non_finite_response_matrix(ewl_game, ewl_stars):
     problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), ewl_stars[1], "I")
-    matrix = problem.matrix.copy()
+    matrix = problem.copy()
     matrix[0, 0] = np.inf
     with pytest.raises(ValidationError, match="response matrix has non-finite entries"):
-        best_response(problem._replace(matrix=matrix))
+        best_response(matrix)
 
 
 def test_best_response_rejects_a_response_matrix_whose_spectral_norm_overflows(rng):
@@ -277,24 +276,39 @@ def test_best_response_rejects_a_response_matrix_whose_spectral_norm_overflows(r
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="non-finite spectral norm"):
-            best_response(ResponseProblem(1.7e308 * h, 2))
+            best_response(1.7e308 * h)
         # a little lower, |H| is finite and the solve certifies its gap
-        result = best_response(ResponseProblem(5e307 * h, 2))
+        result = best_response(5e307 * h)
     assert result.converged and np.isfinite(result.scale)
 
 
 def test_best_response_rejects_a_response_matrix_of_the_wrong_size(rng):
-    problem = ResponseProblem(random_hermitian(9, rng), 2)
-    with pytest.raises(DimensionMismatch, match="response matrix dim 9 != strategy dim 4"):
-        best_response(problem)
+    # G's size fixes n: one that is not a square n^2 sizes no strategy
+    for dim in (2, 3, 5, 8):
+        with pytest.raises(DimensionMismatch, match=f"response matrix size {dim} is not a square"):
+            best_response(random_hermitian(dim, rng))
 
 
-@pytest.mark.parametrize("dim, n", [(4, -2), (4, 2.0), (1, True), (1, 0), (4, "2")],
-                         ids=["negative", "float", "bool", "zero", "str"])
-def test_best_response_rejects_a_strategy_dimension_that_is_not_a_positive_integer(dim, n):
-    # judged before the n^2 size check, which (-2)^2 = 4 and True^2 = 1 would pass
-    with pytest.raises(DimensionMismatch, match=f"integer >= 1, got {re.escape(repr(n))}$"):
-        best_response(ResponseProblem(np.eye(dim), n))
+@pytest.mark.parametrize("max_iters", [2.5, True, -1, "5", None],
+                         ids=["float", "bool", "negative", "str", "none"])
+def test_best_response_rejects_a_max_iters_that_is_not_a_count(ewl_game, ewl_stars, max_iters):
+    problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), ewl_stars[1], "I")
+    with pytest.raises(ValueError,
+                       match=f"^max_iters must be an integer >= 0, got {re.escape(repr(max_iters))}$"):
+        best_response(problem, max_iters=max_iters)
+
+
+def test_best_response_accepts_a_numpy_integer_and_a_zero_budget(rng):
+    problem = random_hermitian(4, rng)
+    as_int = best_response(problem, max_iters=3)
+    as_numpy = best_response(problem, max_iters=np.int64(3))
+    assert as_int.iterations == 3
+    assert ((as_numpy.value, as_numpy.dual_bound, as_numpy.iterations)
+            == (as_int.value, as_int.dual_bound, as_int.iterations))
+    # no iteration: the start points alone are certified
+    start = best_response(problem, max_iters=0)
+    assert start.iterations == 0 and start.value <= start.dual_bound
+    assert start.value == pytest.approx(np.trace(problem).real / 2, abs=1e-12)
 
 
 def test_best_response_starved_budget_reports_unconverged(ewl_game, rng):
@@ -376,7 +390,7 @@ def test_a_step_whose_schur_matrix_is_singular_raises_and_the_best_pair_stays(
         warnings.simplefilter("error")
         result = best_response(problem)
         x, y = np.eye(4, dtype=complex) / 2, 4.0 * np.eye(2, dtype=complex)
-        ls, _ = equilibrium._dual_point(y, problem.matrix, 2)
+        ls, _ = equilibrium._dual_point(y, problem, 2)
         with pytest.raises(np.linalg.LinAlgError, match="step length is not finite"):
             equilibrium._nt_step(x, y, ls, 2)
     assert len(scalings) == 3 and result.iterations == 1 and not result.converged
@@ -490,8 +504,8 @@ def test_dual_point_factors_a_feasible_slack_and_shifts_an_infeasible_one(rng, n
 
 def test_cached_constants_are_read_only_and_do_not_leak_between_solves(rng):
     # the loop's per-n constants are built once and shared by every solve
-    problem_a = ResponseProblem(random_hermitian(4, rng), 2)
-    problem_b = ResponseProblem(random_hermitian(9, rng), 3)
+    problem_a = random_hermitian(4, rng)
+    problem_b = random_hermitian(9, rng)
     first = best_response(problem_a)
     best_response(problem_b)
     again = best_response(problem_a)
@@ -558,7 +572,7 @@ def assert_certified_gaps_are_tight(scale, seeds, dims):
                 problem = response_problem(tensor, random_chi(n_opponent, rng), player)
                 result = best_response(problem)
                 assert result.converged
-                norm = max(1.0, float(np.abs(np.linalg.eigvalsh(problem.matrix)).max()))
+                norm = max(1.0, float(np.abs(np.linalg.eigvalsh(problem)).max()))
                 assert result.dual_bound - result.value <= 1e-10 * norm
 
 
@@ -615,6 +629,24 @@ def test_oracle_rejects_a_resolution_below_one(ewl_game):
     tensor = payoff_tensor_matrix_unit(ewl_game, "I")
     with pytest.raises(ValueError, match="^resolution must be positive$"):
         unitary_oracle(tensor, identity_chi(2), "I", resolution=0)
+
+
+@pytest.mark.parametrize("resolution", [2.5, True, "24", None],
+                         ids=["float", "bool", "str", "none"])
+def test_oracle_rejects_a_resolution_that_is_not_an_integer(ewl_game, resolution):
+    tensor = payoff_tensor_matrix_unit(ewl_game, "I")
+    message = f"^resolution must be an integer, got {re.escape(repr(resolution))}$"
+    with pytest.raises(ValueError, match=message):
+        unitary_oracle(tensor, identity_chi(2), "I", resolution=resolution)
+
+
+def test_oracle_accepts_a_numpy_integer_resolution(ewl_game, rng):
+    tensor = payoff_tensor_matrix_unit(ewl_game, "I")
+    opponent = random_chi(2, rng)
+    value, unitary = unitary_oracle(tensor, opponent, "I", resolution=np.int64(6))
+    expected_value, expected_unitary = unitary_oracle(tensor, opponent, "I", resolution=6)
+    assert value == expected_value
+    np.testing.assert_array_equal(unitary, expected_unitary)
 
 
 def test_oracle_rejects_large_dimension(rng):
@@ -676,8 +708,25 @@ def test_best_response_scale_is_the_spectral_norm_of_the_hermitian_part(scale, r
     for n in (2, 3):
         g = scale * random_hermitian(n * n, rng)
         expected = np.linalg.norm(hermitian_part(g), 2)
-        result = best_response(ResponseProblem(g, n), max_iters=5)
+        result = best_response(g, max_iters=5)
         assert abs(result.scale - expected) <= 4 * np.finfo(float).eps * max(1.0, expected)
+
+
+def test_verify_nash_reports_the_payoffs_that_payoff_contract_gives():
+    # the payoffs `qgame payoff` prints, bit for bit: another contraction
+    # order can differ from payoff_contract's by an ulp
+    rng = np.random.default_rng(5)
+    for _ in range(75):
+        for n1, n2 in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            game = random_game(n1, n2, rng)
+            chi, xi = random_chi(n1, rng), random_chi(n2, rng)
+            try:
+                report = verify_nash(game, chi, xi, epsilon=1e-5)
+            except NoConvergence as err:
+                report = err.partial
+            tensors = [payoff_tensor_matrix_unit(game, player) for player in ("I", "II")]
+            assert ((report.payoff_i, report.payoff_ii)
+                    == tuple(payoff_contract(tensor, chi, xi) for tensor in tensors))
 
 
 def test_verify_nash_detects_classical_defection(ewl_game):

@@ -261,7 +261,7 @@ def test_contract_bilinear(seed, t):
     chi1, chi2, xi = random_chi(2, rng), random_chi(2, rng), random_chi(2, rng)
     from qgame.quantum import ChiMatrix
 
-    mixed = ChiMatrix(t * chi1.matrix + (1 - t) * chi2.matrix, 2)
+    mixed = ChiMatrix(t * chi1.matrix + (1 - t) * chi2.matrix)
     lhs = payoff_contract(tensor, mixed, xi)
     rhs = t * payoff_contract(tensor, chi1, xi) + (1 - t) * payoff_contract(tensor, chi2, xi)
     assert abs(lhs - rhs) <= 1e-10
@@ -317,8 +317,8 @@ def test_factored_contraction_matches_entries(n1, n2, rng):
             assert abs(payoff_contract(tensor, chi, xi) - value) <= 1e-12
             g_i = hermitian_part(np.einsum("abcd,cd->ba", entries, xi.matrix))
             g_ii = hermitian_part(np.einsum("abcd,ab->dc", entries, chi.matrix))
-            assert np.max(np.abs(response_problem(tensor, xi, "I").matrix - g_i)) <= 1e-12
-            assert np.max(np.abs(response_problem(tensor, chi, "II").matrix - g_ii)) <= 1e-12
+            assert np.max(np.abs(response_problem(tensor, xi, "I") - g_i)) <= 1e-12
+            assert np.max(np.abs(response_problem(tensor, chi, "II") - g_ii)) <= 1e-12
 
 
 def test_payoff_and_responses_stay_tensor_free():
@@ -346,7 +346,7 @@ def test_contract_flags_corrupted_strategy(ewl_game):
     tensor = payoff_tensor_matrix_unit(ewl_game, "I")
     crooked_matrix = identity_chi(2).matrix.copy()
     crooked_matrix[0, 3] += 0.3j  # unpaired imaginary entry: carrier is unchecked
-    crooked = ChiMatrix(crooked_matrix, 2)
+    crooked = ChiMatrix(crooked_matrix)
     with pytest.raises(NonRealPayoff):
         payoff_contract(tensor, crooked, identity_chi(2))
 

@@ -209,7 +209,7 @@ def _xi_star_problem(ewl_game, ewl_stars):
 @pytest.mark.parametrize("call", [
     lambda game, stars: min_eigenvalue(np.eye(4)),
     lambda game, stars: equilibrium._dual_point(
-        0 * np.eye(2), hermitian_part(_xi_star_problem(game, stars).matrix), 2),
+        0 * np.eye(2), hermitian_part(_xi_star_problem(game, stars)), 2),
     lambda game, stars: equilibrium.best_response(_xi_star_problem(game, stars)),
 ], ids=["min_eigenvalue", "dual_point", "best_response"])
 def test_a_failed_eigenvalue_call_raises_no_convergence_and_no_warning(

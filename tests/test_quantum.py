@@ -19,6 +19,7 @@ from qgame.errors import (
 )
 from qgame.game import matrix_unit_basis
 from qgame.quantum import (
+    ChiMatrix,
     KrausChannel,
     _output_state_limit,
     apply_product_channel,
@@ -336,6 +337,37 @@ def test_validate_chi_rejects_indefinite():
 def test_validate_chi_dimension():
     with pytest.raises(DimensionMismatch):
         validate_chi(np.eye(4), 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_way_of_building_a_chi_matrix_gives_its_n(n, rng):
+    # the matrix is the record's only field, so n is read from its n^2 x n^2 size
+    channel = random_kraus_channel(n, rng)
+    matrix = kraus_to_chi(channel).matrix
+    built = [ChiMatrix(matrix), ChiMatrix(matrix=matrix), ChiMatrix._make([matrix]),
+             identity_chi(5)._replace(matrix=matrix), validate_chi(matrix, n, tol=1e-9),
+             kraus_to_chi(channel), identity_chi(n)]
+    for chi in built:
+        assert chi._fields == ("matrix",)
+        assert (chi.n, chi.dim) == (n, n * n)
+
+
+NOT_N_SQUARED = {"5x5": np.eye(5), "4x2": np.zeros((4, 2)), "1-D": np.ones(4),
+                 "0x0": np.zeros((0, 0))}
+
+
+@pytest.mark.parametrize("matrix", NOT_N_SQUARED.values(), ids=NOT_N_SQUARED)
+def test_a_chi_matrix_must_be_n_squared_by_n_squared(matrix):
+    for build in (ChiMatrix, lambda m: ChiMatrix._make([m]),
+                  lambda m: identity_chi(2)._replace(matrix=m)):
+        with pytest.raises(DimensionMismatch, match=r"^chi matrix must be n\^2 x n\^2, n >= 1"):
+            build(matrix)
+
+
+def test_kraus_form_never_meets_a_chi_whose_size_and_n_disagree():
+    # no record pairs a 5x5 matrix with a qubit's n, so kraus_form never reshapes one
+    with pytest.raises(DimensionMismatch):
+        kraus_form(identity_chi(2)._replace(matrix=np.eye(5)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,7 +15,7 @@ def _kwargs(name: str) -> dict:
     return {
         "DensityMatrix": {"matrix": np.diag([1.0, 0.0]).astype(complex)},
         "KrausChannel": {"operators": np.stack([np.eye(2), flip]) / np.sqrt(2)},
-        "ChiMatrix": {"matrix": identity_chi(2).matrix.copy(), "n": 2},
+        "ChiMatrix": {"matrix": identity_chi(2).matrix.copy()},
         "QuantumGame": {"rho": DensityMatrix(np.eye(4) / 4), "payoff_op_i": np.diag([3.0, 0, 5, 1]),
                         "payoff_op_ii": np.diag([3.0, 5, 0, 1]), "n1": 2, "n2": 2},
         "ClassicalBimatrix": {"payoff_i": np.array([[3.0, 0], [5, 1]]),

@@ -100,7 +100,7 @@ def _problems(game, chi, xi):
 
 
 def _norm_scale(problem):
-    return max(1.0, float(np.linalg.norm(problem.matrix, 2)))
+    return max(1.0, float(np.linalg.norm(problem, 2)))
 
 
 def _clear_verdicts(report, problems):
