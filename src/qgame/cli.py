@@ -365,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("player", choices=["I", "II", "i", "ii", "1", "2"],
                    help="the responding player")
     p.add_argument("--tol", dest="br_tol", type=_tolerance, default=SOLVE_TOL,
-                   help="gap to certify, relative to max(1, |H|), |H| the response's norm")
+                   help="gap to certify, relative to max(1, |H|), |H| the response's norm; "
+                        "the solver stops at a hundredth of it")
     p.add_argument("--max-iters", type=_positive_int, default=MAX_ITERS,
                    help="budget of iterations for the primal-dual solver")
     p.set_defaults(func=cmd_best_response, text=text_best_response)

@@ -42,7 +42,11 @@ max(1, |H|):
   Y + max(0, -lambda_min(S)) I is feasible, and Y yields the certified bound
   tr(Y) + n * max(0, -lambda_min(S)).  Every dual point, the start ones
   included, takes its bound from this one rule, ``_dual_point``.  The gap is
-  the best such bound minus the best primal value, whatever path the iterates took.
+  the best such bound minus the best primal value, whatever path the iterates took;
+* stop: ``tol`` sets it.  The loop ends at a scaled gap of
+  ``max(STOP_GAP_RTOL, tol * STOP_TOL_SHARE)``, a hundredth of what ``converged``
+  judges, so the gap recomputed from the validated chi stays within ``tol``;
+  the default ``SOLVE_TOL`` and ``tol = 0`` stop at the floor ``STOP_GAP_RTOL``.
 
 A brute-force grid over single-qubit unitary strategies serves as an
 independent lower-bound oracle for cross-checking the solver.
@@ -69,8 +73,8 @@ from .game import (
     response_problem,
     response_value,
 )
-from .linalg import (CHI_OPT_ATOL, SOLVE_TOL, STOP_GAP_RTOL, WEAK_DUALITY_RTOL, ComplexMatrix,
-                     hermitian_part, lapack)
+from .linalg import (CHI_OPT_ATOL, SOLVE_TOL, STOP_GAP_RTOL, STOP_TOL_SHARE, WEAK_DUALITY_RTOL,
+                     ComplexMatrix, hermitian_part, lapack)
 from .quantum import ChiMatrix, partial_trace_first, validate_chi
 
 # a budget, not a limit: the solver's default number of iterations
@@ -231,7 +235,9 @@ def best_response(g: ComplexMatrix, max_iters: int = MAX_ITERS,
     found, the best certified upper bound, and the duality gap.  ``max_iters``
     bounds the iterations (0 certifies the start points alone).  ``tol`` is
     relative: ``converged`` is set iff the gap closed to within
-    ``tol * max(1, |H|)``, |H| the spectral norm of G's Hermitian part.  An
+    ``tol * max(1, |H|)``, |H| the spectral norm of G's Hermitian part, and the
+    method stops at a hundredth of that gap: a looser ``tol`` costs fewer
+    iterations and leaves the value further below the optimum.  An
     unconverged result still carries the best feasible strategy found.
 
     Raises:
@@ -267,10 +273,11 @@ def best_response(g: ComplexMatrix, max_iters: int = MAX_ITERS,
     best_x, best_val = x, float(h.trace().real) / n
     for trivial in (eig_h[-1] / norm * eye, partial_trace_first(h, n) / n):
         bound = min(bound, _dual_point(trivial, h, n)[1])
+    stop = max(STOP_GAP_RTOL, tol * STOP_TOL_SHARE)
     iterations = 0
     # rounding that takes S to the boundary leaves it without a factor, and
     # rounding that takes X there makes the step raise: either way the best pair stays
-    while ls is not None and bound - best_val > STOP_GAP_RTOL and iterations < max_iters:
+    while ls is not None and bound - best_val > stop and iterations < max_iters:
         try:
             x, y = _nt_step(x, y, ls, n)
         except np.linalg.LinAlgError:
@@ -371,8 +378,11 @@ def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float
     if not 0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     tensor_i, tensor_ii = (payoff_tensor_matrix_unit(game, p) for p in (PLAYER_I, PLAYER_II))
-    payoff_i, payoff_ii = (payoff_contract(tensor, chi, xi) for tensor in (tensor_i, tensor_ii))
-    br_i = best_response(response_problem(tensor_i, xi, PLAYER_I))
+    # G_I(xi) is the matrix payoff_contract forms for player I, so it serves both;
+    # player II's payoff keeps payoff_contract's contraction order
+    g_i = response_problem(tensor_i, xi, PLAYER_I)
+    payoff_i, payoff_ii = response_value(g_i, chi), payoff_contract(tensor_ii, chi, xi)
+    br_i = best_response(g_i)
     br_ii = best_response(response_problem(tensor_ii, chi, PLAYER_II))
     limit_i, limit_ii = (epsilon * max(1.0, br.scale) for br in (br_i, br_ii))
     gap_i = br_i.dual_bound - payoff_i

@@ -50,10 +50,11 @@ PAIRING_ATOL = 1e-10       # none           -      an explicit tensor's Hermitic
 IMAG_RTOL = 1e-9           # max|operator|  -      imaginary part of a payoff
 CROSS_CHECK_ATOL = 1e-9    # max|R|         -      contraction against direct payoff
 WEAK_DUALITY_RTOL = 1e-8   # |H|            -      a value above its certified bound: a solver bug
-STOP_GAP_RTOL = 1e-12      # |H|            -      the gap at which the solver stops
+STOP_GAP_RTOL = 1e-12      # |H|            -      the least gap at which the solver stops
+STOP_TOL_SHARE = 1e-2      # none           -      share of a solve's tol at which it stops
 CHI_OPT_ATOL = 1e-7        # none           -      the solver's strategy, as a chi matrix
 TENSOR_BYTES_MAX = 2**28   # none           -      bytes of a tensor's explicit entries (n1 = n2 = 8)
-SOLVE_TOL = 1e-7           # |H|            -      gap a best response certifies; --tol sets it
+SOLVE_TOL = 1e-10          # |H|            -      gap a best response certifies; --tol sets it
 NASH_EPSILON = 1e-6        # |H|            -      gain a deviation may offer; --epsilon sets it
 
 

@@ -488,6 +488,18 @@ def test_best_response_cli(capsys):
     assert "converged           = True" in out
 
 
+def test_best_response_cli_stops_at_the_tol_it_is_given(capsys):
+    # README's command: a hundredth of --tol 1e-7 is reached one iteration before the default
+    code, out, _ = run(capsys, "best-response", "ewl.game", "xi_star.strategy", "I", "--tol", "1e-7")
+    assert code == 0
+    lines = out.splitlines()
+    for line in ("converged           = True", "dual bound          = 2.5",
+                 "iterations          = 6"):
+        assert line in lines
+    _, out, _ = run(capsys, "best-response", "ewl.game", "xi_star.strategy", "I")
+    assert "iterations          = 7" in out.splitlines()
+
+
 def test_best_response_cli_vs_identity_json(capsys):
     code, out, _ = run(capsys, "best-response", "ewl.game", "identity.strategy", "I", "--json")
     assert code == 0
@@ -524,7 +536,7 @@ def _equilibrium_game_at_scale(seed, scale):
 @pytest.mark.parametrize("seed", range(3))
 def test_solver_tolerance_is_relative_at_large_scale(seed, tmp_path, capsys):
     # payoffs of order 1e9: a gap of about 1e-12 relative is about 1e-3
-    # absolute, which the default --tol of 1e-7 accepts because it is relative
+    # absolute, which the default --tol of 1e-10 accepts because it is relative
     path = tmp_path / "large.game"
     path.write_text(files.emit_document(files.game_to_payload(_equilibrium_game_at_scale(seed, 1e9))))
     for player in ("I", "II"):

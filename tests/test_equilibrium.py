@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qgame import equilibrium, linalg
+from qgame import game as game_module
 from qgame.equilibrium import (
     best_response,
     partial_trace_first,
@@ -153,6 +154,45 @@ def test_best_response_monotone_certificates(rng):
     loose = best_response(problem, tol=1e-4)
     tight = best_response(problem, tol=1e-8)
     assert tight.value >= loose.value - (1e-4 - 1e-8)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-7], ids=["1e-4", "1e-7"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_best_response_stops_at_a_hundredth_of_tol(n, tol, rng):
+    # the loop ends at max(STOP_GAP_RTOL, tol / 100) relative, and the gap
+    # recomputed from the validated chi keeps it up to rounding
+    stop = max(linalg.STOP_GAP_RTOL, tol * linalg.STOP_TOL_SHARE)
+    saved = 0
+    for _ in range(4):
+        game = random_game(n, n, rng)
+        problem = response_problem(payoff_tensor_matrix_unit(game, "I"), random_chi(n, rng), "I")
+        result, default = best_response(problem, tol=tol), best_response(problem)
+        assert result.converged
+        assert result.gap <= (stop + 1e-13) * max(1.0, result.scale)
+        assert result.iterations <= default.iterations
+        saved += default.iterations - result.iterations
+    assert saved > 0
+
+
+def test_best_response_at_tol_zero_stops_at_the_floor(ewl_game, ewl_stars):
+    # no gap reaches 0, so the floor ends the loop where the default does
+    problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), ewl_stars[1], "I")
+    result = best_response(problem, tol=0.0)
+    assert result.iterations == 7
+    assert result.gap == pytest.approx(1.04e-12, rel=0.01)
+    assert not result.converged
+    assert result._replace(converged=True, chi_opt=None) == best_response(problem)._replace(
+        chi_opt=None)
+
+
+def test_best_response_at_the_benchmark_tol_keeps_the_oracle_margin(ewl_game):
+    # against the identity the optimum 5 lies on the oracle's grid, so a stop at
+    # tol / 100 must still leave the value within the 1e-8 solver-vs-oracle margin
+    tensor = payoff_tensor_matrix_unit(ewl_game, "I")
+    oracle, _ = unitary_oracle(tensor, identity_chi(2), "I")
+    result = best_response(response_problem(tensor, identity_chi(2), "I"), tol=1e-7)
+    assert result.converged and oracle == 5.0
+    assert result.value >= oracle - 1e-8
 
 
 def test_best_response_qutrit_dimension(rng):
@@ -727,6 +767,22 @@ def test_verify_nash_reports_the_payoffs_that_payoff_contract_gives():
             tensors = [payoff_tensor_matrix_unit(game, player) for player in ("I", "II")]
             assert ((report.payoff_i, report.payoff_ii)
                     == tuple(payoff_contract(tensor, chi, xi) for tensor in tensors))
+
+
+def test_verify_nash_forms_three_response_matrices(ewl_game, ewl_stars, monkeypatch):
+    # player I's G(xi) gives both the payoff and the best response
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return response_problem(*args)
+
+    for module in (game_module, equilibrium):
+        monkeypatch.setattr(module, "response_problem", counted)
+    for profile in (ewl_stars, (identity_chi(2), identity_chi(2))):
+        calls.clear()
+        verify_nash(ewl_game, *profile, epsilon=1e-6)
+        assert len(calls) == 3
 
 
 def test_verify_nash_detects_classical_defection(ewl_game):

@@ -311,9 +311,10 @@ LEDGER = {
     "CROSS_CHECK_ATOL": 1e-9,
     "WEAK_DUALITY_RTOL": 1e-8,
     "STOP_GAP_RTOL": 1e-12,
+    "STOP_TOL_SHARE": 1e-2,
     "CHI_OPT_ATOL": 1e-7,
     "TENSOR_BYTES_MAX": 2 ** 28,
-    "SOLVE_TOL": 1e-7,
+    "SOLVE_TOL": 1e-10,
     "NASH_EPSILON": 1e-6,
 }
 
