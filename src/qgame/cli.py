@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "chosen and printed when unspecified")
     p.set_defaults(func=cmd_simulate, text=text_simulate)
 
-    p = sub.add_parser("classical", help="classical reduction to a bimatrix game")
+    p = sub.add_parser("classical", help="n1 x n2 bimatrix game of the cyclic shift powers")
     p.add_argument("game")
     p.set_defaults(func=cmd_classical, text=text_classical)
 

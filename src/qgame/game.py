@@ -132,10 +132,17 @@ def build_game(rho, payoff_i, payoff_ii, n1: int, n2: int, tol: float | None = N
                        linalg.hermitian_part(payoff_i), linalg.hermitian_part(payoff_ii), n1, n2)
 
 
-def _tensor_size_check(count: int) -> Check:
-    """An array of ``count`` complex entries, 16 bytes each, fits in ``TENSOR_BYTES_MAX``."""
-    return Check("payoff tensor size", 16.0 * count, linalg.TENSOR_BYTES_MAX,
-                 UnsupportedDimension, f"{count} entries need {16 * count} bytes")
+# Each explicit construction is charged its peak, in bytes per entry of its largest
+# array.  tracemalloc on identity-payoff games read, per 16-byte entry at n1 = n2 =
+# 3 / 4 / 5: 3.02 / 2.00 / 2.00 for the entries, 4.59 / 4.29 / 4.14 for the trace formula.
+ENTRIES_PEAK_BYTES = 56        # 3.5 entries
+TRACE_FORMULA_PEAK_BYTES = 80  # 5 entries
+
+
+def _tensor_size_check(count: int, peak_bytes: int) -> Check:
+    """``count`` entries at ``peak_bytes`` each fit in ``TENSOR_BYTES_MAX``."""
+    return Check("payoff tensor size", float(peak_bytes * count), linalg.TENSOR_BYTES_MAX,
+                 UnsupportedDimension, f"{count} entries need {peak_bytes * count} bytes at peak")
 
 
 class PayoffTensor(NamedTuple):
@@ -147,7 +154,7 @@ class PayoffTensor(NamedTuple):
     gamma, delta]`` (alpha, beta flattened labels of player I, gamma, delta
     of player II) and ``grid`` (row ``alpha*n1^2 + beta``, column
     ``gamma*n2^2 + delta``) are formed on each access, at O(n^8) cost, and
-    raise ``UnsupportedDimension`` before allocating more than
+    raise ``UnsupportedDimension`` before a peak of more than
     ``TENSOR_BYTES_MAX`` bytes.
     """
 
@@ -165,7 +172,7 @@ class PayoffTensor(NamedTuple):
     @property
     def entries(self) -> np.ndarray:
         s1, s2 = self.n1 ** 2, self.n2 ** 2
-        linalg.require([_tensor_size_check((s1 * s2) ** 2)])
+        linalg.require([_tensor_size_check((s1 * s2) ** 2, ENTRIES_PEAK_BYTES)])
         entries = np.einsum("ckai,bjdl->abcdijkl", self.payoff_op, self.state)
         return entries.reshape(s1, s1, s2, s2)
 
@@ -247,7 +254,7 @@ def payoff_tensor_general(game: QuantumGame, player, basis1: np.ndarray | None =
     basis per player (defaults to matrix units).  Batched as a Gram matrix:
     with ``B[ag] = basis1_a (x) basis2_g`` the tensor entry is the Frobenius
     inner product of ``B[bd]`` with ``R B[ag] rho``.  Like ``PayoffTensor.entries``,
-    it raises ``UnsupportedDimension`` before it allocates an array of more than
+    it raises ``UnsupportedDimension`` before a peak of more than
     ``TENSOR_BYTES_MAX`` bytes.
     """
     r = game.payoff_op(player)
@@ -255,7 +262,8 @@ def payoff_tensor_general(game: QuantumGame, player, basis1: np.ndarray | None =
     b2 = matrix_unit_basis(game.n2) if basis2 is None else np.asarray(basis2, dtype=complex)
     s1, s2 = b1.shape[0], b2.shape[0]
     dim = game.rho.dim
-    linalg.require([_tensor_size_check(s1 * s2 * max(s1 * s2, dim * dim))])
+    count = s1 * s2 * max(s1 * s2, dim * dim)
+    linalg.require([_tensor_size_check(count, TRACE_FORMULA_PEAK_BYTES)])
     joint = np.stack([np.kron(e, f) for e in b1 for f in b2])  # (s1*s2, dim, dim)
     lhs = np.einsum("pq,kqr,rs->kps", r, joint, game.rho.matrix)
     flat_lhs = lhs.reshape(s1 * s2, dim * dim)
@@ -346,22 +354,19 @@ def payoff_direct(game: QuantumGame, ch_a: KrausChannel, ch_b: KrausChannel, pla
 
 
 def classical_reduction(game: QuantumGame) -> ClassicalBimatrix:
-    """Restrict both players to powers of the cyclic shift.
+    """Restrict each player to the powers of the cyclic shift on their own factor.
 
     For qubit strategies the allowed operations are exactly the identity and
-    the bit flip, which reduces the game to a classical bimatrix: entry (s, t)
-    of p's grid is p's :func:`payoff_contract` of the s-th and t-th shift
-    powers.  Requires ``n1 == n2``; pure strategies only (mixtures are convex
-    combinations of chi matrices).
+    the bit flip, which reduces the game to a classical bimatrix: an n1 x n2
+    grid per player p, whose entry (s, t) is p's :func:`payoff_contract` of
+    player I's s-th shift power on C^n1 and player II's t-th on C^n2.  Pure
+    strategies only (mixtures are convex combinations of chi matrices).
     """
-    if game.n1 != game.n2:
-        raise UnsupportedDimension(
-            f"classical reduction needs equal per-player dimensions, got {game.n1} != {game.n2}"
-        )
-    chis = [kraus_to_chi(shift_channel(game.n1, s)) for s in range(game.n1)]
+    chis_i, chis_ii = ([kraus_to_chi(shift_channel(n, s)) for s in range(n)]
+                       for n in (game.n1, game.n2))
     tensors = [payoff_tensor_matrix_unit(game, player) for player in (PLAYER_I, PLAYER_II)]
-    return ClassicalBimatrix(*([[payoff_contract(tensor, chi_s, chi_t) for chi_t in chis]
-                                for chi_s in chis] for tensor in tensors))
+    return ClassicalBimatrix(*([[payoff_contract(tensor, chi_s, chi_t) for chi_t in chis_ii]
+                                for chi_s in chis_i] for tensor in tensors))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ WEAK_DUALITY_RTOL = 1e-8   # |H|            -      a value above its certified b
 STOP_GAP_RTOL = 1e-12      # |H|            -      the least gap at which the solver stops
 STOP_TOL_SHARE = 1e-2      # none           -      share of a solve's tol at which it stops
 CHI_OPT_ATOL = 1e-7        # none           -      the solver's strategy, as a chi matrix
-TENSOR_BYTES_MAX = 2**28   # none           -      bytes of a tensor's explicit entries (n1 = n2 = 8)
+TENSOR_BYTES_MAX = 2**28   # none           -      peak bytes forming explicit entries (n1 = n2 = 6)
 SOLVE_TOL = 1e-10          # |H|            -      gap a best response certifies; --tol sets it
 NASH_EPSILON = 1e-6        # |H|            -      gain a deviation may offer; --epsilon sets it
 

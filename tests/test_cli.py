@@ -636,8 +636,8 @@ def _response_scale(game, player):
 
 @pytest.mark.parametrize("case", sorted(ROBUSTNESS_GAMES))
 def test_robustness_matrix(case, tmp_path, capsys):
-    # every command succeeds on each game, except classical for n1 != n2,
-    # and no certified gap is below zero by more than rounding
+    # every command succeeds on each game, and no certified gap is below zero by more
+    # than rounding
     game = build_game(*ROBUSTNESS_GAMES[case](np.random.default_rng(17)))
     path = tmp_path / f"{case}.game"
     path.write_text(files.emit_document(files.game_to_payload(game)))
@@ -657,8 +657,11 @@ def test_robustness_matrix(case, tmp_path, capsys):
     assert code == (0 if doc["is_equilibrium"] else 1), err
     assert doc["gap_I"] >= -1e-8 * _response_scale(game, "I")
     assert doc["gap_II"] >= -1e-8 * _response_scale(game, "II")
-    code, _, err = run(capsys, "classical", str(path))
-    assert code == (0 if game.n1 == game.n2 else 1), err
+    code, out, err = run(capsys, "classical", str(path), "--json")
+    assert code == 0, err
+    doc = files.parse_document(out)
+    for key in ("payoff_I", "payoff_II"):
+        assert np.shape(doc[key]) == (game.n1, game.n2)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +780,7 @@ def test_simulate_prints_chosen_seed(capsys):
 def test_classical_cli(capsys):
     code, out, _ = run(capsys, "classical", "ewl.game")
     assert code == 0
-    assert "(3, 3)" in out and "(0, 5)" in out and "(5, 0)" in out and "(1, 1)" in out
+    assert out == "(3, 3)  (0, 5)\n(5, 0)  (1, 1)\n"
 
 
 def test_classical_json(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import paper_rho
+from qgame import linalg
 from qgame.errors import (
     DimensionMismatch,
     InconsistentMeasurement,
@@ -204,6 +205,25 @@ def test_pairing_check_forms_no_temporary_of_the_tensor_size(n):
     assert peak <= 1.5 * entries.nbytes
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_explicit_construction_peaks_within_its_size_charge(n, monkeypatch):
+    # a limit one byte below the traced peak must refuse the construction before it starts
+    d = n * n
+    game = build_game(np.eye(d) / d, np.eye(d), np.eye(d), n, n)
+    tensor = payoff_tensor_matrix_unit(game, "I")
+    for construct in (lambda: tensor.entries, lambda: payoff_tensor_general(game, "I")):
+        tracemalloc.start()
+        try:
+            construct()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "TENSOR_BYTES_MAX", peak - 1)
+            with pytest.raises(UnsupportedDimension, match="payoff tensor size"):
+                construct()
+
+
 def test_tensor_rejects_pairing_violation():
     bad = np.zeros((4, 4, 4, 4), dtype=complex)
     bad[0, 1, 0, 0] = 1.0  # conjugate partner missing
@@ -388,10 +408,19 @@ def test_classical_reduction_constant_game(rng):
     np.testing.assert_allclose(bim.payoff_ii, np.ones((2, 2)), atol=1e-12)
 
 
-def test_classical_reduction_rejects_mixed_dims(rng):
-    game = random_game(2, 3, rng)
-    with pytest.raises(UnsupportedDimension):
-        classical_reduction(game)
+def test_classical_reduction_matches_direct_play_at_mixed_dims(rng):
+    # entry (s, t) is the payoff of playing the shift powers on each player's own factor
+    for n1, n2 in ((2, 3), (3, 2)):
+        game = random_game(n1, n2, rng)
+        bim = classical_reduction(game)
+        for grid, player in ((bim.payoff_i, "I"), (bim.payoff_ii, "II")):
+            assert grid.shape == (n1, n2)
+            limit = 1e-13 * max(1.0, float(np.abs(game.payoff_op(player)).max()))
+            for s in range(n1):
+                for t in range(n2):
+                    out = apply_product_channel(shift_channel(n1, s), shift_channel(n2, t),
+                                                game.rho)
+                    assert abs(grid[s, t] - state_payoff(game, out, player)) <= limit
 
 
 def test_classical_reduction_qutrit(rng):
@@ -400,16 +429,20 @@ def test_classical_reduction_qutrit(rng):
     assert bim.payoff_i.shape == (3, 3)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_classical_reduction_contracts_the_shift_powers(n, rng, product_channel_calls):
-    game = random_game(n, n, rng)
+@pytest.mark.parametrize("n1, n2", [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (2, 4)],
+                         ids=["2", "3", "4", "2x3", "3x2", "2x4"])
+def test_classical_reduction_contracts_the_shift_powers(n1, n2, rng, product_channel_calls):
+    game = random_game(n1, n2, rng)
     bim = classical_reduction(game)
     # the closed form alone: no output state is formed
     assert product_channel_calls == []
-    chis = [kraus_to_chi(shift_channel(n, s)) for s in range(n)]
+    # each player's own shift powers, at their own dimension
+    chis_i = [kraus_to_chi(shift_channel(n1, s)) for s in range(n1)]
+    chis_ii = [kraus_to_chi(shift_channel(n2, t)) for t in range(n2)]
     for grid, player in ((bim.payoff_i, "I"), (bim.payoff_ii, "II")):
         tensor = payoff_tensor_matrix_unit(game, player)
-        expected = [[payoff_contract(tensor, chi_s, chi_t) for chi_t in chis] for chi_s in chis]
+        expected = [[payoff_contract(tensor, chi_s, chi_t) for chi_t in chis_ii]
+                    for chi_s in chis_i]
         np.testing.assert_array_equal(grid, expected)
 
 

@@ -348,12 +348,13 @@ def test_tensor_size_is_checked_before_the_entries_are_formed(monkeypatch):
         raise AssertionError("entries formed")
 
     monkeypatch.setattr(np, "einsum", einsum)
-    # n1 = n2 = 8 meets the limit exactly: 8^8 entries of 16 bytes
-    factors = np.zeros((8, 8, 8, 8), dtype=complex)
+    # the check charges the einsum's peak, 56 bytes an entry: n1 = n2 = 6 (6^8 entries,
+    # 94 MB) is admitted, as perfbench's tensor_bytes counter needs, and n1 = n2 = 7 is not
+    factors = np.zeros((6, 6, 6, 6), dtype=complex)
     with pytest.raises(AssertionError, match="entries formed"):
         PayoffTensor(factors, factors).entries
-    factors = np.zeros((10, 10, 10, 10), dtype=complex)
-    with pytest.raises(UnsupportedDimension, match="need 1600000000 bytes"):
+    factors = np.zeros((7, 7, 7, 7), dtype=complex)
+    with pytest.raises(UnsupportedDimension, match="5764801 entries need 322828856 bytes at peak"):
         PayoffTensor(factors, factors).grid
 
 
@@ -363,9 +364,10 @@ def test_trace_formula_size_is_checked_before_anything_is_formed(monkeypatch):
 
     monkeypatch.setattr(np, "stack", fail)
     monkeypatch.setattr(np, "kron", fail)
-    # the stacked basis products and the Gram matrix of n1 = n2 = 8 meet the limit exactly
-    for n, raised, message in ((8, AssertionError, "basis products formed"),
-                               (10, UnsupportedDimension, "need 1600000000 bytes")):
+    # the check charges the trace formula's peak, 80 bytes per entry of its largest array:
+    # n1 = n2 = 6 (6^8 entries, 134 MB) is admitted and n1 = n2 = 7 is not
+    for n, raised, message in ((6, AssertionError, "basis products formed"),
+                               (7, UnsupportedDimension, "need 461184080 bytes at peak")):
         ops = np.zeros((n * n, n * n))
         game = QuantumGame(DensityMatrix(np.eye(n * n) / (n * n)), ops, ops, n, n)
         with pytest.raises(raised, match=message):
