@@ -47,6 +47,13 @@ max(1, |H|):
   ``max(STOP_GAP_RTOL, tol * STOP_TOL_SHARE)``, a hundredth of what ``converged``
   judges, so the gap recomputed from the validated chi stays within ``tol``;
   the default ``SOLVE_TOL`` and ``tol = 0`` stop at the floor ``STOP_GAP_RTOL``.
+  The corrector's damped step cuts the gap only about 100-fold, and the
+  undamped predictor gets closer: a step whose predictor pair has
+  tr(X_aff S_aff) within the stop returns that feasible pair and skips the
+  corrector.  Its X passes the same congruence as every iterate, and its Y
+  takes its bound from ``_dual_point``; on the boundary S has no Cholesky
+  factor, so the eigenvalue rule gives the bound and the loop ends.  Every
+  earlier iterate is the one the corrector gives.
 
 A brute-force grid over single-qubit unitary strategies serves as an
 independent lower-bound oracle for cross-checking the solver.
@@ -150,7 +157,8 @@ def _nt_scaling(x: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xl.dot(u * lam2 ** -0.75), np.sqrt(lam2)
 
 
-def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int,
+             stop: float) -> tuple[np.ndarray, np.ndarray]:
     """One Mehrotra predictor-corrector step along the Nesterov-Todd direction.
 
     With the NT scaling ``G^-1 X G^-H = G^H S G = diag(lam)`` of
@@ -161,11 +169,13 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
     The predictor's ``dV = -diag(lam)`` gives ``G dV G^H = -X``, so its
     right-hand side is exactly ``-I``, and its scaled dX is ``-I - P`` for the
     scaled dS ``P = lam^-1/2 dS lam^-1/2``: P's extreme eigenvalues give both
-    step lengths.  The new X and Y are made exactly Hermitian; the directions,
-    whose eigvalsh reads the lower triangle, are not.  Raises LinAlgError once
-    the scaling finds X not positive definite, or a step length is not finite.
+    step lengths.  When the predictor pair's gap ``mu_aff * n^2`` is within
+    ``stop``, that pair is the step.  The new X and Y are made exactly
+    Hermitian; the directions, whose eigvalsh reads the lower triangle, are
+    not.  Raises LinAlgError once the scaling finds X not positive definite,
+    or a step length is not finite.
     """
-    _, minus_vec_eye, three_halves_eye = _constants(n)
+    minus_vec_eye = _constants(n)[1]
     with np.errstate(invalid="ignore"):
         g, lam = _nt_scaling(x, ls)
         size = n * n
@@ -198,6 +208,9 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
         mu = lam_lam / size
         mu_aff = (lam_lam - ap * (lam_lam + lam_ds) + ad * lam_ds
                   + ap * ad * dxds.trace().real) / size
+        if mu_aff * size <= stop:
+            # tr(X_aff S_aff) is within the stop: the feasible predictor pair ends the solve
+            return _iterate(x + ap * g.dot(dx).dot(gh), y + ad * dy, n)
         dv = dxds + dxds.conj().T
         dv *= -0.5
         dv.flat[diagonal] += min(1.0, (mu_aff / mu) ** 3) * mu - lam * lam
@@ -213,18 +226,25 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int) -> tuple[np.n
             raise np.linalg.LinAlgError("corrector step length is not finite")
         step_x = min(1.0, gamma * (-1.0 / low_x)) if low_x < 0.0 else 1.0
         step_s = min(1.0, gamma * (-1.0 / low_s)) if low_s < 0.0 else 1.0
-        x = x + step_x * g.dot(dx).dot(gh)
-        # the corrector feeds the primal residual back, so M = tr_1(X) = I + E with
-        # E of order 1e-9; the congruence by I (x) R, R = (3I - M)/2, the first
-        # Newton-Schulz step for M^-1/2, leaves tr_1(X) = I + O(E^2), and E^2 is
-        # below rounding
-        root = three_halves_eye - 0.5 * partial_trace_first(x, n)
-        half = np.matmul(root, x.reshape(n, n, size))  # (I (x) R) X, then times I (x) R
-        # both made exactly Hermitian as linalg.hermitian_part does, without its asarray
-        half = 0.5 * np.matmul(half.reshape(size, n, n), root).reshape(size, size)
-        x = half + half.conj().T
-        half = 0.5 * (y + step_s * dy)
-        return x, half + half.conj().T
+        return _iterate(x + step_x * g.dot(dx).dot(gh), y + step_s * dy, n)
+
+
+def _iterate(x: np.ndarray, y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stepped pair made an iterate: tr_1(X) = I to rounding, and X, Y exactly Hermitian.
+
+    The step feeds the primal residual back, so M = tr_1(X) = I + E with E of
+    order 1e-9; the congruence by I (x) R, R = (3I - M)/2, the first
+    Newton-Schulz step for M^-1/2, leaves tr_1(X) = I + O(E^2), and E^2 is
+    below rounding.
+    """
+    size = n * n
+    root = _constants(n)[2] - 0.5 * partial_trace_first(x, n)
+    half = np.matmul(root, x.reshape(n, n, size))  # (I (x) R) X, then times I (x) R
+    # both made exactly Hermitian as linalg.hermitian_part does, without its asarray
+    half = 0.5 * np.matmul(half.reshape(size, n, n), root).reshape(size, size)
+    x = half + half.conj().T
+    half = 0.5 * y
+    return x, half + half.conj().T
 
 
 def best_response(g: ComplexMatrix, max_iters: int = MAX_ITERS,
@@ -279,7 +299,7 @@ def best_response(g: ComplexMatrix, max_iters: int = MAX_ITERS,
     # rounding that takes X there makes the step raise: either way the best pair stays
     while ls is not None and bound - best_val > stop and iterations < max_iters:
         try:
-            x, y = _nt_step(x, y, ls, n)
+            x, y = _nt_step(x, y, ls, n, stop)
         except np.linalg.LinAlgError:
             break
         iterations += 1

@@ -493,11 +493,11 @@ def test_best_response_cli_stops_at_the_tol_it_is_given(capsys):
     code, out, _ = run(capsys, "best-response", "ewl.game", "xi_star.strategy", "I", "--tol", "1e-7")
     assert code == 0
     lines = out.splitlines()
-    for line in ("converged           = True", "dual bound          = 2.5",
-                 "iterations          = 6"):
+    for line in ("best response value = 2.5", "converged           = True",
+                 "dual bound          = 2.5", "iterations          = 5"):
         assert line in lines
     _, out, _ = run(capsys, "best-response", "ewl.game", "xi_star.strategy", "I")
-    assert "iterations          = 7" in out.splitlines()
+    assert "iterations          = 6" in out.splitlines()
 
 
 def test_best_response_cli_vs_identity_json(capsys):

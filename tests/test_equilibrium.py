@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -178,8 +179,8 @@ def test_best_response_at_tol_zero_stops_at_the_floor(ewl_game, ewl_stars):
     # no gap reaches 0, so the floor ends the loop where the default does
     problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), ewl_stars[1], "I")
     result = best_response(problem, tol=0.0)
-    assert result.iterations == 7
-    assert result.gap == pytest.approx(1.04e-12, rel=0.01)
+    assert result.iterations == 6
+    assert result.gap == pytest.approx(8.88e-16, rel=0.01)
     assert not result.converged
     assert result._replace(converged=True, chi_opt=None) == best_response(problem)._replace(
         chi_opt=None)
@@ -394,9 +395,9 @@ def test_a_step_from_an_x_that_is_not_positive_definite_raises_and_the_best_pair
         x_bad[3, 2] = np.nan
     steps = []
 
-    def second_step_from_x_bad(x, y, ls, n):
+    def second_step_from_x_bad(x, y, ls, n, stop):
         steps.append(n)
-        return nt_step(x_bad if len(steps) == 2 else x, y, ls, n)
+        return nt_step(x_bad if len(steps) == 2 else x, y, ls, n, stop)
 
     nt_step = equilibrium._nt_step
     monkeypatch.setattr(equilibrium, "_nt_step", second_step_from_x_bad)
@@ -432,7 +433,7 @@ def test_a_step_whose_schur_matrix_is_singular_raises_and_the_best_pair_stays(
         x, y = np.eye(4, dtype=complex) / 2, 4.0 * np.eye(2, dtype=complex)
         ls, _ = equilibrium._dual_point(y, problem, 2)
         with pytest.raises(np.linalg.LinAlgError, match="step length is not finite"):
-            equilibrium._nt_step(x, y, ls, 2)
+            equilibrium._nt_step(x, y, ls, 2, linalg.STOP_GAP_RTOL)
     assert len(scalings) == 3 and result.iterations == 1 and not result.converged
     assert (result.value, result.dual_bound) == (one_step.value, one_step.dual_bound)
     np.testing.assert_array_equal(result.chi_opt.matrix, one_step.chi_opt.matrix)
@@ -494,11 +495,15 @@ def test_nt_scaling_scales_x_and_s_to_one_diagonal(n):
 
 
 def test_best_response_iterates_stay_feasible_and_hermitian(ewl_game, ewl_stars, monkeypatch):
-    # tr_1(X) = I is kept by a congruence, not by a constraint of the step
-    iterates = []
+    # tr_1(X) = I is kept by a congruence, not by a constraint of the step; the
+    # predictor pair that ends a solve passes through the same congruence
+    iterates, finishes = [], []
 
-    def recording_step(x, y, ls, n):
-        iterates.append((*nt_step(x, y, ls, n), n))
+    def recording_step(x, y, ls, n, stop):
+        iterates.append((*nt_step(x, y, ls, n, stop), n))
+        # a step that never finishes on the predictor runs the corrector
+        corrected = nt_step(x, y, ls, n, -math.inf)
+        finishes.append(any(np.any(a != b) for a, b in zip(iterates[-1], corrected)))
         return iterates[-1][:2]
 
     nt_step = equilibrium._nt_step
@@ -511,13 +516,45 @@ def test_best_response_iterates_stay_feasible_and_hermitian(ewl_game, ewl_stars,
         for n1, n2, player in ((n, 2, "I"), (2, n, "II")):
             tensor = payoff_tensor_matrix_unit(random_game(n1, n2, rng), player)
             problems.append(response_problem(tensor, random_chi(2, rng), player))
+    ends = []
     for problem in problems:
         count = len(iterates)
         assert best_response(problem).iterations == len(iterates) - count > 0
+        # only the last step of a solve may end on its predictor
+        assert not any(finishes[count:-1])
+        ends.append(finishes[-1])
+    # the bundled equilibrium's two solves end on theirs
+    assert ends[:2] == [True, True]
     for x, y, n in iterates:
         np.testing.assert_array_equal(x, x.conj().T)
         np.testing.assert_array_equal(y, y.conj().T)
         assert np.abs(partial_trace_first(x, n) - np.eye(n)).max() <= 1e-13
+
+
+def test_the_predictor_finish_moves_only_where_the_path_ends(ewl_game, ewl_stars, monkeypatch):
+    # a step ends on its predictor pair only once that pair's gap is within the
+    # stop, so a solve cut short of its last iteration is the always-correcting one
+    problems = [response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), ewl_stars[1], "I")]
+    for n in (2, 3):
+        rng = np.random.default_rng([11, n])
+        tensor = payoff_tensor_matrix_unit(random_game(n, n, rng), "I")
+        problems.append(response_problem(tensor, random_chi(n, rng), "I"))
+
+    def answers(problem, count, tol):
+        results = (best_response(problem, max_iters=k, tol=tol) for k in range(count))
+        return [(r.value, r.dual_bound, r.gap, r.iterations, r.chi_opt.matrix.tobytes())
+                for r in results]
+
+    cases = [(problem, tol) for problem in problems for tol in (1e-7, linalg.SOLVE_TOL)]
+    counts = [best_response(problem, tol=tol).iterations for problem, tol in cases]
+    cut_short = [answers(problem, count, tol) for (problem, tol), count in zip(cases, counts)]
+    nt_step = equilibrium._nt_step
+    monkeypatch.setattr(equilibrium, "_nt_step",
+                        lambda x, y, ls, n, stop: nt_step(x, y, ls, n, -math.inf))
+    longer = [best_response(problem, tol=tol).iterations for problem, tol in cases]
+    assert all(count <= most for count, most in zip(counts, longer)) and counts != longer
+    assert cut_short == [answers(problem, count, tol)
+                         for (problem, tol), count in zip(cases, counts)]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -581,7 +618,7 @@ def test_best_response_player_two(ewl_game, ewl_stars):
 
 
 def test_best_response_iteration_budget(ewl_game, ewl_stars):
-    # the primal-dual method needs 7 iterations per player on the bundled
+    # the primal-dual method needs 6 iterations per player on the bundled
     # equilibrium and about 10 on random qubit and qutrit problems
     chi_star, xi_star = ewl_stars
     for player, opponent in (("I", xi_star), ("II", chi_star)):
@@ -721,7 +758,7 @@ def test_verify_nash_equilibrium(ewl_game, ewl_stars):
     # the paper's certificate, exactly: common payoff 5/2, and no better response
     assert report.gap_i == report.gap_ii == 0.0
     for response in (report.response_i, report.response_ii):
-        assert (response.dual_bound, response.iterations) == (2.5, 7)
+        assert (response.dual_bound, response.iterations) == (2.5, 6)
 
 
 def _same_report(a, b):
