@@ -19,19 +19,21 @@ max(1, |H|):
   Y = (lambda_max(H) + |H|) I.  Each iteration is a Mehrotra
   predictor-corrector step along the Nesterov-Todd direction, whose Schur
   system has n^2 unknowns; I (x) D acts on the n diagonal blocks of a
-  matrix, never as a Kronecker product.  An iteration makes six LAPACK
-  calls, each straight to its gufunc in ``linalg.lapack``: S's Cholesky
-  factor L, which serves both Y's bound and the next step; one eigh of
-  L^H X L for the NT scaling, which also tests X > 0; one eigvalsh for the
-  predictor's step lengths and one stacked eigvalsh for the corrector's; and
-  two solves of the Schur matrix, itself one matmul.  They run under one
+  matrix, never as a Kronecker product: M (I (x) D) is the one 2-D gemm
+  ``M.reshape(n^3, n).dot(D)`` of a C-contiguous M.  An iteration makes six
+  LAPACK calls, each straight to its gufunc in ``linalg.lapack``: S's
+  Cholesky factor L, which serves both Y's bound and the next step; one eigh
+  of L^H X L for the NT scaling, which also tests X > 0; one eigvalsh for
+  the predictor's step lengths and one stacked eigvalsh for the corrector's;
+  and two solves of the Schur matrix, itself one matmul.  A last iteration
+  that ends on its predictor makes four.  They run under one
   error state per step and one per dual point, and a failure is read from
   the NaN it leaves (``linalg`` states the contract): a NaN factor sends Y to
   the eigenvalue rule below, and a scaling eigenvalue that is not positive,
   or a step length that is not finite, ends the loop.  The constants the
-  loop needs at a given n are built once and kept read-only, and its 2-D
-  products call ``ndarray.dot``: the same BLAS gemm as ``@`` with less
-  dispatch, about 0.5 of the 2 us a 4x4 product takes.  The dual stays
+  loop needs at a given n are built once and kept read-only, and every
+  product is 2-D and calls ``ndarray.dot``: the same BLAS gemm as ``@`` with
+  less dispatch, about 0.5 of the 2 us a 4x4 product takes.  The dual stays
   exactly feasible.  The corrector feeds the primal residual back, so
   M = tr_1(X) = I + E with E of order 1e-9, and X -> (I (x) R) X (I (x) R),
   R = (3I - M)/2, leaves tr_1(X) = I + O(E^2): every primal iterate is
@@ -179,8 +181,8 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int,
     with np.errstate(invalid="ignore"):
         g, lam = _nt_scaling(x, ls)
         size = n * n
-        gh = g.conj().T
-        g_blocks = g.reshape(n, n, size)  # (I (x) D) G is D applied to each block row of G
+        # G^H stored contiguously: G^H (I (x) D) is then one gemm, gh.reshape(size * n, n).dot(D)
+        gh = np.conjugate(g.T, order="C")
         w4 = g.dot(gh).reshape(n, n, n, n)
         # sum_ab W[(a,i),(b,j)] W[(b,m),(a,p)] = (A A^H)[(i,j),(p,m)],
         # A[(i,j),(a,b)] = W[(a,i),(b,j)]
@@ -193,7 +195,7 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int,
         # the affine predictor sets the centering and the corrector's second-order
         # term; a step length a is the largest with I + a D >= 0, from lambda_min(D)
         dy = lapack.solve1(schur, minus_vec_eye).reshape(n, n)
-        ds = gh.dot(np.matmul(dy, g_blocks).reshape(size, size))
+        ds = gh.reshape(size * n, n).dot(dy).reshape(size, size).dot(g)
         p_eig = lapack.eigvalsh_lo(ds * unscale).tolist()
         low_s, low_x = p_eig[0], -1.0 - p_eig[-1]
         if not (math.isfinite(low_s) and math.isfinite(low_x)):
@@ -218,7 +220,7 @@ def _nt_step(x: np.ndarray, y: np.ndarray, ls: np.ndarray, n: int,
         rhs = partial_trace_first(g.dot(dv).dot(gh) + x, n)
         rhs.flat[::n + 1] -= 1.0
         dy = lapack.solve1(schur, rhs.reshape(-1)).reshape(n, n)
-        ds = gh.dot(np.matmul(dy, g_blocks).reshape(size, size))
+        ds = gh.reshape(size * n, n).dot(dy).reshape(size, size).dot(g)
         dx = dv - ds
         gamma = 0.9 + 0.09 * min(ap, ad)
         low_x, low_s = lapack.eigvalsh_lo(np.multiply((dx, ds), unscale))[:, 0].tolist()
@@ -239,9 +241,12 @@ def _iterate(x: np.ndarray, y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     """
     size = n * n
     root = _constants(n)[2] - 0.5 * partial_trace_first(x, n)
-    half = np.matmul(root, x.reshape(n, n, size))  # (I (x) R) X, then times I (x) R
+    # X (I (x) R) is one gemm, and its adjoint times I (x) R another: for Hermitian
+    # X and R that is (I (x) R) X (I (x) R)
+    half = x.reshape(size * n, n).dot(root).reshape(size, size)
+    half = np.conjugate(half.T, order="C").reshape(size * n, n).dot(root).reshape(size, size)
     # both made exactly Hermitian as linalg.hermitian_part does, without its asarray
-    half = 0.5 * np.matmul(half.reshape(size, n, n), root).reshape(size, size)
+    half *= 0.5
     x = half + half.conj().T
     half = 0.5 * y
     return x, half + half.conj().T
