@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -252,6 +253,12 @@ def _iterate(x: np.ndarray, y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return x, half + half.conj().T
 
 
+def _require_limit(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite real number >= 0; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def best_response(g: ComplexMatrix, max_iters: int = MAX_ITERS,
                   tol: float = SOLVE_TOL) -> BestResponseResult:
     """Maximize ``tr(G chi)`` over the strategy set with a duality certificate.
@@ -266,15 +273,14 @@ def best_response(g: ComplexMatrix, max_iters: int = MAX_ITERS,
     unconverged result still carries the best feasible strategy found.
 
     Raises:
-        ValueError: if ``max_iters`` is not an integer >= 0, or ``tol`` not finite and >= 0.
+        ValueError: if ``max_iters`` is not an integer >= 0, or ``tol`` not a finite real >= 0.
         DimensionMismatch: if G is not n^2 x n^2.
         ValidationError: if G has a non-finite entry or spectral norm.
         NoConvergence: if an eigenvalue computation fails.
     """
     if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
         raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    _require_limit("tol", tol)
     g = linalg.as_matrix(g, "response matrix")
     n = math.isqrt(g.shape[0])
     if n * n != g.shape[0]:
@@ -395,13 +401,12 @@ def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float
     iff a best response found beats a payoff by more than its limit.
 
     Raises:
-        ValueError: if ``epsilon`` is negative, NaN or infinite.
+        ValueError: if ``epsilon`` is not a finite real >= 0 (a bool is not one).
         NoConvergence: if a best-response solve fails to converge, or the
             certificates decide neither verdict; the exception's
             ``partial`` attribute carries the report so far.
     """
-    if not 0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
+    _require_limit("epsilon", epsilon)
     tensor_i, tensor_ii = (payoff_tensor_matrix_unit(game, p) for p in (PLAYER_I, PLAYER_II))
     # G_I(xi) is the matrix payoff_contract forms for player I, so it serves both;
     # player II's payoff keeps payoff_contract's contraction order

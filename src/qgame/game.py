@@ -134,7 +134,9 @@ def build_game(rho, payoff_i, payoff_ii, n1: int, n2: int, tol: float | None = N
 
 # Each explicit construction is charged its peak, in bytes per entry of its largest
 # array.  tracemalloc on identity-payoff games read, per 16-byte entry at n1 = n2 =
-# 3 / 4 / 5: 3.02 / 2.00 / 2.00 for the entries, 4.59 / 4.29 / 4.14 for the trace formula.
+# 3 / 4 / 5: 3.02 / 1.25 / 1.03 for the entries, 4.59 / 4.29 / 4.14 for the trace formula.
+# n = 3 sets the entries' charge: there einsum's own buffer outweighs the tensor (as
+# at n = 2, 3.48 of a 4 KB tensor).
 ENTRIES_PEAK_BYTES = 56        # 3.5 entries
 TRACE_FORMULA_PEAK_BYTES = 80  # 5 entries
 
@@ -173,7 +175,8 @@ class PayoffTensor(NamedTuple):
     def entries(self) -> np.ndarray:
         s1, s2 = self.n1 ** 2, self.n2 ** 2
         linalg.require([_tensor_size_check((s1 * s2) ** 2, ENTRIES_PEAK_BYTES)])
-        entries = np.einsum("ckai,bjdl->abcdijkl", self.payoff_op, self.state)
+        # C order, so that the reshape is a view and not a copy of the whole tensor
+        entries = np.einsum("ckai,bjdl->abcdijkl", self.payoff_op, self.state, order="C")
         return entries.reshape(s1, s1, s2, s2)
 
     @property

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import re
@@ -299,6 +300,26 @@ def test_best_response_rejects_a_tol_out_of_range(ewl_game, ewl_stars, tol):
     problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), ewl_stars[1], "I")
     with pytest.raises(ValueError, match="finite number >= 0"):
         best_response(problem, tol=tol)
+
+
+NOT_A_LIMIT = [True, False, np.bool_(True), "1e-7", None, 1j]
+NOT_A_LIMIT_IDS = ["true", "false", "numpy-bool", "str", "none", "complex"]
+
+
+@pytest.mark.parametrize("tol", NOT_A_LIMIT, ids=NOT_A_LIMIT_IDS)
+def test_best_response_rejects_a_tol_that_is_not_a_real_number(ewl_game, ewl_stars, tol):
+    # True ran as tol = 1.0, and a string or None raised TypeError
+    problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), ewl_stars[1], "I")
+    with pytest.raises(ValueError, match=f"^tol must be a finite number >= 0, got {re.escape(repr(tol))}$"):
+        best_response(problem, tol=tol)
+
+
+def test_best_response_accepts_a_tol_of_any_real_type(ewl_game, ewl_stars):
+    problem = response_problem(payoff_tensor_matrix_unit(ewl_game, "I"), ewl_stars[1], "I")
+    for tol, as_float in ((np.float64(1e-7), 1e-7), (np.float32(1e-7), 1e-7), (0, 0.0),
+                          (np.int64(0), 0.0)):
+        result, expected = best_response(problem, tol=tol), best_response(problem, tol=as_float)
+        assert (result.iterations, result.converged) == (expected.iterations, expected.converged)
 
 
 def test_best_response_rejects_a_non_finite_response_matrix(ewl_game, ewl_stars):
@@ -842,6 +863,19 @@ def test_verify_nash_rejects_an_epsilon_out_of_range(ewl_game, ewl_stars, epsilo
         verify_nash(ewl_game, *ewl_stars, epsilon=epsilon)
 
 
+@pytest.mark.parametrize("epsilon", NOT_A_LIMIT, ids=NOT_A_LIMIT_IDS)
+def test_verify_nash_rejects_an_epsilon_that_is_not_a_real_number(ewl_game, ewl_stars, epsilon):
+    # True passed as epsilon = 1.0, and a string or None raised TypeError
+    with pytest.raises(ValueError,
+                       match=f"^epsilon must be a finite number >= 0, got {re.escape(repr(epsilon))}$"):
+        verify_nash(ewl_game, *ewl_stars, epsilon=epsilon)
+
+
+def test_verify_nash_accepts_a_numpy_epsilon(ewl_game, ewl_stars):
+    for epsilon in (np.float64(1e-6), np.float32(1e-6), 0):
+        assert verify_nash(ewl_game, *ewl_stars, epsilon=epsilon).is_equilibrium
+
+
 def test_verify_nash_gap_self_consistency(ewl_game):
     chi_id = identity_chi(2)
     report = verify_nash(ewl_game, chi_id, chi_id, epsilon=1e-6)
@@ -889,6 +923,19 @@ def test_solver_fingerprint_prints_one_digest_per_group():
     assert [line.split()[0] for line in lines] == ["tuned", "held-out", "stress", "bundled"]
     assert all(re.fullmatch(r"\S+ +problems +\d+ +iterations +\d+ +sha256 [0-9a-f]{64}", line)
                for line in lines)
+
+
+@pytest.mark.parametrize("group, most", [("stress", 321), ("bundled", 48)], ids=["stress", "bundled"])
+def test_fingerprint_group_iterations_do_not_rise(group, most):
+    # a solver change may not raise the total iterations over a fingerprint group;
+    # the two solve corpora have their ceilings in test_perfbench_api.py
+    spec = importlib.util.spec_from_file_location("solver_fingerprint",
+                                                  ROOT / "scripts" / "solver_fingerprint.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    problems = {"stress": script.stress_problems, "bundled": script.bundled_problems}[group]()
+    _, iterations = script.fingerprint(problems)
+    assert iterations <= most
 
 
 @pytest.mark.parametrize("script, args", [

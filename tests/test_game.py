@@ -205,6 +205,21 @@ def test_pairing_check_forms_no_temporary_of_the_tensor_size(n):
     assert peak <= 1.5 * entries.nbytes
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_the_entries_are_formed_in_place_at_larger_n(n):
+    # einsum writes the tensor in C order, so its reshape copies nothing: the
+    # peak was 2.00 entry sizes at n = 4 and 5 when it did
+    d = n * n
+    tensor = payoff_tensor_matrix_unit(build_game(np.eye(d) / d, np.eye(d), np.eye(d), n, n), "I")
+    tracemalloc.start()
+    try:
+        entries = tensor.entries
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * entries.nbytes
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_each_explicit_construction_peaks_within_its_size_charge(n, monkeypatch):
     # a limit one byte below the traced peak must refuse the construction before it starts
