@@ -49,13 +49,10 @@ max(1, |H|):
   ``max(STOP_GAP_RTOL, tol * STOP_TOL_SHARE)``, a hundredth of what ``converged``
   judges, so the gap recomputed from the validated chi stays within ``tol``;
   the default ``SOLVE_TOL`` and ``tol = 0`` stop at the floor ``STOP_GAP_RTOL``.
-  The corrector's damped step cuts the gap only about 100-fold, and the
-  undamped predictor gets closer: a step whose predictor pair has
-  tr(X_aff S_aff) within the stop returns that feasible pair and skips the
-  corrector.  Its X passes the same congruence as every iterate, and its Y
-  takes its bound from ``_dual_point``; on the boundary S has no Cholesky
-  factor, so the eigenvalue rule gives the bound and the loop ends.  Every
-  earlier iterate is the one the corrector gives.
+  The corrector's damped step cuts the gap only about 100-fold, so a step
+  whose undamped predictor pair has tr(X_aff S_aff) within the stop returns
+  that feasible pair instead; its Y takes its bound from ``_dual_point`` as
+  every Y does, by the eigenvalue rule once S_aff lies on the boundary.
 
 A brute-force grid over single-qubit unitary strategies serves as an
 independent lower-bound oracle for cross-checking the solver.
