@@ -3,7 +3,7 @@
 Subcommands::
 
     qgame validate GAME [--json]
-    qgame tensor GAME PLAYER [--format text|json] [--check-fixture] [--exact-fractions]
+    qgame tensor GAME PLAYER [--check-fixture] [--exact-fractions] [--json]
     qgame payoff GAME STRATEGY_I STRATEGY_II [--json]
     qgame best-response GAME OPPONENT PLAYER [--tol T] [--max-iters N] [--json]
     qgame verify-nash GAME STRATEGY_I STRATEGY_II [--epsilon E] [--json]
@@ -16,7 +16,7 @@ files, so ``qgame payoff ewl.game chi_star.strategy xi_star.strategy`` works
 from any directory.
 
 Every command computes one payload and renders it once: as JSON with
-``--json`` (``--format json`` for tensor), otherwise as text.
+``--json``, otherwise as text.
 
 Exit codes are a stable contract: 0 success, 1 validation failure (including
 a negative verify-nash verdict), 2 parse/usage error, 3 internal cross-check
@@ -297,24 +297,21 @@ def text_classical(payload, args) -> None:
 # ---------------------------------------------------------------------------
 
 def _bounded(kind: type, low, high, description: str):
-    """An argparse type: ``kind(text)`` in ``[low, high]`` (never a NaN), else a usage error."""
+    """An argparse type: ``kind(text)`` in ``[low, high)`` (never a NaN), else a usage error."""
 
     def parse(text: str):
         try:
-            value = kind(text)
-            if low <= value <= high:
-                return value
+            return linalg.require_in("value", kind(text), kind, low, high, description)
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"must be {description}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must be {description}, got {text!r}") from None
 
     return parse
 
 
 _positive_int = _bounded(int, 1, np.inf, "a positive integer")
-_rounds = _bounded(int, 1, 2 ** 63 - 1, "a positive integer below 2^63")
-_seed = _bounded(int, 0, 2 ** 64 - 1, "an integer in [0, 2^64 - 1]")
-_tolerance = _bounded(float, 0.0, sys.float_info.max, "a finite number >= 0")
+_rounds = _bounded(int, 1, 2 ** 63, "a positive integer below 2^63")
+_seed = _bounded(int, 0, 2 ** 64, "an integer in [0, 2^64 - 1]")
+_tolerance = _bounded(float, 0.0, np.inf, "a finite number >= 0")
 
 
 class ArgumentParser(argparse.ArgumentParser):
@@ -345,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tensor", help="print a player's payoff tensor grid")
     p.add_argument("game")
     p.add_argument("player", choices=["I", "II", "i", "ii", "1", "2"])
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--check-fixture", action="store_true",
                    help="compare against the bundled reference grids")
     p.add_argument("--exact-fractions", action="store_true",
@@ -394,10 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game")
     p.set_defaults(func=cmd_classical, text=text_classical)
 
-    for name, p in sub.choices.items():
-        if name != "tensor":  # tensor spells it --format json
-            p.add_argument("--json", dest="format", action="store_const", const="json",
-                           default="text")
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -433,7 +427,7 @@ def _run(args) -> int:
         if partial is not None:
             print(f"partial gaps: {partial.gap_i:.3e}, {partial.gap_ii:.3e}", file=sys.stderr)
         return code
-    if args.format == "json":
+    if args.json:
         sys.stdout.write(files.emit_document(payload))
     else:
         args.text(payload, args)

@@ -250,12 +250,6 @@ def _iterate(x: np.ndarray, y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return x, half + half.conj().T
 
 
-def _require_limit(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a finite real number >= 0; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-
-
 def best_response(g: ComplexMatrix, max_iters: int = MAX_ITERS,
                   tol: float = SOLVE_TOL) -> BestResponseResult:
     """Maximize ``tr(G chi)`` over the strategy set with a duality certificate.
@@ -275,9 +269,8 @@ def best_response(g: ComplexMatrix, max_iters: int = MAX_ITERS,
         ValidationError: if G has a non-finite entry or spectral norm.
         NoConvergence: if an eigenvalue computation fails.
     """
-    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
-        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
-    _require_limit("tol", tol)
+    linalg.require_in("max_iters", max_iters, numbers.Integral, description="an integer >= 0")
+    linalg.require_in("tol", tol)
     g = linalg.as_matrix(g, "response matrix")
     n = math.isqrt(g.shape[0])
     if n * n != g.shape[0]:
@@ -351,10 +344,7 @@ def unitary_oracle(tensor: PayoffTensor, opponent: ChiMatrix, player,
     if h.shape[0] != 4:
         raise UnsupportedDimension(f"unitary oracle grid only covers dimension 2, got "
                                    f"{math.isqrt(h.shape[0])}")
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
-        raise ValueError(f"resolution must be an integer, got {resolution!r}")
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
+    linalg.require_in("resolution", resolution, numbers.Integral, 1, description="a positive integer")
 
     t = theta = np.pi * np.arange(resolution) / resolution
     phi = 2.0 * np.pi * np.arange(resolution) / resolution
@@ -403,7 +393,7 @@ def verify_nash(game: QuantumGame, chi: ChiMatrix, xi: ChiMatrix, epsilon: float
             certificates decide neither verdict; the exception's
             ``partial`` attribute carries the report so far.
     """
-    _require_limit("epsilon", epsilon)
+    linalg.require_in("epsilon", epsilon)
     tensor_i, tensor_ii = (payoff_tensor_matrix_unit(game, p) for p in (PLAYER_I, PLAYER_II))
     # G_I(xi) is the matrix payoff_contract forms for player I, so it serves both;
     # player II's payoff keeps payoff_contract's contraction order

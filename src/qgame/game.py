@@ -39,6 +39,7 @@ classical bimatrix are read-only copies of what the constructor was given.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -100,8 +101,10 @@ def game_checks(rho, payoff_i, payoff_ii, n1: int, n2: int,
 
     The state checks of ``rho`` (a ``DensityMatrix`` is checked like an
     array), the dimensions, and the Hermiticity of both payoff operators;
-    non-finite inputs raise at once.
+    non-finite inputs, and an n1 or n2 that is not a positive integer, raise at once.
     """
+    for name, n in (("n1", n1), ("n2", n2)):
+        linalg.require_in(name, n, numbers.Integral, 1, description="a positive integer")
     state = linalg.as_matrix(rho, "rho")
     yield from density_checks(state, tol, "rho")
     ops = (linalg.as_matrix(payoff_i, "payoff operator I"),
@@ -414,9 +417,7 @@ def simulate_play(game: QuantumGame, povm: KrausChannel, payoffs_i, payoffs_ii,
     Standard errors are sample standard deviations over sqrt(rounds); the
     exact payoffs are those of the measured output state.
     """
-    if (isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer))
-            or not 1 <= rounds <= 2 ** 63 - 1):
-        raise ValueError(f"rounds must be an integer in [1, 2^63 - 1], got {rounds!r}")
+    linalg.require_in("rounds", rounds, numbers.Integral, 1, 2 ** 63, "an integer in [1, 2^63 - 1]")
     if povm.dim != game.rho.dim:
         raise DimensionMismatch(f"POVM dim {povm.dim} != state dim {game.rho.dim}")
     a_i = np.asarray(payoffs_i, dtype=float)

@@ -20,6 +20,7 @@ complex copy of what the constructor was given.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -256,10 +257,11 @@ def _output_state_limit(tol: float | None, n1: int, n2: int) -> float:
     The state and the channels passed at ``tol`` (``TRACE_ATOL`` when None): to
     first order |tr pi - 1| <= |tr rho - 1| + sum_j |sum_k E_k^dag E_k - I|, with
     a Kraus file's completeness defect at most n tol and a chi file's Kraus form
-    dropping eigenvalues of (n^2 - 1) tol at most.
+    dropping eigenvalues of (n^2 - 1) tol at most.  Capped at the largest float.
     """
     scale = 1 + n1 * (n1 + 1) + n2 * (n2 + 1)
-    return max(linalg.OUTPUT_STATE_ATOL, scale * linalg.limit(linalg.TRACE_ATOL, tol))
+    return max(linalg.OUTPUT_STATE_ATOL, min(scale * linalg.limit(linalg.TRACE_ATOL, tol),
+                                             sys.float_info.max))
 
 
 def apply_product_channel(ch_a: KrausChannel, ch_b: KrausChannel, rho: DensityMatrix,

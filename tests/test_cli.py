@@ -266,7 +266,7 @@ def test_exact_fractions_print_an_infinite_entry_as_plain_text_does(tmp_path, mo
 
 
 def test_tensor_json_round_trips(capsys):
-    code, out, _ = run(capsys, "tensor", "ewl.game", "I", "--format", "json")
+    code, out, _ = run(capsys, "tensor", "ewl.game", "I", "--json")
     assert code == 0
     doc = files.parse_document(out)
     assert files.emit_document(doc) == out

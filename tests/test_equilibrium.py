@@ -723,17 +723,12 @@ def test_oracle_grid_size_and_unitarity(ewl_game):
     np.testing.assert_allclose(unitary @ unitary.conj().T, np.eye(2), atol=1e-12)
 
 
-def test_oracle_rejects_a_resolution_below_one(ewl_game):
-    tensor = payoff_tensor_matrix_unit(ewl_game, "I")
-    with pytest.raises(ValueError, match="^resolution must be positive$"):
-        unitary_oracle(tensor, identity_chi(2), "I", resolution=0)
-
-
-@pytest.mark.parametrize("resolution", [2.5, True, "24", None],
-                         ids=["float", "bool", "str", "none"])
+@pytest.mark.parametrize("resolution", [2.5, True, "24", None, 0],
+                         ids=["float", "bool", "str", "none", "zero"])
 def test_oracle_rejects_a_resolution_that_is_not_an_integer(ewl_game, resolution):
+    # one message for a value of the wrong type and one below one
     tensor = payoff_tensor_matrix_unit(ewl_game, "I")
-    message = f"^resolution must be an integer, got {re.escape(repr(resolution))}$"
+    message = f"^resolution must be a positive integer, got {re.escape(repr(resolution))}$"
     with pytest.raises(ValueError, match=message):
         unitary_oracle(tensor, identity_chi(2), "I", resolution=resolution)
 

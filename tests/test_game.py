@@ -182,6 +182,24 @@ def test_constant_game_contracts_to_constant(rng):
         assert value == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("n1, n2, bad", [(2.0, 2, "n1"), (True, 4, "n1"), (-2, -2, "n1"),
+                                         (4, 0, "n2"), (2, np.bool_(True), "n2"), (2, "2", "n2")],
+                         ids=["float", "bool", "negative", "zero", "numpy-bool", "str"])
+def test_build_game_rejects_a_dimension_that_is_not_a_positive_integer(n1, n2, bad):
+    # a float or a bool built a game whose tensor then raised numpy's TypeError,
+    # and (-2, -2) one whose reshape failed
+    value = {"n1": n1, "n2": n2}[bad]
+    with pytest.raises(ValueError, match=f"^{bad} must be a positive integer, got {re.escape(repr(value))}$"):
+        build_game(np.eye(4) / 4, np.eye(4), np.eye(4), n1, n2)
+
+
+def test_build_game_accepts_numpy_integer_dimensions(ewl_game):
+    game = build_game(ewl_game.rho.matrix, ewl_game.payoff_op_i, ewl_game.payoff_op_ii,
+                      np.int64(2), np.int32(2))
+    np.testing.assert_array_equal(payoff_tensor_matrix_unit(game, "I").entries,
+                                  payoff_tensor_matrix_unit(ewl_game, "I").entries)
+
+
 def test_tensor_grid_layout(ewl_game):
     tensor = payoff_tensor_matrix_unit(ewl_game, "I")
     grid = tensor.grid

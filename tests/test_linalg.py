@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgame import cli, equilibrium, linalg
+from qgame import cli, equilibrium, files, game, linalg, quantum
 from qgame.cli import build_parser
 from qgame.equilibrium import MAX_ITERS
 from qgame.errors import (DimensionMismatch, NoConvergence, NotHermitian, NotPositive,
@@ -23,6 +23,7 @@ from qgame.game import (
     response_problem,
     validate_tensor_entries,
 )
+from qgame.games_builtin import ewl_prisoners_dilemma
 from qgame.quantum import (
     DensityMatrix,
     _output_state_limit,
@@ -332,6 +333,55 @@ def test_tol_replaces_the_limits_the_ledger_marks():
               _consistency_check(povm, np.ones(1), np.eye(2), "I", tol)]
     assert [check.limit for check in checks] == [tol] * 10
     assert _output_state_limit(tol, 2, 2) == max(linalg.OUTPUT_STATE_ATOL, 13 * tol)
+
+
+def _tol_entry_points():
+    """Each library function that takes ``tol``, called on valid inputs at a given tol."""
+    ewl = ewl_prisoners_dilemma()
+    args = (ewl.game.rho.matrix, ewl.game.payoff_op_i, ewl.game.payoff_op_ii, 2, 2)
+    chi, one = identity_chi(2), quantum.shift_channel(2, 0)
+    povm, a_i, a_ii = files.load_povm_file("ewl.povm", 4)
+    return {
+        "validate_density": lambda tol: quantum.validate_density(np.eye(2) / 2, tol),
+        "validate_chi": lambda tol: quantum.validate_chi(chi.matrix, 2, tol),
+        "validate_kraus": lambda tol: validate_kraus([np.eye(2)], tol),
+        "density_checks": lambda tol: list(density_checks(np.eye(2) / 2, tol)),
+        "chi_checks": lambda tol: list(chi_checks(chi.matrix, 2, tol)),
+        "completeness_check": lambda tol: completeness_check(np.eye(2)[None], tol),
+        "hermitian_check": lambda tol: hermitian_check(np.eye(2), tol),
+        "apply_product_channel": lambda tol: quantum.apply_product_channel(one, one,
+                                                                           ewl.game.rho, tol),
+        "kraus_form_loss": lambda tol: quantum.kraus_form_loss(2, tol),
+        "game_checks": lambda tol: list(game.game_checks(*args, tol)),
+        "build_game": lambda tol: game.build_game(*args, tol),
+        "simulate_play": lambda tol: game.simulate_play(ewl.game, povm, a_i, a_ii, one, one, 10,
+                                                        np.random.default_rng(0), tol),
+        "load_game": lambda tol: files.load_game("ewl.game", tol),
+        "game_file_checks": lambda tol: files.game_file_checks("ewl.game", tol),
+        "load_strategy": lambda tol: files.load_strategy("chi_star.strategy", 2, tol),
+        "load_povm_file": lambda tol: files.load_povm_file("ewl.povm", 4, tol),
+    }
+
+
+TOL_ENTRY_POINTS = _tol_entry_points()
+
+
+@pytest.mark.parametrize("tol", [True, np.bool_(True), -1.0, float("nan"), float("inf"), "1e-3", 1j],
+                         ids=["true", "numpy-bool", "negative", "nan", "inf", "str", "complex"])
+@pytest.mark.parametrize("entry", TOL_ENTRY_POINTS)
+def test_every_tol_entry_point_rejects_a_tol_that_is_not_a_finite_number(entry, tol):
+    # True and inf were accepted as limits, -1.0 failed the first check it met,
+    # and a string or complex raised TypeError
+    with pytest.raises(ValueError, match=f"^tol must be a finite number >= 0, got {re.escape(repr(tol))}$"):
+        TOL_ENTRY_POINTS[entry](tol)
+
+
+@pytest.mark.parametrize("tol", [None, 0, 1e-6, np.float64(1e-6), sys.float_info.max],
+                         ids=["none", "zero", "float", "numpy-float", "largest-float"])
+@pytest.mark.parametrize("entry", TOL_ENTRY_POINTS)
+def test_every_tol_entry_point_accepts_none_or_a_finite_number(entry, tol):
+    # at the largest float a product channel's output-state limit stays finite
+    TOL_ENTRY_POINTS[entry](tol)
 
 
 def test_tensor_pairing_is_judged_at_its_fixed_limit():

@@ -52,8 +52,7 @@ def test_cli_workload_commands_render_json(monkeypatch, capsys):
     for command in importlib.import_module("workloads").COMMANDS:
         text_code = cli.main(list(command.argv))
         capsys.readouterr()
-        flag = ["--format", "json"] if command.argv[0] == "tensor" else ["--json"]
-        code = cli.main([*command.argv, *flag])
+        code = cli.main([*command.argv, "--json"])
         out = capsys.readouterr().out
         assert code == text_code, command.label
         assert files.emit_document(files.parse_document(out)) == out, command.label
