@@ -24,7 +24,6 @@ def main():
     parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--random-games", action="store_true",
                         help="scan random games instead of the built-in one")
-    parser.add_argument("--resolution", type=_positive_int, default=24)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -46,7 +45,7 @@ def main():
         problem = response_problem(tensor, opponent, player)
 
         result = best_response(problem)
-        grid_value, _ = unitary_oracle(tensor, opponent, player, resolution=args.resolution)
+        grid_value, _ = unitary_oracle(tensor, opponent, player)
         extreme = max(response_value(problem, kraus_to_chi(random_kraus_channel(2, rng)))
                       for _ in range(200))
         lower = max(grid_value, extreme)

@@ -5,7 +5,7 @@ Subcommands::
     qgame validate GAME [--json]
     qgame tensor GAME PLAYER [--check-fixture] [--exact-fractions] [--json]
     qgame payoff GAME STRATEGY_I STRATEGY_II [--json]
-    qgame best-response GAME OPPONENT PLAYER [--tol T] [--max-iters N] [--json]
+    qgame best-response GAME OPPONENT PLAYER [--tol T] [--json]
     qgame verify-nash GAME STRATEGY_I STRATEGY_II [--epsilon E] [--json]
     qgame simulate GAME POVM STRATEGY_I STRATEGY_II [--rounds N] [--seed S] [--json]
     qgame classical GAME [--json]
@@ -42,7 +42,7 @@ from .errors import (
     QGameError,
     ValidationError,
 )
-from .equilibrium import MAX_ITERS, best_response, verify_nash
+from .equilibrium import best_response, verify_nash
 from .game import (
     classical_reduction,
     normalize_player,
@@ -207,7 +207,7 @@ def cmd_best_response(args) -> tuple[int, dict]:
     opponent = files.load_strategy(args.opponent, opponent_dim, args.tol)
     tensor = payoff_tensor_matrix_unit(game, player)
     problem = response_problem(tensor, opponent.chi, player)
-    result = best_response(problem, max_iters=args.max_iters, tol=args.br_tol)
+    result = best_response(problem, tol=args.br_tol)
     payload = {
         "player": player,
         "value": result.value,
@@ -363,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", dest="br_tol", type=_tolerance, default=SOLVE_TOL,
                    help="gap to certify, relative to max(1, |H|), |H| the response's norm; "
                         "the solver stops at a hundredth of it")
-    p.add_argument("--max-iters", type=_positive_int, default=MAX_ITERS,
-                   help="budget of iterations for the primal-dual solver")
     p.set_defaults(func=cmd_best_response, text=text_best_response)
 
     p = sub.add_parser("verify-nash", help="epsilon-Nash check for a strategy profile")

@@ -327,27 +327,25 @@ def best_response(g: ComplexMatrix, max_iters: int = MAX_ITERS,
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
-def unitary_oracle(tensor: PayoffTensor, opponent: ChiMatrix, player,
-                   resolution: int = 24) -> tuple[float, np.ndarray]:
+def unitary_oracle(tensor: PayoffTensor, opponent: ChiMatrix, player) -> tuple[float, np.ndarray]:
     """Exhaustive grid search over single-qubit unitary strategies.
 
     Unitaries are parametrized axis-angle as
     ``U = cos(t) I - i sin(t) (n . sigma)`` with t and the axis polar angle
-    on ``pi * k / resolution`` grids and the azimuth on a ``2 pi k /
-    resolution`` grid, so the identity (t = 0) and the bit flip
-    (t = pi/2, axis x) lie exactly on the default grid.  Returns the best
-    contraction value over the rank-1 unitary strategies and the maximizing
-    unitary; a lower bound on the best response over all physical
-    operations.
+    on the grid ``pi * k / 24`` and the azimuth on ``2 pi k / 24``, k = 0..23:
+    24^3 unitaries, among them the identity (t = 0) and the bit flip
+    (t = pi/2, axis x).  Returns the best contraction value over the rank-1
+    unitary strategies and the maximizing unitary; a lower bound on the best
+    response over all physical operations.
     """
     h = response_problem(tensor, opponent, player)
     if h.shape[0] != 4:
         raise UnsupportedDimension(f"unitary oracle grid only covers dimension 2, got "
                                    f"{math.isqrt(h.shape[0])}")
-    linalg.require_in("resolution", resolution, numbers.Integral, 1, description="a positive integer")
 
-    t = theta = np.pi * np.arange(resolution) / resolution
-    phi = 2.0 * np.pi * np.arange(resolution) / resolution
+    k = np.arange(24)
+    t = theta = np.pi * k / 24
+    phi = 2.0 * np.pi * k / 24
     tg, thg, phg = (a.ravel() for a in np.meshgrid(t, theta, phi, indexing="ij"))
 
     nx = np.sin(thg) * np.cos(phg)

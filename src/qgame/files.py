@@ -200,8 +200,8 @@ def _parse_game(path, tol: float | None) -> tuple[list[Check], tuple | None]:
     what = "game file"
     n1 = _int_field(doc, "n1", what)
     n2 = _int_field(doc, "n2", what)
-    if n1 < 2 or n2 < 2:
-        raise ParseError(f"{what}: per-player dimensions must be at least 2")
+    if n1 < 1 or n2 < 1:
+        raise ParseError(f"{what}: per-player dimensions must be at least 1")
     rho = matrix_from_lists(_require(doc, "rho", what), "rho")
     checks: list[Check] = []
     if "payoff_ops" in doc and "povm" in doc:

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from qgame import cli, files
+from qgame.equilibrium import unitary_oracle
 from qgame.errors import DimensionMismatch, LengthMismatch, ParseError, ValidationError
 from qgame.game import build_game, payoff_contract, payoff_tensor_matrix_unit, response_problem
 from qgame.games_builtin import ewl_referee_measurement
@@ -510,9 +513,12 @@ def test_best_response_cli_vs_identity_json(capsys):
     assert files.emit_document(doc) == out
 
 
-def test_best_response_cli_starved_budget_exits_4(capsys):
-    code, out, _ = run(capsys, "best-response", "ewl.game", "identity.strategy", "I",
-                       "--tol", "1e-30", "--max-iters", "1")
+def test_best_response_cli_starved_budget_exits_4(capsys, monkeypatch):
+    # the CLI solves at the library's budget; one iteration leaves a gap of about 1.65
+    solve = cli.best_response
+    monkeypatch.setattr(cli, "best_response",
+                        lambda problem, tol: solve(problem, max_iters=1, tol=tol))
+    code, out, _ = run(capsys, "best-response", "ewl.game", "identity.strategy", "I")
     assert code == 4
     assert "converged           = False" in out  # partial output still printed
 
@@ -617,6 +623,8 @@ ROBUSTNESS_GAMES = {
     "zero": lambda rng: (random_density(4, rng).matrix, np.zeros((4, 4)), np.zeros((4, 4)), 2, 2),
     "rank-1-rho": lambda rng: (_equilibrium_game_at_scale(1, 1.0).rho.matrix,
                                random_hermitian(4, rng), random_hermitian(4, rng), 2, 2),
+    "1x2": lambda rng: (random_density(2, rng).matrix, random_hermitian(2, rng),
+                        random_hermitian(2, rng), 1, 2),
     "2x3": lambda rng: (random_density(6, rng).matrix, random_hermitian(6, rng),
                         random_hermitian(6, rng), 2, 3),
     "qutrits": lambda rng: (random_density(9, rng).matrix, random_hermitian(9, rng),
@@ -795,6 +803,24 @@ def test_classical_json(capsys):
 # environment and file formats
 # ---------------------------------------------------------------------------
 
+def test_census_of_the_settable_values():
+    # every option a user can set, so that a new knob shows up as a change here
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(s for a in p._actions for s in a.option_strings)
+               for name, p in sub.choices.items()}
+    common = ["--help", "--json", "-h"]
+    assert options == {
+        "validate": common,
+        "tensor": sorted(common + ["--check-fixture", "--exact-fractions"]),
+        "payoff": common,
+        "best-response": sorted(common + ["--tol"]),
+        "verify-nash": sorted(common + ["--epsilon"]),
+        "simulate": sorted(common + ["--rounds", "--seed"]),
+        "classical": common,
+    }
+    assert list(inspect.signature(unitary_oracle).parameters) == ["tensor", "opponent", "player"]
+
+
 def _loose_commands(tmp_path):
     """Commands on inputs off by 1e-7 to 5e-7, which fail at the default tolerances.
 
@@ -942,7 +968,7 @@ INPUT_ERRORS = [
     ("top-level-array", "game", "[1, 2]", "input.game: top level must be an object"),
     ("povm-elements-empty", "game", _povm_game(elements=[]),
      "povm: elements must be a non-empty array of matrices"),
-    ("n1-is-1", "game", _with("n1", 1), "game file: per-player dimensions must be at least 2"),
+    ("n1-is-0", "game", _with("n1", 0), "game file: per-player dimensions must be at least 1"),
     ("payoff-ops-array", "game", _with("payoff_ops", [1]),
      "game file: payoff_ops must be an object with fields 'I' and 'II'"),
     ("povm-array", "game", {**_povm_game(), "povm": []}, "game file: povm must be an object"),

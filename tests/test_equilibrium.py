@@ -713,33 +713,14 @@ def test_oracle_constant_game(rng):
     rho = random_density(4, rng)
     game = build_game(rho, 1.5 * np.eye(4), 1.5 * np.eye(4), 2, 2)
     tensor = payoff_tensor_matrix_unit(game, "I")
-    value, _ = unitary_oracle(tensor, random_chi(2, rng), "I", resolution=6)
+    value, _ = unitary_oracle(tensor, random_chi(2, rng), "I")
     assert value == pytest.approx(1.5, abs=1e-10)
 
 
 def test_oracle_grid_size_and_unitarity(ewl_game):
     tensor = payoff_tensor_matrix_unit(ewl_game, "I")
-    _, unitary = unitary_oracle(tensor, identity_chi(2), "I", resolution=8)
+    _, unitary = unitary_oracle(tensor, identity_chi(2), "I")
     np.testing.assert_allclose(unitary @ unitary.conj().T, np.eye(2), atol=1e-12)
-
-
-@pytest.mark.parametrize("resolution", [2.5, True, "24", None, 0],
-                         ids=["float", "bool", "str", "none", "zero"])
-def test_oracle_rejects_a_resolution_that_is_not_an_integer(ewl_game, resolution):
-    # one message for a value of the wrong type and one below one
-    tensor = payoff_tensor_matrix_unit(ewl_game, "I")
-    message = f"^resolution must be a positive integer, got {re.escape(repr(resolution))}$"
-    with pytest.raises(ValueError, match=message):
-        unitary_oracle(tensor, identity_chi(2), "I", resolution=resolution)
-
-
-def test_oracle_accepts_a_numpy_integer_resolution(ewl_game, rng):
-    tensor = payoff_tensor_matrix_unit(ewl_game, "I")
-    opponent = random_chi(2, rng)
-    value, unitary = unitary_oracle(tensor, opponent, "I", resolution=np.int64(6))
-    expected_value, expected_unitary = unitary_oracle(tensor, opponent, "I", resolution=6)
-    assert value == expected_value
-    np.testing.assert_array_equal(unitary, expected_unitary)
 
 
 def test_oracle_rejects_large_dimension(rng):
@@ -963,7 +944,6 @@ def test_reference_report_rejects_an_epsilon_out_of_range(epsilon):
 @pytest.mark.parametrize("script, args, message", [
     ("simulate_matches.py", ("--rounds", "0"), "a positive integer"),
     ("simulate_matches.py", ("--seed", "-1"), "an integer in [0, 2^64 - 1]"),
-    ("best_response_scan.py", ("--resolution", "0"), "a positive integer"),
     ("best_response_scan.py", ("--trials", "-1"), "a positive integer"),
     ("simulate_matches.py", ("--rounds", str(2 ** 63)), "a positive integer below 2^63"),
 ])
