@@ -672,6 +672,35 @@ def test_robustness_matrix(case, tmp_path, capsys):
         assert np.shape(doc[key]) == (game.n1, game.n2)
 
 
+def _one_by_two_game_file(tmp_path):
+    game = build_game(*ROBUSTNESS_GAMES["1x2"](np.random.default_rng(17)))
+    path = tmp_path / "1x2.game"
+    path.write_text(files.emit_document(files.game_to_payload(game)))
+    return path
+
+
+@pytest.mark.parametrize("player", ["I", "II"])
+def test_tensor_of_a_one_by_two_game(player, tmp_path, capsys):
+    code, out, err = run(capsys, "tensor", str(_one_by_two_game_file(tmp_path)), player, "--json")
+    assert code == 0, err
+    assert np.shape(files.parse_document(out)["grid"]) == (1, 16, 2)
+
+
+def test_best_response_of_a_one_dimensional_player_is_its_only_move(tmp_path, capsys):
+    # with n1 = 1 the only strategy is chi = [[1]], so the solve closes at once on
+    # the payoff against any opponent
+    path = str(_one_by_two_game_file(tmp_path))
+    code, out, err = run(capsys, "payoff", path, "identity.strategy", "identity.strategy", "--json")
+    assert code == 0, err
+    payoff = files.parse_document(out)["payoff_I"]
+    code, out, err = run(capsys, "best-response", path, "identity.strategy", "I", "--json")
+    assert code == 0, err
+    doc = files.parse_document(out)
+    assert (doc["converged"], doc["iterations"], doc["gap"]) == (True, 0, 0.0)
+    assert doc["value"] == pytest.approx(payoff, abs=1e-12)
+    assert np.shape(doc["chi"]) == (1, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -749,6 +778,18 @@ def test_numeric_option_out_of_range_is_usage_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument --" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("best-response", "ewl.game", "xi_star.strategy", "I", "--max-iters", "50"),
+    ("tensor", "ewl.game", "I", "--format", "json"),
+], ids=["best-response-max-iters", "tensor-format"])
+def test_removed_option_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 @pytest.mark.parametrize("argv", [

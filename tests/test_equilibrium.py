@@ -723,6 +723,13 @@ def test_oracle_grid_size_and_unitarity(ewl_game):
     np.testing.assert_allclose(unitary @ unitary.conj().T, np.eye(2), atol=1e-12)
 
 
+def test_oracle_takes_no_resolution(ewl_game):
+    # the grid is fixed at 24 steps, on which the identity and the bit flip lie
+    tensor = payoff_tensor_matrix_unit(ewl_game, "I")
+    with pytest.raises(TypeError, match="resolution"):
+        unitary_oracle(tensor, identity_chi(2), "I", resolution=24)
+
+
 def test_oracle_rejects_large_dimension(rng):
     game = random_game(3, 3, rng)
     tensor = payoff_tensor_matrix_unit(game, "I")
@@ -951,3 +958,10 @@ def test_scripts_reject_arguments_out_of_range(script, args, message):
     proc = run_script(script, *args)
     assert proc.returncode == 2
     assert f"must be {message}" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_best_response_scan_has_no_resolution_option():
+    proc = run_script("best_response_scan.py", "--resolution", "24")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --resolution 24" in proc.stderr
+    assert "Traceback" not in proc.stderr
