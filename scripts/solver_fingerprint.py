@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fingerprint the best-response solver's answers, to show a change keeps them bit for bit.
+"""Fingerprint the solver's answers and the CLI's output, to show a change keeps them bit for bit.
 
 Solves four groups of problems and prints, per group, the number of problems,
 the total iterations and one SHA-256 over each solve's ``value``,
@@ -13,19 +13,27 @@ the total iterations and one SHA-256 over each solve's ``value``,
 * ``bundled``: both players of the bundled game against each of its reference
   strategies.
 
-Two commits that print the same lines gave the same answers on these problems.
+Then it runs each command of the benchmark's ``cli`` workload in-process through
+``qgame.cli.main``, as text and with ``--json``, and prints one line per command
+and mode with its exit code and a SHA-256 over the exit code, stdout and stderr,
+so a changed output names itself.
+
+Two commits that print the same lines gave the same answers on these problems
+and printed the same bytes for these commands.
 Run it from a checkout as ``PYTHONPATH=src python3 scripts/solver_fingerprint.py``.
 """
 
+import contextlib
 import hashlib
 import importlib
+import io
 import struct
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from qgame.cli import survive_closed_pipe
+from qgame import cli
 from qgame.equilibrium import best_response
 from qgame.game import build_game, payoff_tensor_matrix_unit, response_problem
 from qgame.games_builtin import ewl_prisoners_dilemma
@@ -87,6 +95,19 @@ def fingerprint(problems: list[np.ndarray]) -> tuple[str, int]:
     return digest.hexdigest(), iterations
 
 
+def cli_outputs() -> list[tuple[str, str, int, str]]:
+    """Label, mode, exit code and SHA-256 of each ``cli`` workload command, as text and JSON."""
+    outputs = []
+    for command in _perfbench_module("workloads").COMMANDS:
+        for mode, extra in (("text", ()), ("json", ("--json",))):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*command.argv, *extra])
+            digest = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode())
+            outputs.append((command.label, mode, code, digest.hexdigest()))
+    return outputs
+
+
 def main():
     groups = (("tuned", lambda: corpus_problems("tuned")),
               ("held-out", lambda: corpus_problems("held-out")),
@@ -97,7 +118,9 @@ def main():
         digest, iterations = fingerprint(problems)
         print(f"{name:<8}  problems {len(problems):>3}  iterations {iterations:>4}  "
               f"sha256 {digest}")
+    for label, mode, code, digest in cli_outputs():
+        print(f"cli       {label:<23}  {mode}  exit {code}  sha256 {digest}")
 
 
 if __name__ == "__main__":
-    survive_closed_pipe(main)
+    cli.survive_closed_pipe(main)

@@ -5,7 +5,8 @@ coercion, numpy's LAPACK gufuncs (``lapack``), :func:`spectrum` and
 :func:`cholesky_factor` (the one eigenvalue-only call and the one Cholesky
 test, each the one reader of its gufunc's NaN failure contract), the
 package-wide numerical tolerances, :func:`require_in`, the one argument rule,
-and :class:`Check`, the one shape every validity condition takes.  Matrices
+:class:`Check`, the one shape every validity condition takes, and
+:func:`positive_check`, the one positivity rule.  Matrices
 are plain square ``numpy.ndarray`` values of dtype complex, stored row-major.
 """
 
@@ -26,7 +27,8 @@ import numpy as np
 # wrapper would raise LinAlgError.  A numpy without these private names fails at import.
 from numpy.linalg import _umath_linalg as lapack
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, QGameError, ValidationError
+from .errors import (DimensionMismatch, NoConvergence, NotHermitian, NotPositive, QGameError,
+                     ValidationError)
 
 if _missing := [name for name in ("cholesky_lo", "eigh_lo", "eigvalsh_lo", "solve1")
                 if not hasattr(lapack, name)]:
@@ -42,7 +44,7 @@ ComplexMatrix: TypeAlias = np.ndarray
 # least value of a limit that is a multiple of ``tol`` (see quantum).
 # name = default             relative to    tol    what it judges
 HERMITIAN_ATOL = 1e-10     # none           tol    |m - m^dag|, entrywise
-PSD_ATOL = 1e-9            # none           tol    -lambda_min, and chi's least 2x2 minor
+PSD_ATOL = 1e-9            # none           tol    -lambda_min of a state or a chi
 TRACE_ATOL = 1e-9          # none           tol    trace one, trace preservation, completeness
 MEASUREMENT_ATOL = 1e-9    # none           tol    measurement and payoffs against R, entrywise
 KRAUS_RANK_TOL = 1e-10     # none           -      least eigenvalue a chi's Kraus form keeps
@@ -140,6 +142,24 @@ def cholesky_factor(a: ComplexMatrix) -> ComplexMatrix | None:
     # a failed factorisation is all NaN, and a NaN entry of ``a`` reaches the
     # factor's last diagonal entry
     return None if math.isnan(factor[-1, -1].real) else factor
+
+
+def positive_check(m: ComplexMatrix, tol: float | None = None, what: str = "matrix") -> Check:
+    """lambda_min(m) >= -limit for a Hermitian ``m``, limit ``tol`` (default ``PSD_ATOL``).
+
+    Decided by a Cholesky factor of ``m + limit I`` (read from its lower triangle),
+    which in exact arithmetic exists iff lambda_min(m) > -limit: a passing check
+    reports that bound.  The factorisation is backward stable (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 10), so it may also accept a lambda_min up
+    to about d eps ||m|| below -limit for a d x d matrix, the order of the eigenvalue's
+    own rounding.  Only a matrix without that factor has its least eigenvalue
+    computed, and that eigenvalue decides.
+    """
+    bound = limit(PSD_ATOL, tol)
+    if cholesky_factor(m + bound * np.eye(m.shape[0])) is not None:
+        return Check(f"{what} positive", bound, bound, NotPositive, f"min eigenvalue >= {-bound:.3e}")
+    lo = min_eigenvalue(m)
+    return Check(f"{what} positive", -lo, bound, NotPositive, f"min eigenvalue {lo:.3e}")
 
 
 def hermitian_part(m) -> ComplexMatrix:

@@ -32,7 +32,6 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     NotInOmega,
-    NotPositive,
     TraceConditionViolation,
     TraceNotOne,
 )
@@ -132,9 +131,7 @@ def _hermitian_positive_checks(a: ComplexMatrix, tol: float | None, what: str) -
     hermitian = linalg.hermitian_check(a, tol, what)
     yield hermitian
     if hermitian.passed:
-        lo = linalg.min_eigenvalue(a)
-        yield Check(f"{what} positive", -lo, linalg.limit(linalg.PSD_ATOL, tol), NotPositive,
-                    f"min eigenvalue {lo:.3e}")
+        yield linalg.positive_check(a, tol, what)
 
 
 def density_checks(a: ComplexMatrix, tol: float | None = None,
@@ -147,15 +144,11 @@ def density_checks(a: ComplexMatrix, tol: float | None = None,
 
 
 def chi_checks(a: ComplexMatrix, n: int, tol: float | None = None) -> Iterator[Check]:
-    """Hermiticity, positivity, trace-preservation sums and 2x2 principal minors of chi."""
+    """Hermiticity, positivity and the trace-preservation sums of chi, in that order."""
     yield from _hermitian_positive_checks(a, tol, "chi matrix")
     residual = float(np.abs(partial_trace_first(a, n) - np.eye(n)).max())
     yield Check("chi matrix trace-preservation", residual, linalg.limit(linalg.TRACE_ATOL, tol),
                 TraceConditionViolation, f"residual {residual:.3e}")
-    diag = a.diagonal().real
-    minor = float((diag[:, None] * diag - np.abs(a) ** 2).min())
-    yield Check("chi matrix principal minors", -minor, linalg.limit(linalg.PSD_ATOL, tol),
-                NotPositive, f"smallest minor {minor:.3e}")
 
 
 def operator_stack(ops, what: str) -> np.ndarray:
@@ -177,26 +170,12 @@ def completeness_check(stacked: np.ndarray, tol: float | None = None,
 
 
 def validate_density(m: ComplexMatrix, tol: float | None = None) -> DensityMatrix:
-    """Validate a candidate state; checks trace, Hermiticity, positivity.
+    """Validate a candidate state: :func:`density_checks`, a given ``tol`` replacing each limit.
 
-    A single ``tol`` overrides all three per-check defaults.  A state whose
-    trace and Hermiticity pass is accepted when ``rho + limit I`` has a
-    Cholesky factor, ``limit`` being the positivity limit: in exact arithmetic
-    that holds iff lambda_min(rho) > -limit.  The factorisation is backward
-    stable (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 10),
-    so it may also accept a minimum eigenvalue up to about d eps ||rho|| below
-    -limit for a d x d state, the order of the eigenvalue's own rounding.
-    Only a matrix without that factor meets :func:`density_checks`' positivity
-    check, on its minimum eigenvalue, so a state whose factorisation fails but
-    whose eigenvalue passes is still accepted; the raised diagnostic names the
-    first violated condition and carries the measured residual.
+    The raised error names the first violated condition and carries its residual.
     """
     a = linalg.as_matrix(m, "density matrix")
-    checks = density_checks(a, tol)
-    linalg.require([next(checks), next(checks)])  # trace one, then Hermiticity
-    shifted = a + linalg.limit(linalg.PSD_ATOL, tol) * np.eye(a.shape[0])
-    if linalg.cholesky_factor(shifted) is None:
-        linalg.require(checks)
+    linalg.require(density_checks(a, tol))
     return DensityMatrix(a)
 
 
@@ -220,10 +199,8 @@ def validate_kraus(ops, tol: float | None = None) -> KrausChannel:
 def validate_chi(m: ComplexMatrix, n: int, tol: float | None = None) -> ChiMatrix:
     """Validate membership of ``m`` in the strategy set over n-dim operators.
 
-    Checks, in order: Hermiticity, positivity, the trace-preservation sums
-    ``sum_i chi[(i,j),(i,l)] = delta_jl``, and the necessary principal-minor
-    condition ``chi_aa * chi_bb >= |chi_ab|^2`` (implied by positivity but
-    asserted independently).
+    Checks, in order: Hermiticity, positivity (:func:`linalg.positive_check`)
+    and the trace-preservation sums ``sum_i chi[(i,j),(i,l)] = delta_jl``.
     """
     a = linalg.as_matrix(m, "chi matrix")
     if a.shape[0] != n * n:

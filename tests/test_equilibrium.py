@@ -899,13 +899,22 @@ def test_script_runs(script, args):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_solver_fingerprint_prints_one_digest_per_group():
+def test_solver_fingerprint_prints_one_digest_per_group(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
     proc = run_script("solver_fingerprint.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["tuned", "held-out", "stress", "bundled"]
+    solver, commands = lines[:4], lines[4:]
+    assert [line.split()[0] for line in solver] == ["tuned", "held-out", "stress", "bundled"]
     assert all(re.fullmatch(r"\S+ +problems +\d+ +iterations +\d+ +sha256 [0-9a-f]{64}", line)
-               for line in lines)
+               for line in solver)
+    # one line per cli workload command and mode, with the exit code the workload expects
+    assert [line.split()[:5] for line in commands] == [
+        ["cli", command.label, mode, "exit", str(command.exit_code)]
+        for command in workloads.COMMANDS for mode in ("text", "json")]
+    assert all(re.fullmatch(r"cli +\S+ +(text|json) +exit +\d +sha256 [0-9a-f]{64}", line)
+               for line in commands)
 
 
 @pytest.mark.parametrize("group, most", [("stress", 321), ("bundled", 48)], ids=["stress", "bundled"])

@@ -17,7 +17,7 @@ from qgame.errors import (
     TraceConditionViolation,
     TraceNotOne,
 )
-from qgame.game import matrix_unit_basis
+from qgame.game import build_game, matrix_unit_basis
 from qgame.quantum import (
     ChiMatrix,
     KrausChannel,
@@ -33,7 +33,8 @@ from qgame.quantum import (
     validate_density,
     validate_kraus,
 )
-from qgame.random_ops import random_chi, random_complex, random_density, random_kraus_channel
+from qgame.random_ops import (random_chi, random_complex, random_density, random_hermitian,
+                              random_kraus_channel)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 UNITS = matrix_unit_basis(2)  # UNITS[i*2 + j] is the matrix unit (i, j)
@@ -104,15 +105,41 @@ def test_validate_density_matches_checks_on_random_states(n, rng):
                 _same_verdict(state, tol)
 
 
+def _chi_with_min_eigenvalue(n, lam):
+    """The identity chi with -lam added at ((0,0),(1,1)) and ((1,1),(0,0)).
+
+    e_(0,0) - e_(1,1) is then an eigenvector of eigenvalue lam, the rest of the
+    spectrum stays >= 0, and the trace-preservation sums are unchanged.  The
+    2x2 principal minor on those entries is 2 lam - lam^2.
+    """
+    chi = identity_chi(n).matrix.copy()
+    chi[0, n + 1] -= lam
+    chi[n + 1, 0] -= lam
+    return chi
+
+
+def _verdicts_at_min_eigenvalue(n, lam, tol, rng):
+    """The verdicts of a state, of a game's rho and of a chi, each with least eigenvalue lam."""
+    payoff = random_hermitian(n * n, rng)
+    verdicts = []
+    for d in (n, n * n):
+        rho = _state_with_min_eigenvalue(d, lam, rng)
+        verdicts.append(_same_verdict(rho, tol))
+        verdicts.append(_verdict(lambda: build_game(rho, payoff[:d, :d], payoff[:d, :d],
+                                                    d // n, n, tol)))
+    verdicts.append(_verdict(lambda: validate_chi(_chi_with_min_eigenvalue(n, lam), n, tol)))
+    return verdicts
+
+
 @pytest.mark.parametrize("limit", ["default", "explicit", "product re-check"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_validate_density_positivity_at_its_limit(n, limit, rng):
+    # the one positivity rule, as validate_density, build_game and validate_chi apply it
     tol = {"default": None, "explicit": 1e-6, "product re-check": _output_state_limit(None, n, n)}[limit]
     psd = linalg.limit(linalg.PSD_ATOL, tol)
-    for d in (n, n * n):
-        assert _same_verdict(_state_with_min_eigenvalue(d, -0.99 * psd, rng), tol) is None
-        verdict = _same_verdict(_state_with_min_eigenvalue(d, -1.01 * psd, rng), tol)
-        assert verdict is not None and verdict[0] is NotPositive
+    assert _verdicts_at_min_eigenvalue(n, -0.99 * psd, tol, rng) == [None] * 5
+    verdicts = _verdicts_at_min_eigenvalue(n, -1.01 * psd, tol, rng)
+    assert [verdict[0] for verdict in verdicts] == [NotPositive] * 5
 
 
 def test_validate_density_pure_state_at_zero_tolerance(rng):
@@ -134,12 +161,21 @@ def test_validate_density_reports_hermiticity_and_trace_as_checks_do(tol, rng):
 
 def test_validate_density_accepts_without_an_eigenvalue_solve(monkeypatch, rng):
     def no_eigenvalue(_):
-        raise AssertionError("an accepted state needs no eigenvalue")
+        raise AssertionError("an accepted state or chi needs no eigenvalue")
 
-    states = [random_density(d, rng).matrix for d in (2, 4, 9, 16, 36)]
+    sizes = [(1, 2), (2, 2), (3, 3), (4, 4), (6, 6)]
+    games = [(random_density(n1 * n2, rng).matrix, random_hermitian(n1 * n2, rng), n1, n2)
+             for n1, n2 in sizes]
+    chis = [(chi, n) for n in (2, 3, 4, 6) for chi in (random_chi(n, rng).matrix,
+                                                       identity_chi(n).matrix)]
+    # least eigenvalue -7e-10, within PSD_ATOL; its 2x2 principal minor is -1.4e-9
+    chis.append((_chi_with_min_eigenvalue(2, -7e-10), 2))
     monkeypatch.setattr(linalg, "min_eigenvalue", no_eigenvalue)
-    for state in states:
+    for state, payoff, n1, n2 in games:
         validate_density(state)
+        build_game(state, payoff, payoff, n1, n2)
+    for chi, n in chis:
+        validate_chi(chi, n)
 
 
 # ---------------------------------------------------------------------------
